@@ -26,7 +26,7 @@ class Transition:
     r: float
     s2: np.ndarray
     done: bool
-    next_mask: tuple[bool, ...]
+    next_mask: np.ndarray  # legal actions in s2
 
 
 class ReplayBuffer:

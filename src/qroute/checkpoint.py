@@ -31,10 +31,6 @@ MAGIC = b"POSERCKPT"
 VERSION = 1
 
 
-def _param_arrays(net: QNetwork) -> list[np.ndarray]:
-    return net.parameters()
-
-
 def save_checkpoint(path: str | Path, net: QNetwork, adam: AdamState, step: int) -> None:
     if net.dtype != np.dtype(np.float32):
         raise ValueError("checkpointing requires a float32 network")
@@ -42,7 +38,7 @@ def save_checkpoint(path: str | Path, net: QNetwork, adam: AdamState, step: int)
     dims = net.layer_sizes
     chunks.append(struct.pack("<H", len(dims)))
     chunks.append(struct.pack(f"<{len(dims)}I", *dims))
-    for p in _param_arrays(net):
+    for p in net.parameters():
         chunks.append(np.ascontiguousarray(p, dtype="<f4").tobytes())
     chunks.append(struct.pack("<Q", adam.t))
     for m in adam.m:

@@ -15,9 +15,9 @@ from .config import RunConfig, load_config
 from .environment import Environment
 from .errors import AllZeroDifferences, ConfigError, LogParseError, NumericalError, QRouteError
 from .evaluate import baseline_single_expert, build_report, evaluate, render_report
-from .logs import read_episode_log
+from .logs import read_episode_log, read_prompts, write_prompts
 from .policies import GreedyPolicy, episode_streams
-from .simworld import generate_corpus, read_prompts, write_prompts
+from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
 from .train import train
 
@@ -111,7 +111,7 @@ def _cmd_eval(args) -> int:
 def _cmd_baseline(args) -> int:
     cfg = RunConfig()
     env = _env_for(cfg)
-    if not 0 <= args.expert < env.registry.size:
+    if not 0 <= args.expert < len(env.registry):
         raise ConfigError(f"expert index out of range: {args.expert}")
     prompts = read_prompts(args.prompts)
     result = baseline_single_expert(env, args.expert, prompts, args.episodes, args.seed)

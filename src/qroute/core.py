@@ -121,7 +121,7 @@ _COMMAND_PHRASES: dict[TaskCategory, str] = {
 }
 
 
-def command_text(category: TaskCategory, atoms: frozenset[Atom]) -> str:
+def command_text(category: TaskCategory) -> str:
     """Canonical rendering of a decomposed command.
 
     Deliberately formulaic: one fixed two-word phrase per category, with

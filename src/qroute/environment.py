@@ -18,6 +18,7 @@ from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt
 from .embedder import HashingEmbedder, serialize_reflection_state
 from .errors import DomainError, IneligibleAction, SteppedAfterDone
 from .experts import ExpertRegistry
+from .logs import StepRecord
 from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
 
 T_MAX_DEFAULT = 6
@@ -61,24 +62,6 @@ class EnvState:
         return self._embed(self.serialized)
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    t: int
-    expert: int
-    category: str
-    raw: float
-    subscores: tuple[float, float, float, float]
-    reward: float
-    completed: bool
-    mask: tuple[bool, ...]
-    next_mask: tuple[bool, ...]
-    command_id: int
-    attempts: int
-    quality: float
-    abandoned_command: Optional[int] = None
-    terminal_reason: Optional[str] = None  # "drained" | "budget" | None
-
-
 class Environment:
     """Binds a registry, an embedder and the reflection loop into one MDP."""
 
@@ -95,7 +78,7 @@ class Environment:
         self.embed = embed if embed is not None else HashingEmbedder()
         self.t_max = t_max
         self.step_penalty = step_penalty
-        self.n_actions = registry.size
+        self.n_actions = len(registry)
 
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
@@ -129,7 +112,8 @@ class Environment:
 
     def step(
         self, state: EnvState, action: int, rng: np.random.Generator
-    ) -> tuple[EnvState, float, bool, StepInfo]:
+    ) -> tuple[EnvState, float, bool, StepRecord]:
+        """Apply one expert call; the record is the step's episode-log entry."""
         if state.done:
             raise SteppedAfterDone("episode already finished")
         assert state.c_curr is not None
@@ -174,7 +158,7 @@ class Environment:
             abandoned_atoms=abandoned_atoms,
             _embed=self.embed,
         )
-        info = StepInfo(
+        record = StepRecord(
             t=t2,
             expert=action,
             category=state.c_curr.category.value,
@@ -183,11 +167,9 @@ class Environment:
             reward=reward,
             completed=verdict.completed,
             mask=tuple(bool(b) for b in mask),
-            next_mask=tuple(bool(b) for b in self.legal_actions(state2)),
             command_id=state.c_curr.id,
             attempts=state.c_curr.attempts,
-            quality=quality,
             abandoned_command=outcome.abandoned.id if outcome.abandoned is not None else None,
             terminal_reason=reason,
         )
-        return state2, reward, done, info
+        return state2, reward, done, record

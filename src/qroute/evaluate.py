@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import TAXONOMY, Prompt, TaskCategory
 from .environment import Environment
+from .errors import AllZeroDifferences
 from .experts import ExpertRegistry, Modality
 from .logs import EpisodeRecord
 from .policies import Policy, SingleExpertPolicy, episode_seed, run_episode
@@ -81,7 +82,7 @@ def _routing_accuracy(
 def summarize_policy(
     name: str, episodes: list[EpisodeRecord], registry: ExpertRegistry
 ) -> PolicyEval:
-    n_experts = registry.size
+    n_experts = len(registry)
     matrix = np.zeros((len(TAXONOMY), n_experts), dtype=np.int64)
     raw_sum = np.zeros(n_experts)
     raw_count = np.zeros(n_experts, dtype=np.int64)
@@ -216,7 +217,7 @@ def build_report(
             try:
                 res = wilcoxon_signed_rank(pairs)
                 report.wilcoxon[b.name] = (res.statistic, res.pvalue)
-            except Exception:
+            except AllZeroDifferences:
                 report.wilcoxon[b.name] = (float("nan"), 1.0)
             report.win_rates[b.name] = win_rate([x > y for x, y in pairs])
     return report

@@ -121,10 +121,6 @@ class ExpertRegistry:
     def __len__(self) -> int:
         return len(self._specs)
 
-    @property
-    def size(self) -> int:
-        return len(self._specs)
-
     def indices(self, modality: Modality) -> frozenset[int]:
         return self._by_modality[modality]
 

@@ -1,13 +1,14 @@
-"""Episode logs: newline-delimited JSON, one step per line, followed by an
-episode summary line. Writing is canonical (sorted keys, no whitespace) so
-identical runs produce identical bytes."""
+"""Episode logs and prompt files: newline-delimited JSON. An episode log
+holds one step per line, followed by an episode summary line; a prompt
+file holds one prompt per line. Writing is canonical (sorted keys, no
+whitespace) so identical runs produce identical bytes."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Atom, CanvasState, Prompt, TaskCategory
 from .errors import LogParseError
@@ -68,6 +69,28 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """One line each, newline-terminated; an empty list writes an empty file."""
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def write_prompts(path: str | Path, prompts: Iterable[Prompt]) -> None:
+    write_lines(path, [_dump(_prompt_payload(p)) for p in prompts])
+
+
+def read_prompts(path: str | Path) -> list[Prompt]:
+    prompts = []
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            prompts.append(_prompt_from_payload(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogParseError(lineno, f"bad prompt record: {exc}") from exc
+    return prompts
+
+
 def episode_lines(episode: EpisodeRecord) -> list[str]:
     lines = []
     for s in episode.steps:
@@ -112,7 +135,7 @@ def write_episode_log(path: str | Path, episodes: list[EpisodeRecord]) -> None:
     lines: list[str] = []
     for ep in episodes:
         lines.extend(episode_lines(ep))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def read_episode_log(path: str | Path) -> list[EpisodeRecord]:

@@ -1,11 +1,11 @@
-"""Rollout policies and the episode runner shared by training-free
-evaluation paths: greedy network policy, uniform random, the ground-truth
-routing oracle, and forced single-expert baselines."""
+"""Rollout policies and the one episode runner that training and
+evaluation both use: greedy network policy, uniform random, the
+ground-truth routing oracle, and forced single-expert baselines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -24,6 +24,11 @@ class Policy(Protocol):
         self, state: EnvState, mask: np.ndarray, rng: np.random.Generator
     ) -> Optional[int]:
         """Return an action index, or None to stop the rollout."""
+
+
+#: Sees each transition as (state, action, reward, state2, next_mask);
+#: returning False ends the episode after that transition.
+StepHook = Callable[[EnvState, int, float, EnvState, np.ndarray], bool]
 
 
 @dataclass
@@ -113,37 +118,34 @@ def run_episode(
     prompt: Prompt,
     seed: int,
     episode_id: int = 0,
+    on_step: Optional[StepHook] = None,
 ) -> EpisodeRecord:
-    """Roll one full episode; deterministic given the seed."""
+    """Roll one full episode; deterministic given the seed.
+
+    Each state's legal mask is computed once and carried forward: the mask
+    the policy sees is the successor mask of the previous transition.
+    """
     policy_rng, rng = episode_streams(seed)
     state = env.reset(prompt)
+    mask = env.legal_actions(state)
     steps: list[StepRecord] = []
     total = 0.0
     truncated_by: Optional[str] = None
     while not state.done:
-        mask = env.legal_actions(state)
         action = policy(state, mask, policy_rng)
         if action is None:
             truncated_by = "policy"
             break
-        state, reward, done, info = env.step(state, int(action), rng)
+        action = int(action)
+        state2, reward, _, record = env.step(state, action, rng)
+        next_mask = env.legal_actions(state2)
         total += reward
-        steps.append(
-            StepRecord(
-                t=info.t,
-                expert=info.expert,
-                category=info.category,
-                raw=info.raw,
-                subscores=info.subscores,
-                reward=info.reward,
-                completed=info.completed,
-                mask=info.mask,
-                command_id=info.command_id,
-                attempts=info.attempts,
-                abandoned_command=info.abandoned_command,
-                terminal_reason=info.terminal_reason,
-            )
-        )
+        steps.append(record)
+        keep_going = on_step is None or on_step(state, action, reward, state2, next_mask)
+        state, mask = state2, next_mask
+        if not keep_going:
+            truncated_by = None if state.done else "budget"
+            break
     return EpisodeRecord(
         episode_id=episode_id,
         seed=seed,

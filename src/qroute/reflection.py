@@ -132,7 +132,7 @@ def _decompose(
             commands.append(
                 AtomicCommand(
                     id=cmd.id,
-                    text=command_text(cmd.category, payload),
+                    text=command_text(cmd.category),
                     category=cmd.category,
                     payload=payload,
                     attempts=cmd.attempts,
@@ -147,7 +147,7 @@ def _decompose(
             commands.append(
                 AtomicCommand(
                     id=next_id,
-                    text=command_text(cat, payload),
+                    text=command_text(cat),
                     category=cat,
                     payload=payload,
                     attempts=0,

@@ -11,15 +11,14 @@ taxonomy for classification and adversarial commands only.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import Atom, CanvasState, Prompt, TaskCategory, command_text
-from .errors import DomainError, LogParseError
+from .errors import DomainError
 from .experts import ExpertRegistry, Modality
+from .logs import read_prompts, write_prompts  # noqa: F401  prompt files, re-exported
 
 _C = TaskCategory
 
@@ -116,7 +115,7 @@ def generate_prompt(
     # surface text lists the requested operations in the ledger's phrasing;
     # the atoms carry the actual keys and values
     present = {a.category for a in atoms}
-    text = " | ".join(command_text(c, frozenset()) for c in TaskCategory if c in present)
+    text = " | ".join(command_text(c) for c in TaskCategory if c in present)
     initial = CanvasState.symbolic() if editing else None
     return Prompt(
         id=prompt_id,
@@ -192,44 +191,3 @@ def best_legal_expert(
     if best_idx is None:
         raise DomainError("no legal synthetic expert for this canvas")
     return best_idx
-
-
-# Prompt corpus files: one JSON object per line {id, text, style, atoms}.
-
-def write_prompts(path: str | Path, prompts: Iterable[Prompt]) -> None:
-    lines = []
-    for p in prompts:
-        record = {
-            "id": p.id,
-            "text": p.text,
-            "style": p.style_tag,
-            "editing": p.initial_canvas is not None,
-            "atoms": [[a.category.value, a.key, a.value] for a in sorted(p.atoms)],
-        }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def read_prompts(path: str | Path) -> list[Prompt]:
-    prompts = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            atoms = frozenset(
-                Atom(category=TaskCategory(c), key=k, value=v) for c, k, v in record["atoms"]
-            )
-            prompts.append(
-                Prompt(
-                    id=int(record["id"]),
-                    text=str(record["text"]),
-                    atoms=atoms,
-                    style_tag=record.get("style"),
-                    initial_canvas=CanvasState.symbolic() if record.get("editing") else None,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogParseError(lineno, f"bad prompt record: {exc}") from exc
-    return prompts

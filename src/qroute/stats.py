@@ -73,11 +73,15 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
 
     Zero differences are dropped; tied magnitudes share average ranks. The
     statistic is min(W+, W-). Exact enumeration up to n=25 nonzero pairs,
-    normal approximation with tie correction beyond.
+    normal approximation with tie correction beyond. A non-finite value
+    has no rank, so any pair holding one is refused.
     """
     if not pairs:
         raise AllZeroDifferences("no pairs given")
-    d = np.array([float(x) - float(y) for x, y in pairs], dtype=np.float64)
+    xy = np.array([(float(x), float(y)) for x, y in pairs], dtype=np.float64)
+    if not np.isfinite(xy).all():
+        raise DomainError("signed-rank pairs must be finite")
+    d = xy[:, 0] - xy[:, 1]
     d = d[d != 0.0]
     n = len(d)
     if n == 0:

@@ -1,5 +1,6 @@
-"""Training driver: the outer episode loop over a sampled prompt stream,
-one value-network update per environment step, periodic target refresh.
+"""Training driver: episodes over a sampled prompt stream, each rolled by
+the shared episode runner with a learner hook that makes one value-network
+update per environment step and refreshes the target periodically.
 
 All randomness flows from the config seed through named child streams, so
 two runs with the same config produce byte-identical logs, metrics and
@@ -19,10 +20,10 @@ from .agent import ReplayBuffer, Transition, epsilon_at, maybe_sync, select_acti
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .environment import Environment
-from .logs import EpisodeRecord, StepRecord, write_episode_log
-from .policies import episode_streams
+from .logs import EpisodeRecord, write_episode_log, write_lines
+from .policies import run_episode
 from .network import AdamState, QNetwork
-from .simworld import generate_corpus, oracle_fraction
+from .simworld import generate_corpus
 
 CHECKPOINT_NAME = "checkpoint.ckpt"
 EPISODES_NAME = "episodes.jsonl"
@@ -80,7 +81,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         config.difficulty_max,
     )
 
-    net = QNetwork(layer_sizes=(1536, 64, 64, registry.size), seed=config.seed)
+    net = QNetwork(layer_sizes=(1536, 64, 64, len(registry)), seed=config.seed)
     target = sync_target(net)  # initialization copy (sync at step 0)
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)
@@ -93,87 +94,58 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
     episodes: list[EpisodeRecord] = []
     metrics: list[StepMetric] = []
     global_step = 0
-    episode_id = 0
+    epsilon = config.epsilon_initial
+
+    def explore(state, mask, _policy_rng) -> int:
+        # exploration draws come from the run-wide stream, not the episode's
+        nonlocal epsilon
+        epsilon = epsilon_at(
+            global_step,
+            config.total_steps,
+            config.epsilon_initial,
+            config.epsilon_final,
+            config.exploration_fraction,
+        )
+        return select_action(net, state.embedding, mask, epsilon, explore_rng)
+
+    def learn(state, action, reward, state2, next_mask) -> bool:
+        nonlocal global_step, target
+        buffer.push(
+            Transition(
+                s=state.embedding,
+                a=action,
+                r=reward,
+                s2=state2.embedding,
+                done=state2.done,
+                next_mask=next_mask,
+            )
+        )
+        global_step += 1
+        loss: Optional[float] = None
+        if len(buffer) >= config.learning_starts:
+            batch = buffer.sample(config.batch_size, sample_rng)
+            loss = train_batch(net, target, batch, adam, config.lr, config.gamma)
+        synced = maybe_sync(global_step, config.target_sync_interval)
+        if synced:
+            target = sync_target(net)
+        metrics.append(
+            StepMetric(
+                step=global_step,
+                episode=len(episodes),
+                epsilon=epsilon,
+                reward=reward,
+                loss=loss,
+                synced=synced,
+            )
+        )
+        return global_step < config.total_steps
 
     while global_step < config.total_steps:
         prompt = corpus[int(prompt_rng.integers(0, len(corpus)))]
         ep_seed = int(seed_rng.integers(0, 2**63))
-        _, ep_rng = episode_streams(ep_seed)  # world stream; replayable from the log
-        state = env.reset(prompt)
-        steps: list[StepRecord] = []
-        ep_return = 0.0
-
-        while not state.done and global_step < config.total_steps:
-            mask = env.legal_actions(state)
-            eps = epsilon_at(
-                global_step,
-                config.total_steps,
-                config.epsilon_initial,
-                config.epsilon_final,
-                config.exploration_fraction,
-            )
-            action = select_action(net, state.embedding, mask, eps, explore_rng)
-            state2, reward, done, info = env.step(state, action, ep_rng)
-            buffer.push(
-                Transition(
-                    s=state.embedding,
-                    a=action,
-                    r=reward,
-                    s2=state2.embedding,
-                    done=done,
-                    next_mask=info.next_mask,
-                )
-            )
-            global_step += 1
-            loss: Optional[float] = None
-            if len(buffer) >= config.learning_starts:
-                batch = buffer.sample(config.batch_size, sample_rng)
-                loss = train_batch(net, target, batch, adam, config.lr, config.gamma)
-            synced = maybe_sync(global_step, config.target_sync_interval)
-            if synced:
-                target = sync_target(net)
-            ep_return += reward
-            metrics.append(
-                StepMetric(
-                    step=global_step,
-                    episode=episode_id,
-                    epsilon=eps,
-                    reward=reward,
-                    loss=loss,
-                    synced=synced,
-                )
-            )
-            steps.append(
-                StepRecord(
-                    t=info.t,
-                    expert=info.expert,
-                    category=info.category,
-                    raw=info.raw,
-                    subscores=info.subscores,
-                    reward=info.reward,
-                    completed=info.completed,
-                    mask=info.mask,
-                    command_id=info.command_id,
-                    attempts=info.attempts,
-                    abandoned_command=info.abandoned_command,
-                    terminal_reason=info.terminal_reason,
-                )
-            )
-            state = state2
-
         episodes.append(
-            EpisodeRecord(
-                episode_id=episode_id,
-                seed=ep_seed,
-                prompt=prompt,
-                steps=tuple(steps),
-                episode_return=ep_return,
-                length=len(steps),
-                final_oracle_fraction=oracle_fraction(state.canvas, prompt),
-                truncated_by=None if state.done else "budget",
-            )
+            run_episode(env, explore, prompt, ep_seed, episode_id=len(episodes), on_step=learn)
         )
-        episode_id += 1
 
     result = TrainResult(config=config, net=net, adam=adam, episodes=episodes, metrics=metrics)
     if out_dir is not None:
@@ -200,9 +172,7 @@ def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
         )
         for m in result.metrics
     ]
-    (out_dir / METRICS_NAME).write_text(
-        "\n".join(metric_lines) + ("\n" if metric_lines else ""), encoding="utf-8"
-    )
+    write_lines(out_dir / METRICS_NAME, metric_lines)
     losses = result.losses
     summary = {
         "total_steps": step,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from qroute.cli import main as cli_main
 from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
 from qroute.environment import Environment
-from qroute.errors import ConfigError, LogParseError
+from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, render_report
 from qroute.logs import EpisodeRecord, read_episode_log, write_episode_log
-from qroute.policies import GreedyPolicy, OraclePolicy, RandomPolicy, SingleExpertPolicy, run_episode
+from qroute.policies import GreedyPolicy, OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus, write_prompts
 from qroute.train import train
 
@@ -194,6 +195,19 @@ def test_report_rendering_and_payload(env):
     assert base.name in payload["wilcoxon_vs_baselines"]
 
 
+def test_report_statistics_do_not_hide_errors(env):
+    prompts = generate_corpus(1, 8, 1, 6)
+    main_eval = evaluate(env, RandomPolicy(), prompts, 1, seed=1, name="main")
+    # identical returns: no nonzero difference, reported as W = nan, p = 1
+    same = replace(main_eval, name="same")
+    w, p = build_report(main_eval, [same]).wilcoxon["same"]
+    assert np.isnan(w) and p == 1.0
+    nan_episode = replace(main_eval.episodes[0], episode_return=float("nan"))
+    broken = replace(main_eval, name="broken", episodes=[nan_episode, *main_eval.episodes[1:]])
+    with pytest.raises(DomainError):
+        build_report(main_eval, [broken])
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -209,7 +223,7 @@ def test_train_zero_budget(tmp_path):
     net, adam, step = load_checkpoint(tmp_path / "run/checkpoint.ckpt")
     assert step == 0
     fresh = RunConfig(seed=0).build_registry()
-    assert net.layer_sizes == (1536, 64, 64, fresh.size)
+    assert net.layer_sizes == (1536, 64, 64, len(fresh))
 
 
 def test_train_consumes_exact_budget():
@@ -217,6 +231,23 @@ def test_train_consumes_exact_budget():
     result = train(cfg)
     assert len(result.metrics) == 57
     assert sum(e.length for e in result.episodes) == 57
+
+
+def test_train_budget_stop_and_episode_replay():
+    cfg = RunConfig(seed=1, total_steps=101, learning_starts=5)
+    result = train(cfg)
+    # the learner hook ends the last episode mid-way when the budget runs out
+    assert result.episodes[-1].truncated_by == "budget"
+    assert sum(e.length for e in result.episodes) == len(result.metrics) == 101
+    env = Environment(cfg.build_registry(), t_max=cfg.t_max, step_penalty=cfg.step_penalty)
+    for episode in result.episodes:
+        _, world = episode_streams(episode.seed)
+        state = env.reset(episode.prompt)
+        replayed = []
+        for logged in episode.steps:
+            state, _, _, record = env.step(state, logged.expert, world)
+            replayed.append(record)
+        assert tuple(replayed) == episode.steps
 
 
 def test_train_deterministic_reward_trace():

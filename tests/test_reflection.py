@@ -25,7 +25,7 @@ def cmd(category, atoms=(), attempts=0, cid=1, text=None):
     payload = frozenset(atoms)
     return AtomicCommand(
         id=cid,
-        text=text if text is not None else command_text(category, payload),
+        text=text if text is not None else command_text(category),
         category=category,
         payload=payload,
         attempts=attempts,

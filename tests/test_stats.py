@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qroute.errors import AllZeroDifferences, EmptyList
+from qroute.errors import AllZeroDifferences, DomainError, EmptyList
 from qroute.stats import mean_stderr, wilcoxon_signed_rank, win_rate
 
 
@@ -72,6 +72,16 @@ def test_all_zero_differences_raises():
         wilcoxon_signed_rank([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(AllZeroDifferences):
         wilcoxon_signed_rank([])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)],
+)
+def test_non_finite_pair_raises(bad):
+    # a NaN difference passes d != 0 but falls in neither W+ nor W-
+    with pytest.raises(DomainError):
+        wilcoxon_signed_rank([bad, (1.0, 2.0), (3.0, 1.0)])
 
 
 def test_zero_differences_are_dropped_not_counted():
