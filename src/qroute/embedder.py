@@ -62,6 +62,12 @@ class HashingEmbedder:
     one- and two-token inputs still produce informative grams. An input
     with no grams at all (empty text) maps to the fixed basis vector e0,
     keeping the unit-norm contract total.
+
+    Vectors are memoized per instance by text. The encoding is a pure
+    function of the text and each vector is returned read-only, so a cached
+    vector is the exact array a fresh computation would give and no caller
+    can change it. The reflection states are formulaic (a few hundred
+    distinct texts over thousands of episodes), so the memo needs no bound.
     """
 
     def __init__(self, dim: int = EMBED_DIM, ngram: int = 3):
@@ -69,8 +75,17 @@ class HashingEmbedder:
             raise ValueError("dim and ngram must be positive")
         self.dim = dim
         self.ngram = ngram
+        self._memo: dict[str, np.ndarray] = {}
 
     def __call__(self, text: str) -> np.ndarray:
+        out = self._memo.get(text)
+        if out is None:
+            out = self._encode(text)
+            out.setflags(write=False)
+            self._memo[text] = out
+        return out
+
+    def _encode(self, text: str) -> np.ndarray:
         toks = [_BOUNDARY] + _tokens(text) + [_BOUNDARY]
         v = np.zeros(self.dim, dtype=np.float64)
         n = self.ngram

@@ -133,25 +133,78 @@ class QNetwork:
 
 
 class AdamState:
-    """First/second moment accumulators mirroring a network's parameters."""
+    """First/second moment accumulators mirroring a network's parameters.
+
+    The update is row-sparse and exact. The hashed state vector has about
+    ten nonzeros, so most rows of the first weight matrix never see a
+    nonzero gradient; such a row has m = v = g = 0, and the dense update
+    there is lr * 0 / (0 + eps) = 0. Each 2-D parameter therefore keeps a
+    "live" mask of the rows that ever had a nonzero (or NaN) gradient and
+    runs Adam only on those. A live row stays live, so its moments keep
+    decaying exactly as in the dense update (unlike lazy or sparse Adam
+    variants, which skip that decay).
+    """
 
     def __init__(self, net: QNetwork):
         self.m = [np.zeros_like(p) for p in net.parameters()]
         self.v = [np.zeros_like(p) for p in net.parameters()]
         self.t = 0
 
+    # Assigning m or v (as a checkpoint load does) rebuilds the live masks
+    # from the moments on the next step.
+    @property
+    def m(self) -> list[np.ndarray]:
+        return self._m
+
+    @m.setter
+    def m(self, value: list[np.ndarray]) -> None:
+        self._m = value
+        self._live = None
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        return self._v
+
+    @v.setter
+    def v(self, value: list[np.ndarray]) -> None:
+        self._v = value
+        self._live = None
+
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("parameter/gradient count mismatch")
+        if self._live is None:
+            self._live = [_moment_rows(m, v) if m.ndim == 2 else None for m, v in zip(self._m, self._v)]
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, live in zip(params, grads, self._m, self._v, self._live):
             g = g.astype(p.dtype, copy=False)
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            m_hat = m / b1t
-            v_hat = v / b2t
-            p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
+            if live is not None:
+                live |= g.any(axis=1)
+            if live is None or live.all():
+                _adam_update(p, g, m, v, lr, b1t, b2t)
+                continue
+            rows = np.flatnonzero(live)
+            p_r, m_r, v_r = p[rows], m[rows], v[rows]
+            _adam_update(p_r, g[rows], m_r, v_r, lr, b1t, b2t)
+            p[rows], m[rows], v[rows] = p_r, m_r, v_r
+
+
+def _moment_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows whose moments are not all +0.0: the only rows a step with a zero
+    gradient can change (a dense step turns a -0.0 moment into +0.0)."""
+    return (np.signbit(m) | (m != 0) | (v != 0)).any(axis=1)
+
+
+def _adam_update(
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, b1t: float, b2t: float
+) -> None:
+    """One in-place Adam update of ``p``, ``m`` and ``v`` given gradient ``g``."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(g)
+    m_hat = m / b1t
+    v_hat = v / b2t
+    p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from qroute.config import RunConfig
 from qroute.core import Atom, CanvasState, Prompt, TaskCategory
 from qroute.environment import Environment
 from qroute.experts import default_registry

@@ -16,7 +16,6 @@ from qroute.agent import ReplayBuffer, Transition, epsilon_at
 from qroute.config import RunConfig
 from qroute.environment import Environment, shape_reward
 from qroute.errors import BufferTooSmall
-from qroute.evaluate import evaluate, routing_stats
 from qroute.network import QNetwork
 from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus

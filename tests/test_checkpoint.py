@@ -89,3 +89,35 @@ def test_float64_network_refused(tmp_path):
     net = QNetwork((8, 4, 4, 2), seed=0, dtype=np.float64)
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "bad.ckpt", net, AdamState(net), step=0)
+
+
+def test_resumed_optimizer_continues_bit_identically(tmp_path):
+    # rows 0-3 get gradients before the save and none after: a resumed
+    # optimizer that forgot they were touched would stop decaying them
+    net = QNetwork((16, 8, 8, 4), seed=6)
+    adam = AdamState(net)
+    rng = np.random.default_rng(4)
+
+    def grads(rows):
+        out = []
+        for p in net.parameters():
+            g = np.zeros_like(p)
+            if p.ndim == 2:
+                g[rows] = rng.normal(size=(len(rows), p.shape[1]))
+            out.append(g)
+        return out
+
+    for _ in range(5):
+        adam.step(net.parameters(), grads([0, 1, 2, 3]), lr=1e-2)
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(path, net, adam, step=5)
+    loaded_net, loaded_adam, _ = load_checkpoint(path)
+    for _ in range(6):
+        g = grads([4, 5])
+        adam.step(net.parameters(), g, lr=1e-2)
+        loaded_adam.step(loaded_net.parameters(), g, lr=1e-2)
+        for a, b in zip(
+            net.parameters() + adam.m + adam.v,
+            loaded_net.parameters() + loaded_adam.m + loaded_adam.v,
+        ):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))

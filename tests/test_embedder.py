@@ -58,6 +58,7 @@ def test_one_command_difference_never_parallel():
     # corpus of 1000 states; flipping one remaining command must move the vector
     words = ["boats", "lantern", "sky", "caption", "tint", "layout", "glow", "marble"]
     base_cmds = [(f"{words[i % 8]} {words[(i * 3 + 1) % 8]}", i % 3) for i in range(4)]
+    embed = HashingEmbedder()  # its own memo, freed with the test
     collisions = 0
     for i in range(1000):
         cur = f"{words[i % 8]} {words[(i + 5) % 8]} {i}"
@@ -75,6 +76,7 @@ def test_one_command_difference_never_parallel():
 def test_injectivity_over_10k_states():
     texts = set()
     vectors = set()
+    embed = HashingEmbedder()  # its own memo, freed with the test
     n = 10_000
     for i in range(n):
         text = serialize_reflection_state(
@@ -89,6 +91,29 @@ def test_injectivity_over_10k_states():
     if collisions:
         print(f"embedding collisions: {collisions}/{n} = {rate:.4%}")
     assert rate < 0.001
+
+
+def test_repeated_text_returns_the_same_read_only_array():
+    text = "CUR:add a lantern|REM:tint sky@0"
+    v = embed(text)
+    assert embed(text) is v
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+
+
+def test_memoized_vectors_equal_fresh_encodings():
+    memo = HashingEmbedder()
+    words = ["boats", "lantern", "sky", "caption", "tint", "layout", "glow", "marble"]
+    texts = [
+        serialize_reflection_state(
+            f"{words[i % 8]} {words[i // 8]}" if i % 7 else None,
+            [(f"{words[(i + j) % 8]} {words[j]}", (i + j) % 3) for j in range(i % 5)],
+        )
+        for i in range(64)
+    ]
+    assert len(set(texts)) >= 50
+    for text in texts + texts:  # the second pass is served from the memo
+        assert np.array_equal(memo(text), HashingEmbedder()(text))
 
 
 def test_remote_embedder_validates_length():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qroute.core import CanvasState, CommandSet
-from qroute.environment import Environment, shape_reward
+from qroute.core import CanvasState
+from qroute.environment import shape_reward
 from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
 from qroute.policies import RandomPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus

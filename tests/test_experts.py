@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from qroute.core import Atom, AtomicCommand, CanvasState, TaskCategory
+from qroute.core import AtomicCommand, CanvasState, TaskCategory
 from qroute.errors import DuplicateIndex, IneligibleExpert, RemoteFailure
 from qroute.experts import (
-    DEFAULT_SKILL_TABLE,
     ExpertRegistry,
     ExpertSpec,
     Modality,
     RemoteBackend,
     SkillProfile,
-    default_registry,
 )
 
 from conftest import atom

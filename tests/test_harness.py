@@ -10,8 +10,8 @@ from qroute.core import TaskCategory
 from qroute.environment import Environment
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, render_report
-from qroute.logs import EpisodeRecord, read_episode_log, write_episode_log
-from qroute.policies import GreedyPolicy, OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
+from qroute.logs import read_episode_log, write_episode_log
+from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus, write_prompts
 from qroute.train import train
 

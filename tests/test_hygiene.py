@@ -1,0 +1,36 @@
+"""Source hygiene of the test suite, checked with the standard library only
+(no linter is configured for the project)."""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_scanner_sees_unused_and_attribute_uses():
+    src = "import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(1)\nc()\n"
+    assert unused_imports(src) == ["b (line 3)", "os (line 1)"]
+
+
+def test_no_unused_imports_in_tests():
+    found = {
+        path.name: names
+        for path in sorted(TESTS.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

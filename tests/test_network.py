@@ -208,3 +208,112 @@ def test_masked_argmax_shift_invariance(qs, shift, mask):
     base = select_action(net, np.zeros(4), np.array(mask), 0.0, rng)
     shifted = select_action(net, np.full(4, float(shift)), np.array(mask), 0.0, rng)
     assert base == shifted
+
+
+def dense_adam_step(params, grads, ms, vs, t, lr):
+    """Reference Adam over every element, as the optimizer ran before it
+    skipped untouched rows."""
+    b1t = 1.0 - ADAM_BETA1**t
+    b2t = 1.0 - ADAM_BETA2**t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        g = g.astype(p.dtype, copy=False)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        m_hat = m / b1t
+        v_hat = v / b2t
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
+
+
+def row_sparse_grads(rng, params, rows_by_param):
+    """float32 gradients that are nonzero only on the given rows of each
+    matrix; the other rows hold -0.0 or +0.0, as a matmul can leave them."""
+    grads = []
+    for p, rows in zip(params, rows_by_param):
+        zero = -0.0 if rng.random() < 0.5 else 0.0
+        g = np.full(p.shape, zero, dtype=np.float32)
+        if p.ndim == 1:
+            g[:] = rng.normal(size=p.shape)
+        else:
+            g[rows] = rng.normal(size=(len(rows), p.shape[1]))
+        grads.append(g)
+    return grads
+
+
+def sparse_schedule(rng, params, step):
+    """Rows touched at ``step``: two of the first half of each matrix before
+    step 10, two of the second half from then on."""
+    out = []
+    for p in params:
+        half = p.shape[0] // 2
+        lo, hi = (0, half) if step < 10 else (half, p.shape[0])
+        out.append(rng.choice(np.arange(lo, hi), size=2, replace=False) if p.ndim == 2 else None)
+    return out
+
+
+def assert_bits_equal(a, b):
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_row_sparse_adam_matches_dense_reference_bit_for_bit():
+    net = QNetwork((32, 8, 8, 4), seed=3)
+    ref = net.copy()
+    adam = AdamState(net)
+    ref_m = [np.zeros_like(p) for p in ref.parameters()]
+    ref_v = [np.zeros_like(p) for p in ref.parameters()]
+    rng = np.random.default_rng(11)
+    for step in range(1, 25):
+        grads = row_sparse_grads(rng, net.parameters(), sparse_schedule(rng, net.parameters(), step))
+        if step == 12:  # a step where every gradient is zero
+            grads = [np.zeros_like(g) for g in grads]
+        adam.step(net.parameters(), grads, lr=1e-2)
+        dense_adam_step(ref.parameters(), grads, ref_m, ref_v, step, lr=1e-2)
+        for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
+            assert_bits_equal(a, b)
+    # the first matrix kept untouched rows, and rows that went quiet at step 10
+    touched = adam.v[0].any(axis=1)
+    assert not touched.all()
+    assert touched[:16].any()
+
+
+def test_nan_gradient_on_untouched_row_poisons_like_dense():
+    net = QNetwork((16, 4, 4, 3), seed=1)
+    ref = net.copy()
+    adam = AdamState(net)
+    ref_m = [np.zeros_like(p) for p in ref.parameters()]
+    ref_v = [np.zeros_like(p) for p in ref.parameters()]
+    rng = np.random.default_rng(2)
+    for step in range(1, 4):
+        rows = [[0, 1] if p.ndim == 2 else None for p in net.parameters()]
+        grads = row_sparse_grads(rng, net.parameters(), rows)
+        adam.step(net.parameters(), grads, lr=1e-2)
+        dense_adam_step(ref.parameters(), grads, ref_m, ref_v, step, lr=1e-2)
+    assert not adam.m[0][9].any()  # row 9 never had a gradient
+    grads = [np.zeros_like(p) for p in net.parameters()]
+    grads[0][9, 2] = np.nan
+    adam.step(net.parameters(), grads, lr=1e-2)
+    dense_adam_step(ref.parameters(), grads, ref_m, ref_v, 4, lr=1e-2)
+    for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.isnan(net.weights[0][9]).any()
+    with pytest.raises(NumericalError):
+        net.check_finite()
+
+
+def test_assigned_moments_rebuild_live_rows():
+    # as after a checkpoint load: row 2 has moments, row 1 only a -0.0
+    # moment, which a dense step with a +0.0 gradient turns into +0.0
+    net = QNetwork((4, 3, 2), seed=0)
+    ref = net.copy()
+    ms = [np.zeros_like(p) for p in net.parameters()]
+    vs = [np.zeros_like(p) for p in net.parameters()]
+    ms[0][1] = -0.0
+    ms[0][2, 0], vs[0][2, 0] = 0.5, 0.25
+    adam = AdamState(net)
+    adam.m, adam.v, adam.t = [m.copy() for m in ms], [v.copy() for v in vs], 3
+    grads = [np.zeros_like(p) for p in net.parameters()]
+    adam.step(net.parameters(), grads, lr=1e-2)
+    dense_adam_step(ref.parameters(), grads, ms, vs, 4, lr=1e-2)
+    for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ms + vs):
+        assert_bits_equal(a, b)

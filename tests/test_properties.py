@@ -1,12 +1,10 @@
 """Cross-module system properties that do not fit a single unit scope."""
 
-import numpy as np
-
 from qroute.config import RunConfig
 from qroute.environment import Environment
 from qroute.evaluate import evaluate
 from qroute.policies import GreedyPolicy, RandomPolicy, episode_streams, run_episode
-from qroute.simworld import generate_corpus, oracle_fraction
+from qroute.simworld import generate_corpus
 from qroute.train import train
 
 

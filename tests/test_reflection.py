@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt, TaskCategory, command_text
+from qroute.core import AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
 from qroute.errors import RemoteFailure
 from qroute.reflection import (
     SPATIAL_CATEGORIES,
