@@ -1,17 +1,23 @@
 """Command line entry points.
 
 Exit codes: 0 success, 2 validation problem (arguments, config, inputs),
-3 runtime abort (numerical failure, remote failure, replay mismatch).
+3 runtime abort (numerical failure, replay mismatch).
+
+``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
+world the run was trained in: the config ``train`` recorded in the
+``summary.json`` beside the checkpoint or episode log, or the default
+config when there is no such file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .config import RunConfig, load_config
+from .config import RunConfig, config_from_dict, load_config
 from .environment import Environment
 from .errors import AllZeroDifferences, ConfigError, LogParseError, NumericalError, QRouteError
 from .evaluate import baseline_single_expert, build_report, evaluate, render_report
@@ -19,7 +25,7 @@ from .logs import read_episode_log, read_prompts, write_prompts
 from .policies import GreedyPolicy, episode_streams
 from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
-from .train import train
+from .train import SUMMARY_NAME, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,6 +91,17 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _recorded_config(run_file: Path) -> RunConfig:
+    """The config of the run whose directory holds ``run_file``."""
+    summary = run_file.parent / SUMMARY_NAME
+    if not summary.is_file():
+        return RunConfig()
+    try:
+        return config_from_dict(json.loads(summary.read_text(encoding="utf-8"))["config"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"no run config in {summary}: {exc}") from exc
+
+
 def _env_for(cfg: RunConfig) -> Environment:
     return Environment(cfg.build_registry(), t_max=cfg.t_max, step_penalty=cfg.step_penalty)
 
@@ -92,8 +109,11 @@ def _env_for(cfg: RunConfig) -> Environment:
 def _cmd_eval(args) -> int:
     net, _, _ = load_checkpoint(args.checkpoint)
     prompts = read_prompts(args.prompts)
-    cfg = RunConfig()
-    env = _env_for(cfg)
+    env = _env_for(_recorded_config(args.checkpoint))
+    if net.n_actions != len(env.registry):
+        raise ConfigError(
+            f"checkpoint scores {net.n_actions} experts, its run config registers {len(env.registry)}"
+        )
     trained = evaluate(env, GreedyPolicy(net), prompts, args.episodes, args.seed, name="trained_greedy")
     baselines = []
     if args.baselines:
@@ -140,7 +160,7 @@ def _cmd_replay(args) -> int:
     if not matching:
         raise ConfigError(f"no episode with id {args.index} in {args.episode}")
     episode = matching[0]
-    cfg = _load_run_config(args.config, None)
+    cfg = load_config(args.config) if args.config is not None else _recorded_config(args.episode)
     env = _env_for(cfg)
 
     _, rng = episode_streams(episode.seed)

@@ -103,7 +103,7 @@ class RunConfig:
             registry = ExpertRegistry(specs)
         cats = self.categories()
         for spec in registry.list():
-            if spec.profile is not None and not spec.profile.covers(cats):
+            if not spec.profile.covers(cats):
                 raise ConfigError(f"expert {spec.index} profile does not cover the taxonomy")
         return registry
 

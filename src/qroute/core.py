@@ -43,7 +43,6 @@ class Atom:
 class CanvasKind(str, Enum):
     BLANK = "blank"
     SYMBOLIC = "symbolic"
-    EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,10 @@ class CanvasState:
     kind: CanvasKind
     atoms: frozenset[Atom] = frozenset()
     style: Optional[str] = None
-    ref: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind is CanvasKind.BLANK and (self.atoms or self.style or self.ref):
-            raise ValueError("a blank canvas carries no atoms, style or reference")
-        if self.kind is CanvasKind.EXTERNAL and self.ref is None:
-            raise ValueError("external canvas requires a reference")
+        if self.kind is CanvasKind.BLANK and (self.atoms or self.style):
+            raise ValueError("a blank canvas carries no atoms or style")
 
     @property
     def is_blank(self) -> bool:
@@ -71,19 +67,14 @@ class CanvasState:
     def symbolic(atoms: frozenset[Atom] = frozenset(), style: Optional[str] = None) -> "CanvasState":
         return CanvasState(CanvasKind.SYMBOLIC, atoms=frozenset(atoms), style=style)
 
-    @staticmethod
-    def external(ref: str) -> "CanvasState":
-        return CanvasState(CanvasKind.EXTERNAL, ref=ref)
-
 
 def atom_satisfied(atom: Atom, canvas: CanvasState) -> bool:
     """Whether a single constraint is met on the given canvas.
 
     Removal constraints are met by absence; everything else by presence.
-    Blank canvases satisfy nothing, and opaque external canvases cannot be
-    assessed symbolically at all.
+    Blank canvases satisfy nothing.
     """
-    if canvas.is_blank or canvas.kind is CanvasKind.EXTERNAL:
+    if canvas.is_blank:
         return False
     if atom.category in REMOVAL_CATEGORIES:
         return atom not in canvas.atoms

@@ -7,20 +7,15 @@ one hash picks the bucket, a second independent hash picks the sign, and
 the resulting count vector is L2-normalized. The encoding is a pure
 function of the input text, so identical states embed identically across
 processes and platforms.
-
-An adapter hook allows swapping in a remote encoder that returns 1536
-floats; the rest of the engine treats both encoders identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from .errors import RemoteFailure
 
 EMBED_DIM = 1536
 
@@ -98,28 +93,3 @@ class HashingEmbedder:
             out[0] = 1.0
             return out
         return v / norm
-
-
-class RemoteEmbedder:
-    """Adapter around an external encoder service.
-
-    The transport is any callable taking the UTF-8 text and returning a
-    sequence of floats; replies whose length differs from the configured
-    dimension are rejected.
-    """
-
-    def __init__(self, transport: Callable[[str], Sequence[float]], dim: int = EMBED_DIM):
-        self.transport = transport
-        self.dim = dim
-
-    def __call__(self, text: str) -> np.ndarray:
-        try:
-            values = self.transport(text)
-        except Exception as exc:
-            raise RemoteFailure(f"embedder transport failed: {exc}") from exc
-        arr = np.asarray(list(values), dtype=np.float64)
-        if arr.shape != (self.dim,):
-            raise RemoteFailure(
-                f"embedder reply has length {arr.shape}, expected ({self.dim},)"
-            )
-        return arr

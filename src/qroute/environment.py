@@ -68,14 +68,13 @@ class Environment:
     def __init__(
         self,
         registry: ExpertRegistry,
-        embed: Optional[Callable[[str], np.ndarray]] = None,
         t_max: int = T_MAX_DEFAULT,
         step_penalty: float = STEP_PENALTY_DEFAULT,
     ):
         if t_max < 1:
             raise DomainError("t_max must be >= 1")
         self.registry = registry
-        self.embed = embed if embed is not None else HashingEmbedder()
+        self.embed = HashingEmbedder()
         self.t_max = t_max
         self.step_penalty = step_penalty
         self.n_actions = len(registry)
@@ -83,11 +82,8 @@ class Environment:
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
         canvas = prompt.initial_canvas if prompt.initial_canvas is not None else CanvasState.blank()
-        probe = AtomicCommand(
-            id=0, text=prompt.text, category=sorted(prompt.atoms)[0].category, payload=prompt.atoms
-        )
         seed_cmd = AtomicCommand(
-            id=0, text=prompt.text, category=classify_task(probe), payload=prompt.atoms
+            id=0, text=prompt.text, category=classify_task(prompt.atoms), payload=prompt.atoms
         )
         return EnvState(
             prompt=prompt,

@@ -29,14 +29,6 @@ class SteppedAfterDone(QRouteError):
     """Environment step called on a finished episode."""
 
 
-class UnsupportedCanvas(QRouteError):
-    """A synthetic expert cannot operate on an opaque external canvas."""
-
-
-class RemoteFailure(QRouteError):
-    """A remote adapter timed out or returned a malformed reply."""
-
-
 class EmptyMask(QRouteError):
     """Action selection requires at least one legal action."""
 

@@ -1,10 +1,8 @@
 """Registry of generation (T2I) and editing (I2I) experts.
 
-Experts are pluggable backends behind a common invoke contract. The
-default registry is fully synthetic: each expert carries a per-category
+The registry is fully synthetic: each expert carries a per-category
 skill profile (mean quality, noise, failure probability) and mutates the
-symbolic canvas accordingly. A remote backend with the same contract can
-be registered instead; the engine does not care which is which.
+symbolic canvas accordingly.
 
 Canonical ordering: indices 0..6 are text-to-image, indices 7..11 are
 image-to-image. Eligibility is purely modal: T2I experts act on a blank
@@ -15,18 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import (
-    REMOVAL_CATEGORIES,
-    AtomicCommand,
-    CanvasKind,
-    CanvasState,
-    TaskCategory,
-)
-from .errors import DuplicateIndex, IneligibleExpert, RemoteFailure, UnsupportedCanvas
+from .core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory
+from .errors import DuplicateIndex, IneligibleExpert
 
 N_EXPERTS = 12
 
@@ -73,28 +65,11 @@ class SkillProfile:
 
 
 @dataclass(frozen=True)
-class RemoteBackend:
-    """Forwarding backend. The transport owns the wire; we own the contract.
-
-    Request: {"expert": name, "command": text, "canvas": ref-or-None}.
-    Reply: {"canvas": ref, "quality": float in [0, 10]}.
-    """
-
-    transport: Callable[[dict, float], dict]
-    timeout: float = 120.0
-
-
-@dataclass(frozen=True)
 class ExpertSpec:
     index: int
     name: str
     modality: Modality
-    profile: Optional[SkillProfile] = None
-    remote: Optional[RemoteBackend] = None
-
-    def __post_init__(self) -> None:
-        if (self.profile is None) == (self.remote is None):
-            raise ValueError("expert needs exactly one backend: profile or remote")
+    profile: SkillProfile
 
 
 class ExpertRegistry:
@@ -146,33 +121,18 @@ class ExpertRegistry:
     ) -> tuple[CanvasState, float]:
         """Run one expert call; returns the new canvas and a quality in [0, 10].
 
-        Synthetic backends draw success against the profile's failure
-        probability for the command's category. Success applies the whole
-        payload (removal categories delete their payload atoms instead of
-        adding them); failure leaves content unchanged but still consumes
-        the step. A T2I call always turns a blank canvas into a symbolic
-        one, even when it fails to satisfy anything.
+        Success is drawn against the profile's failure probability for the
+        command's category. Success applies the whole payload (removal
+        categories delete their payload atoms instead of adding them);
+        failure leaves content unchanged but still consumes the step. A T2I
+        call always turns a blank canvas into a symbolic one, even when it
+        fails to satisfy anything.
         """
         if index not in self.eligible(canvas):
             raise IneligibleExpert(
                 f"expert {index} not eligible on {canvas.kind.value} canvas"
             )
-        spec = self._specs[index]
-        if spec.remote is not None:
-            return self._invoke_remote(spec, command, canvas)
-        if canvas.kind is CanvasKind.EXTERNAL:
-            raise UnsupportedCanvas("synthetic experts cannot edit an external canvas")
-        return self._invoke_synthetic(spec, command, canvas, rng)
-
-    def _invoke_synthetic(
-        self,
-        spec: ExpertSpec,
-        command: AtomicCommand,
-        canvas: CanvasState,
-        rng: np.random.Generator,
-    ) -> tuple[CanvasState, float]:
-        profile = spec.profile
-        assert profile is not None
+        profile = self._specs[index].profile
         mean = profile.mean_for(command.category)
         # Fixed draw order (uniform, then gaussian) keeps replays bit-exact.
         success = rng.random() >= profile.failure_for(command.category)
@@ -197,29 +157,6 @@ class ExpertRegistry:
         if canvas.is_blank:
             return CanvasState.symbolic(frozenset(), None), quality
         return canvas, quality
-
-    def _invoke_remote(
-        self, spec: ExpertSpec, command: AtomicCommand, canvas: CanvasState
-    ) -> tuple[CanvasState, float]:
-        backend = spec.remote
-        assert backend is not None
-        request = {
-            "expert": spec.name,
-            "command": command.text,
-            "canvas": canvas.ref if canvas.kind is CanvasKind.EXTERNAL else None,
-        }
-        try:
-            reply = backend.transport(request, backend.timeout)
-        except Exception as exc:
-            raise RemoteFailure(f"expert transport failed: {exc}") from exc
-        if not isinstance(reply, dict) or "canvas" not in reply or "quality" not in reply:
-            raise RemoteFailure(f"malformed expert reply: {reply!r}")
-        quality = reply["quality"]
-        if not isinstance(quality, (int, float)) or not 0.0 <= float(quality) <= 10.0:
-            raise RemoteFailure(f"expert quality out of range: {quality!r}")
-        if not isinstance(reply["canvas"], str):
-            raise RemoteFailure("expert reply canvas must be a reference string")
-        return CanvasState.external(reply["canvas"]), float(quality)
 
 
 # Default synthetic registry. Names mirror a 7 + 5 production lineup; the

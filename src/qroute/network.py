@@ -73,12 +73,6 @@ class QNetwork:
         clone.biases = [b.copy() for b in self.biases]
         return clone
 
-    def load_from(self, other: "QNetwork") -> None:
-        if other.layer_sizes != self.layer_sizes:
-            raise ValueError("layer shape mismatch")
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a single state (in,) or a batch (B, in)."""
         q, _ = self.forward_cached(x)

@@ -13,7 +13,7 @@ counter, and a command failing its third attempt is abandoned for good.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     TAXONOMY,
@@ -26,7 +26,7 @@ from .core import (
     atom_satisfied,
     command_text,
 )
-from .errors import RemoteFailure
+from .errors import DomainError
 
 #: Rubric dimension two (spatial configuration) covers arrangement and sizing.
 SPATIAL_CATEGORIES: frozenset[TaskCategory] = frozenset(
@@ -229,96 +229,13 @@ def extract_command(c_rem: CommandSet) -> tuple[Optional[AtomicCommand], Command
     return chosen, c_rem.removed(chosen.id)
 
 
-_KEYWORDS: tuple[tuple[TaskCategory, tuple[str, ...]], ...] = (
-    (TaskCategory.REMOVE_OBJECT, ("remove", "delete", "erase", "without")),
-    (TaskCategory.OBJECT_RESIZING, ("resize", "bigger", "smaller", "larger", "shrink", "enlarge", "scale")),
-    (TaskCategory.BACKGROUND_REPLACEMENT, ("background", "backdrop")),
-    (TaskCategory.STYLE_TRANSFER, ("style", "watercolor", "sketch", "painting")),
-    (TaskCategory.ADD_TEXT, ("text", "word", "letters", "caption", "reads")),
-    (TaskCategory.LIGHTING_CHANGE, ("light", "lighting", "bright", "brighter", "dark", "darker", "dim", "sunset", "glow")),
-    (TaskCategory.COLOR_CHANGE, ("color", "colour", "recolor", "tint", "hue")),
-    (TaskCategory.SPATIAL_REARRANGE, ("move", "rearrange", "arrange", "swap", "align", "reposition")),
-    (TaskCategory.ADD_OBJECT, ("add", "insert", "place", "put", "draw")),
-)
-
-
-def classify_task(command: AtomicCommand) -> TaskCategory:
-    """Deterministic category assignment. Payload atoms win; otherwise the
-    first keyword family that matches the text; otherwise add_object."""
-    if command.payload:
-        counts: dict[TaskCategory, int] = {}
-        for a in command.payload:
-            counts[a.category] = counts.get(a.category, 0) + 1
-        best = max(counts.values())
-        for cat in TAXONOMY:
-            if counts.get(cat, 0) == best:
-                return cat
-    words = set(command.text.lower().split())
-    for cat, keys in _KEYWORDS:
-        if any(k in words for k in keys):
-            return cat
-    return TaskCategory.ADD_OBJECT
-
-
-class RemoteCritic:
-    """Adapter for an external scorer with the same call shape.
-
-    Request: {"prev": ref, "curr": ref, "c_curr": text,
-    "c_rem": [texts], "prompt": text}.
-    Reply: {"raw": float in [0, 10], "completed": bool,
-    "residual": [texts]}. Residual texts matching an existing ledger
-    entry keep that entry's id and attempts.
-    """
-
-    def __init__(self, transport: Callable[[dict, float], dict], timeout: float = 120.0):
-        self.transport = transport
-        self.timeout = timeout
-
-    def score(
-        self,
-        prev: CanvasState,
-        curr: CanvasState,
-        c_curr: AtomicCommand,
-        c_rem: CommandSet,
-        prompt: Prompt,
-        id_start: Optional[int] = None,
-    ) -> CriticVerdict:
-        request = {
-            "prev": prev.ref,
-            "curr": curr.ref,
-            "c_curr": c_curr.text,
-            "c_rem": [c.text for c in c_rem],
-            "prompt": prompt.text,
-        }
-        try:
-            reply = self.transport(request, self.timeout)
-        except Exception as exc:
-            raise RemoteFailure(f"critic transport failed: {exc}") from exc
-        try:
-            raw = float(reply["raw"])
-            completed = bool(reply["completed"])
-            residual_texts = list(reply["residual"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RemoteFailure(f"malformed critic reply: {reply!r}") from exc
-        if not 0.0 <= raw <= 10.0:
-            raise RemoteFailure(f"critic raw score out of range: {raw}")
-
-        by_text = {c.text: c for c in c_rem}
-        next_id = id_start if id_start is not None else max(c_rem.max_id(), -1) + 1
-        commands: list[AtomicCommand] = []
-        for text in residual_texts:
-            prior = by_text.get(text)
-            if prior is not None:
-                commands.append(prior)
-                continue
-            probe = AtomicCommand(id=next_id, text=text, category=TaskCategory.ADD_OBJECT)
-            commands.append(
-                AtomicCommand(id=next_id, text=text, category=classify_task(probe))
-            )
-            next_id += 1
-        return CriticVerdict(
-            raw=raw,
-            subscores=(raw, raw, raw, raw),
-            completed=completed,
-            residual=CommandSet(tuple(commands)),
-        )
+def classify_task(payload: frozenset[Atom]) -> TaskCategory:
+    """Deterministic category of a payload: the category holding the most
+    atoms, ties broken by taxonomy order."""
+    if not payload:
+        raise DomainError("cannot classify an empty payload")
+    counts: dict[TaskCategory, int] = {}
+    for a in payload:
+        counts[a.category] = counts.get(a.category, 0) + 1
+    best = max(counts.values())
+    return next(cat for cat in TAXONOMY if counts.get(cat, 0) == best)

@@ -18,7 +18,6 @@ import numpy as np
 from .core import Atom, CanvasState, Prompt, TaskCategory, command_text
 from .errors import DomainError
 from .experts import ExpertRegistry, Modality
-from .logs import read_prompts, write_prompts  # noqa: F401  prompt files, re-exported
 
 _C = TaskCategory
 

@@ -316,10 +316,14 @@ def test_criterion_9_convergence_shape(default_run):
     ok = ratio < 0.20 and max_drop <= 0.02
     c.finish(ok, f"[final/first decile {ratio:.3f}, band drop {max_drop:.4f}]")
     assert max_drop <= 0.02
-    # Honest red: the value scale a routing-capable world needs exceeds what
-    # 1000 optimizer steps can track, so late TD targets are still rising
-    # and the final-decile loss does not collapse. See notes for the
-    # measured frontier.
+    # Honest red, bounded by target noise. Expert calls succeed or fail at
+    # random, so one (state, action) yields different one-sample TD targets.
+    # At the end of this run their within-(state, action) variance over the
+    # replay buffer is 0.231, a loss no value function of (state, action)
+    # can beat; the last-decile loss is 0.270 and the first decile's 0.180,
+    # so the ratio would need a last-decile loss below 0.036. At 3000 steps
+    # the targets have levelled off and the ratio is 2.86 (floor 0.201,
+    # last-decile loss 0.214). The README gives the full account.
     assert ratio < 0.20
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.embedder import EMBED_DIM, HashingEmbedder, RemoteEmbedder, serialize_reflection_state
-from qroute.errors import RemoteFailure
+from qroute.embedder import EMBED_DIM, HashingEmbedder, serialize_reflection_state
 
 embed = HashingEmbedder()
 
@@ -114,19 +113,3 @@ def test_memoized_vectors_equal_fresh_encodings():
     assert len(set(texts)) >= 50
     for text in texts + texts:  # the second pass is served from the memo
         assert np.array_equal(memo(text), HashingEmbedder()(text))
-
-
-def test_remote_embedder_validates_length():
-    good = RemoteEmbedder(lambda text: [0.5] * EMBED_DIM)
-    assert good("x").shape == (EMBED_DIM,)
-    bad = RemoteEmbedder(lambda text: [0.5] * 100)
-    with pytest.raises(RemoteFailure):
-        bad("x")
-
-
-def test_remote_embedder_wraps_transport_errors():
-    def boom(text):
-        raise TimeoutError("slow")
-
-    with pytest.raises(RemoteFailure):
-        RemoteEmbedder(boom)("x")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qroute.core import CanvasState
 from qroute.environment import shape_reward
 from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
 from qroute.policies import RandomPolicy, episode_streams, run_episode
@@ -37,17 +36,6 @@ def test_reset_editing_prompt_starts_with_image(env):
     prompt = make_prompt([atom("add_object", "dog")], editing=True)
     state = env.reset(prompt)
     assert not state.canvas.is_blank
-    mask = env.legal_actions(state)
-    assert set(np.flatnonzero(mask)) == {7, 8, 9, 10, 11}
-
-
-def test_reset_external_canvas_masks_to_editing(env):
-    prompt = make_prompt([atom("add_object", "dog")])
-    prompt = prompt.__class__(
-        id=prompt.id, text=prompt.text, atoms=prompt.atoms,
-        initial_canvas=CanvasState.external("img-1"),
-    )
-    state = env.reset(prompt)
     mask = env.legal_actions(state)
     assert set(np.flatnonzero(mask)) == {7, 8, 9, 10, 11}
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from qroute.core import AtomicCommand, CanvasState, TaskCategory
-from qroute.errors import DuplicateIndex, IneligibleExpert, RemoteFailure
+from qroute.errors import DuplicateIndex, IneligibleExpert
 from qroute.experts import (
     ExpertRegistry,
     ExpertSpec,
     Modality,
-    RemoteBackend,
     SkillProfile,
 )
 
@@ -42,7 +41,6 @@ def two_expert_registry(fail=0.0):
 def test_eligibility_blocks(registry):
     assert registry.eligible(CanvasState.blank()) == {0, 1, 2, 3, 4, 5, 6}
     assert registry.eligible(CanvasState.symbolic()) == {7, 8, 9, 10, 11}
-    assert registry.eligible(CanvasState.external("ref")) == {7, 8, 9, 10, 11}
 
 
 def test_eligibility_partition(registry):
@@ -170,42 +168,3 @@ def test_counterpart_by_name(registry):
     assert registry.counterpart(10) == 4
     assert registry.counterpart(6) == 11
     assert registry.counterpart(0) is None
-
-
-def test_remote_backend_contract():
-    def transport(request, timeout):
-        assert set(request) == {"expert", "command", "canvas"}
-        assert timeout == pytest.approx(120.0)
-        return {"canvas": "ref-7", "quality": 9.0}
-
-    reg = ExpertRegistry(
-        [ExpertSpec(0, "svc", Modality.I2I, remote=RemoteBackend(transport=transport))]
-    )
-    canvas, quality = reg.invoke(
-        0, command("add_object"), CanvasState.external("ref-6"), np.random.default_rng(0)
-    )
-    assert canvas.ref == "ref-7"
-    assert quality == 9.0
-
-
-@pytest.mark.parametrize(
-    "reply",
-    [{"quality": 5.0}, {"canvas": "r"}, {"canvas": "r", "quality": 11.0}, {"canvas": 3, "quality": 5.0}, "nope"],
-)
-def test_remote_backend_malformed_reply(reply):
-    reg = ExpertRegistry(
-        [ExpertSpec(0, "svc", Modality.I2I, remote=RemoteBackend(transport=lambda r, t: reply))]
-    )
-    with pytest.raises(RemoteFailure):
-        reg.invoke(0, command("add_object"), CanvasState.external("x"), np.random.default_rng(0))
-
-
-def test_remote_backend_timeout_surfaces():
-    def transport(request, timeout):
-        raise TimeoutError("deadline exceeded")
-
-    reg = ExpertRegistry(
-        [ExpertSpec(0, "svc", Modality.I2I, remote=RemoteBackend(transport=transport, timeout=0.5))]
-    )
-    with pytest.raises(RemoteFailure):
-        reg.invoke(0, command("add_object"), CanvasState.external("x"), np.random.default_rng(0))

@@ -10,9 +10,9 @@ from qroute.core import TaskCategory
 from qroute.environment import Environment
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, render_report
-from qroute.logs import read_episode_log, write_episode_log
+from qroute.logs import read_episode_log, write_episode_log, write_prompts
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
-from qroute.simworld import generate_corpus, write_prompts
+from qroute.simworld import generate_corpus
 from qroute.train import train
 
 from conftest import atom, make_prompt
@@ -306,6 +306,46 @@ def test_cli_replay_verifies_episode(tmp_path, capsys):
     assert cli_main(["replay", "--episode", str(run_dir / "episodes.jsonl"), "--index", "0"]) == 0
     out = capsys.readouterr().out
     assert "replay OK" in out
+
+
+def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
+    # a 7-expert world: 3 generators, 4 editors with distinct skills
+    profiles = [
+        {
+            "index": i,
+            "name": f"e{i}",
+            "modality": "t2i" if i < 3 else "i2i",
+            "means": {c.value: 2.0 + i for c in TaskCategory},
+        }
+        for i in range(7)
+    ]
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=2, total_steps=300, expert_profiles=profiles).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    last = read_episode_log(run_dir / "episodes.jsonl")[-1].episode_id
+    for index in (0, last):
+        assert cli_main(["replay", "--episode", str(run_dir / "episodes.jsonl"), "--index", str(index)]) == 0
+        assert "replay OK" in capsys.readouterr().out
+
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 6, 1, 6))
+    checkpoint = run_dir / "checkpoint.ckpt"
+    eval_args = ["--prompts", str(tmp_path / "p.jsonl"), "--baselines", "--out", str(tmp_path / "report.json")]
+    assert cli_main(["eval", "--checkpoint", str(checkpoint), *eval_args]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["policies"]) == 1 + 7
+    for policy in report["policies"]:
+        assert all(len(row) == 7 for row in policy["choice_matrix"]["counts"])
+
+    # the same checkpoint beside a summary of the default 12-expert world
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "checkpoint.ckpt").write_bytes(checkpoint.read_bytes())
+    (other / "summary.json").write_text(json.dumps({"config": json.loads(RunConfig().to_json())}))
+    assert cli_main(["eval", "--checkpoint", str(other / "checkpoint.ckpt"), *eval_args]) == 2
+    assert "7 experts" in capsys.readouterr().err
+    (other / "summary.json").write_text("{}")
+    assert cli_main(["eval", "--checkpoint", str(other / "checkpoint.ckpt"), *eval_args]) == 2
+    capsys.readouterr()
 
 
 def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):

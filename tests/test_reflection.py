@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qroute.core import AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
-from qroute.errors import RemoteFailure
+from qroute.errors import DomainError
 from qroute.reflection import (
     SPATIAL_CATEGORIES,
     CriticVerdict,
-    RemoteCritic,
     apply_attempt_policy,
     classify_task,
     critic_score,
@@ -226,54 +225,27 @@ def test_attempt_policy_multi_category_monolith_superseded():
     assert out.requeued is None and out.abandoned is None
 
 
-def test_classify_by_payload_majority():
-    c = AtomicCommand(
-        id=1, text="whatever", category=_C.ADD_OBJECT,
-        payload=frozenset({atom("remove_object", "a"), atom("remove_object", "b"), atom("add_text", "c")}),
-    )
-    assert classify_task(c) is _C.REMOVE_OBJECT
-
-
-def test_classify_atoms_beat_keywords():
-    c = AtomicCommand(
-        id=1, text="make the sky brighter", category=_C.ADD_OBJECT,
-        payload=frozenset({atom("lighting_change", "sky")}),
-    )
-    assert classify_task(c) is _C.LIGHTING_CHANGE
-
-
-def test_classify_keywords_and_default():
-    probe = lambda text: AtomicCommand(id=1, text=text, category=_C.ADD_OBJECT)
-    assert classify_task(probe("make the sky brighter")) is _C.LIGHTING_CHANGE
-    assert classify_task(probe("remove the ladder")) is _C.REMOVE_OBJECT
-    assert classify_task(probe("qqq zzz")) is _C.ADD_OBJECT
-
-
-def test_remote_critic_contract_and_id_preservation():
-    existing = cmd("add_text", cid=4, attempts=2, text="write lettering")
-
-    def transport(request, timeout):
-        assert set(request) == {"prev", "curr", "c_curr", "c_rem", "prompt"}
-        return {"raw": 7.0, "completed": False, "residual": ["write lettering", "remove the mess"]}
-
-    critic = RemoteCritic(transport)
-    verdict = critic.score(
-        CanvasState.external("a"), CanvasState.external("b"),
-        cmd("add_object", cid=1), CommandSet((existing,)),
-        make_prompt([atom("add_object", "x")]), id_start=50,
-    )
-    assert verdict.raw == 7.0
-    assert verdict.subscores == (7.0,) * 4
-    first, second = tuple(verdict.residual)
-    assert first.id == 4 and first.attempts == 2
-    assert second.id == 50 and second.category is _C.REMOVE_OBJECT
-
-
-@pytest.mark.parametrize("reply", [{"raw": 11.0, "completed": False, "residual": []}, {"completed": True}, "zap"])
-def test_remote_critic_malformed(reply):
-    critic = RemoteCritic(lambda r, t: reply)
-    with pytest.raises(RemoteFailure):
-        critic.score(
-            CanvasState.external("a"), CanvasState.external("b"),
-            cmd("add_object", cid=1), CommandSet(), make_prompt([atom("add_object", "x")]),
-        )
+@pytest.mark.parametrize(
+    "payload,expected",
+    [
+        pytest.param(
+            [atom("remove_object", "a"), atom("remove_object", "b"), atom("add_text", "c")],
+            _C.REMOVE_OBJECT,
+            id="majority",
+        ),
+        pytest.param([atom("lighting_change", "sky")], _C.LIGHTING_CHANGE, id="single-atom"),
+        # color_change sorts first by name; lighting_change comes first in the taxonomy
+        pytest.param(
+            [atom("color_change", "a"), atom("lighting_change", "b")],
+            _C.LIGHTING_CHANGE,
+            id="tie-taxonomy-order",
+        ),
+        pytest.param([], DomainError, id="empty"),
+    ],
+)
+def test_classify_by_payload_majority(payload, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            classify_task(frozenset(payload))
+    else:
+        assert classify_task(frozenset(payload)) is expected

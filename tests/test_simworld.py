@@ -4,6 +4,7 @@ import pytest
 from qroute.core import CanvasState, TaskCategory
 from qroute.errors import DomainError, LogParseError
 from qroute.experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile
+from qroute.logs import read_prompts, write_prompts
 from qroute.policies import RandomPolicy, run_episode
 from qroute.simworld import (
     best_expert,
@@ -11,8 +12,6 @@ from qroute.simworld import (
     generate_corpus,
     generate_prompt,
     oracle_fraction,
-    read_prompts,
-    write_prompts,
 )
 
 from conftest import atom, make_prompt
