@@ -5,18 +5,16 @@ from .agent import (
     ReplayBuffer,
     Transition,
     epsilon_at,
-    maybe_sync,
     select_action,
-    sync_target,
     td_targets,
     train_batch,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt, TaskCategory
-from .embedder import EMBED_DIM, HashingEmbedder, serialize_reflection_state
+from .embedder import EMBED_DIM, HashingEmbedder, embed, serialize_reflection_state
 from .environment import Environment, EnvState, shape_reward
-from .evaluate import EvalReport, baseline_single_expert, build_report, evaluate
+from .evaluate import EvalReport, baseline_single_expert, build_report
 from .experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile, default_registry
 from .network import AdamState, QNetwork
 from .reflection import (
@@ -28,6 +26,6 @@ from .reflection import (
 )
 from .simworld import best_expert, generate_corpus, generate_prompt, oracle_fraction
 from .stats import wilcoxon_signed_rank, win_rate
-from .train import TrainResult, train
+from .train import TrainResult
 
 __version__ = "0.1.0"

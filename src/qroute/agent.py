@@ -113,21 +113,18 @@ def td_targets(
     """One-step Bellman targets; terminal transitions use the bare reward.
 
     The successor-state maximum ranges over that state's own legal actions
-    so the bootstrap never leans on an expert the agent could not pick.
+    so the bootstrap never leans on an expert the agent could not pick; a
+    successor with no legal action bootstraps from 0.0.
     """
     if not batch:
         raise DomainError("batch must be non-empty")
     s2 = np.stack([tr.s2 for tr in batch])
+    legal = np.array([tr.next_mask for tr in batch], dtype=bool)
+    r = np.array([tr.r for tr in batch], dtype=np.float64)
+    done = np.array([tr.done for tr in batch], dtype=bool)
     q2 = np.asarray(target_net.forward(s2), dtype=np.float64)
-    y = np.empty(len(batch), dtype=np.float64)
-    for i, tr in enumerate(batch):
-        if tr.done:
-            y[i] = tr.r
-            continue
-        legal = np.flatnonzero(np.asarray(tr.next_mask, dtype=bool))
-        bootstrap = float(q2[i][legal].max()) if legal.size else 0.0
-        y[i] = tr.r + gamma * bootstrap
-    return y
+    bootstrap = np.where(legal.any(axis=1), np.where(legal, q2, -np.inf).max(axis=1), 0.0)
+    return np.where(done, r, r + gamma * bootstrap)
 
 
 def train_batch(
@@ -154,17 +151,3 @@ def train_batch(
     adam.step(net.parameters(), grads, lr)
     net.check_finite()
     return loss
-
-
-def sync_target(net: QNetwork) -> QNetwork:
-    """Frozen copy of the online network to bootstrap against."""
-    return net.copy()
-
-
-def maybe_sync(step: int, interval: int) -> bool:
-    """True on steps where the target network should refresh (0, k, 2k, ...)."""
-    if interval <= 0:
-        raise DomainError(f"sync interval must be > 0: {interval}")
-    if step < 0:
-        raise DomainError(f"step must be >= 0: {step}")
-    return step % interval == 0

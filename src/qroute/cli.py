@@ -1,7 +1,8 @@
 """Command line entry points.
 
-Exit codes: 0 success, 2 validation problem (arguments, config, inputs),
-3 runtime abort (numerical failure, replay mismatch).
+Exit codes: 0 success, 2 bad input (arguments, config, a missing,
+unreadable or damaged file), 3 runtime abort (numerical failure, replay
+mismatch).
 
 ``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
 world the run was trained in: the config ``train`` recorded in the
@@ -14,15 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, config_from_dict, load_config
 from .environment import Environment
-from .errors import AllZeroDifferences, ConfigError, LogParseError, NumericalError, QRouteError
+from .errors import (
+    AllZeroDifferences,
+    ConfigError,
+    CorruptChecksum,
+    LogParseError,
+    NumericalError,
+    QRouteError,
+    VersionMismatch,
+)
 from .evaluate import baseline_single_expert, build_report, evaluate, render_report
 from .logs import read_episode_log, read_prompts, write_prompts
-from .policies import GreedyPolicy, episode_streams
+from .policies import GreedyPolicy, run_episode
 from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
 from .train import SUMMARY_NAME, train
@@ -30,6 +40,9 @@ from .train import SUMMARY_NAME, train
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+#: Errors that blame the input, not the run; they exit 2.
+BAD_INPUT = (ConfigError, LogParseError, AllZeroDifferences, CorruptChecksum, VersionMismatch, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,19 +174,20 @@ def _cmd_replay(args) -> int:
         raise ConfigError(f"no episode with id {args.index} in {args.episode}")
     episode = matching[0]
     cfg = load_config(args.config) if args.config is not None else _recorded_config(args.episode)
-    env = _env_for(cfg)
+    # feed the runner the logged experts in order, then stop
+    experts = iter([logged.expert for logged in episode.steps])
+    replayed = run_episode(_env_for(cfg), lambda *_: next(experts, None), episode.prompt, episode.seed)
 
-    _, rng = episode_streams(episode.seed)
-    state = env.reset(episode.prompt)
     print(f"{'t':>2} {'expert':>6} {'category':<24} {'raw':>7} {'reward':>8} {'done':>5}")
-    for logged in episode.steps:
-        state, reward, done, info = env.step(state, logged.expert, rng)
-        print(
-            f"{info.t:>2} {info.expert:>6} {info.category:<24} {info.raw:>7.3f} "
-            f"{reward:>8.4f} {str(done):>5}"
-        )
-        if abs(reward - logged.reward) > 1e-12 or abs(info.raw - logged.raw) > 1e-12:
-            print(f"replay mismatch at t={info.t}: logged reward {logged.reward}, got {reward}")
+    for t, (got, logged) in enumerate(zip_longest(replayed.steps, episode.steps), start=1):
+        if got is not None:
+            done = got.terminal_reason is not None
+            print(
+                f"{got.t:>2} {got.expert:>6} {got.category:<24} {got.raw:>7.3f} "
+                f"{got.reward:>8.4f} {str(done):>5}"
+            )
+        if got != logged:
+            print(f"replay mismatch at t={t}: logged {logged}, replayed {got}")
             return EXIT_RUNTIME
     print("replay OK")
     return EXIT_OK
@@ -209,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_prompts(args)
         parser.error(f"unknown command {args.command}")
         return EXIT_VALIDATION
-    except (ConfigError, LogParseError, AllZeroDifferences, FileNotFoundError) as exc:
+    except BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, QRouteError) as exc:

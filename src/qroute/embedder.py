@@ -93,3 +93,8 @@ class HashingEmbedder:
             out[0] = 1.0
             return out
         return v / norm
+
+
+#: The encoder of every agent state in the process: policies and the learner
+#: call ``embed(state.serialized)``, so one memo serves every environment.
+embed = HashingEmbedder()

@@ -8,14 +8,14 @@ step budget runs out; done is absorbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt
-from .embedder import HashingEmbedder, serialize_reflection_state
+from .embedder import serialize_reflection_state
 from .errors import DomainError, IneligibleAction, SteppedAfterDone
 from .experts import ExpertRegistry
 from .logs import StepRecord
@@ -49,21 +49,15 @@ class EnvState:
     done: bool
     next_id: int
     abandoned_atoms: frozenset[Atom] = frozenset()
-    _embed: Callable[[str], np.ndarray] = field(repr=False, default=None)  # type: ignore[assignment]
 
-    @property
+    @cached_property
     def serialized(self) -> str:
         cur = self.c_curr.text if self.c_curr is not None else None
         return serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
 
-    @cached_property
-    def embedding(self) -> np.ndarray:
-        # computed on first access; greedy policies need it, random ones never do
-        return self._embed(self.serialized)
-
 
 class Environment:
-    """Binds a registry, an embedder and the reflection loop into one MDP."""
+    """Binds a registry and the reflection loop into one symbolic MDP."""
 
     def __init__(
         self,
@@ -74,7 +68,6 @@ class Environment:
         if t_max < 1:
             raise DomainError("t_max must be >= 1")
         self.registry = registry
-        self.embed = HashingEmbedder()
         self.t_max = t_max
         self.step_penalty = step_penalty
         self.n_actions = len(registry)
@@ -94,7 +87,6 @@ class Environment:
             done=False,
             next_id=1,
             abandoned_atoms=frozenset(),
-            _embed=self.embed,
         )
 
     def legal_actions(self, state: EnvState) -> np.ndarray:
@@ -152,7 +144,6 @@ class Environment:
             done=done,
             next_id=next_id,
             abandoned_atoms=abandoned_atoms,
-            _embed=self.embed,
         )
         record = StepRecord(
             t=t2,

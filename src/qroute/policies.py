@@ -11,6 +11,7 @@ import numpy as np
 
 from .agent import select_action
 from .core import Prompt
+from .embedder import embed
 from .environment import Environment, EnvState
 from .errors import DomainError
 from .experts import ExpertRegistry, Modality
@@ -36,7 +37,7 @@ class GreedyPolicy:
     net: QNetwork
 
     def __call__(self, state, mask, rng):
-        return select_action(self.net, state.embedding, mask, 0.0, rng)
+        return select_action(self.net, embed(state.serialized), mask, 0.0, rng)
 
 
 @dataclass
@@ -45,7 +46,7 @@ class EpsilonGreedyPolicy:
     epsilon: float
 
     def __call__(self, state, mask, rng):
-        return select_action(self.net, state.embedding, mask, self.epsilon, rng)
+        return select_action(self.net, embed(state.serialized), mask, self.epsilon, rng)
 
 
 class RandomPolicy:

@@ -11,13 +11,11 @@ taxonomy for classification and adversarial commands only.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import Atom, CanvasState, Prompt, TaskCategory, command_text
 from .errors import DomainError
-from .experts import ExpertRegistry, Modality
+from .experts import ExpertRegistry
 
 _C = TaskCategory
 
@@ -154,39 +152,18 @@ def oracle_fraction(canvas: CanvasState, prompt: Prompt) -> float:
 def best_expert(registry: ExpertRegistry, category: TaskCategory) -> int:
     """Ground-truth best editing expert for a category.
 
-    Argmax of configured skill means over the I2I block; ties break to the
-    lowest index. Editing experts are the ones the routing question is
-    about: every step after the first has a canvas.
+    Editing experts are the ones the routing question is about: every step
+    after the first has a canvas, on which exactly the I2I block is legal.
     """
-    best_idx: Optional[int] = None
-    best_mean = -np.inf
-    for spec in registry.list():
-        if spec.modality is not Modality.I2I or spec.profile is None:
-            continue
-        mean = spec.profile.mean_for(category)
-        if mean > best_mean:
-            best_mean = mean
-            best_idx = spec.index
-    if best_idx is None:
-        raise DomainError("registry has no synthetic editing experts")
-    return best_idx
+    return best_legal_expert(registry, category, CanvasState.symbolic())
 
 
 def best_legal_expert(
     registry: ExpertRegistry, category: TaskCategory, canvas: CanvasState
 ) -> int:
-    """Best synthetic expert for the category among currently legal ones."""
-    candidates = sorted(registry.eligible(canvas))
-    best_idx: Optional[int] = None
-    best_mean = -np.inf
-    for i in candidates:
-        profile = registry.spec(i).profile
-        if profile is None:
-            continue
-        mean = profile.mean_for(category)
-        if mean > best_mean:
-            best_mean = mean
-            best_idx = i
-    if best_idx is None:
-        raise DomainError("no legal synthetic expert for this canvas")
-    return best_idx
+    """Argmax of configured skill means over the experts legal on the canvas;
+    ties break to the lowest index."""
+    legal = sorted(registry.eligible(canvas))
+    if not legal:
+        raise DomainError(f"no expert is legal on a {canvas.kind.value} canvas")
+    return max(legal, key=lambda i: registry.spec(i).profile.mean_for(category))

@@ -16,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import ReplayBuffer, Transition, epsilon_at, maybe_sync, select_action, sync_target, train_batch
+from .agent import ReplayBuffer, Transition, epsilon_at, select_action, train_batch
 from .checkpoint import save_checkpoint
 from .config import RunConfig
+from .embedder import embed
 from .environment import Environment
 from .logs import EpisodeRecord, write_episode_log, write_lines
 from .policies import run_episode
@@ -82,7 +83,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
     )
 
     net = QNetwork(layer_sizes=(1536, 64, 64, len(registry)), seed=config.seed)
-    target = sync_target(net)  # initialization copy (sync at step 0)
+    target = net.copy()  # frozen copy to bootstrap against, refreshed every sync interval
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)
 
@@ -106,16 +107,16 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
             config.epsilon_final,
             config.exploration_fraction,
         )
-        return select_action(net, state.embedding, mask, epsilon, explore_rng)
+        return select_action(net, embed(state.serialized), mask, epsilon, explore_rng)
 
     def learn(state, action, reward, state2, next_mask) -> bool:
         nonlocal global_step, target
         buffer.push(
             Transition(
-                s=state.embedding,
+                s=embed(state.serialized),
                 a=action,
                 r=reward,
-                s2=state2.embedding,
+                s2=embed(state2.serialized),
                 done=state2.done,
                 next_mask=next_mask,
             )
@@ -125,9 +126,9 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         if len(buffer) >= config.learning_starts:
             batch = buffer.sample(config.batch_size, sample_rng)
             loss = train_batch(net, target, batch, adam, config.lr, config.gamma)
-        synced = maybe_sync(global_step, config.target_sync_interval)
+        synced = global_step % config.target_sync_interval == 0
         if synced:
-            target = sync_target(net)
+            target = net.copy()
         metrics.append(
             StepMetric(
                 step=global_step,

@@ -5,9 +5,7 @@ from qroute.agent import (
     ReplayBuffer,
     Transition,
     epsilon_at,
-    maybe_sync,
     select_action,
-    sync_target,
     td_targets,
     train_batch,
 )
@@ -104,6 +102,46 @@ def test_td_targets_respect_successor_mask():
     assert y[0] == pytest.approx(0.7)  # the global max (1.0) is masked out
 
 
+def reference_td_targets(batch, target_net, gamma):
+    """The Bellman targets one transition at a time, over one batched
+    forward pass (a one-row pass may round differently)."""
+    q2 = np.asarray(target_net.forward(np.stack([t.s2 for t in batch])), dtype=np.float64)
+    y = []
+    for t, row in zip(batch, q2):
+        if t.done:
+            y.append(t.r)
+            continue
+        legal = np.flatnonzero(t.next_mask)
+        y.append(t.r + gamma * (float(row[legal].max()) if legal.size else 0.0))
+    return np.array(y, dtype=np.float64)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.99])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_td_targets_match_per_transition_reference_bit_for_bit(gamma, dtype):
+    net = QNetwork((8, 6, 6, 5), seed=4, dtype=dtype)
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        batch = []
+        for i in range(int(rng.integers(1, 17))):
+            # every third successor mask is all false; some rows are terminal
+            mask = rng.random(5) < 0.5 if i % 3 else np.zeros(5, dtype=bool)
+            batch.append(
+                Transition(
+                    s=rng.normal(size=8),
+                    a=int(rng.integers(0, 5)),
+                    r=float(rng.normal()),
+                    s2=rng.normal(size=8) * 10,
+                    done=bool(rng.random() < 0.3),
+                    next_mask=mask,
+                )
+            )
+        got = td_targets(batch, net, gamma)
+        want = reference_td_targets(batch, net, gamma)
+        assert got.dtype == np.float64 and got.shape == (len(batch),)
+        assert got.tobytes() == want.tobytes(), trial
+
+
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=500, min_size=50)
     for i in range(501):
@@ -140,7 +178,7 @@ def test_buffer_sampling_uniform_chi_square():
 
 def test_sync_copies_and_freezes():
     net = QNetwork((8, 4, 4, 3), seed=1, dtype=np.float64)
-    target = sync_target(net)
+    target = net.copy()
     for p, q in zip(net.parameters(), target.parameters()):
         assert np.array_equal(p, q)
     adam = AdamState(net)
@@ -155,17 +193,10 @@ def test_sync_copies_and_freezes():
     assert np.array_equal(y1, y2)  # targets are a pure function of the batch between syncs
 
 
-def test_maybe_sync_schedule():
-    fired = [step for step in range(300) if maybe_sync(step, 100)]
-    assert fired == [0, 100, 200]
-    with pytest.raises(DomainError):
-        maybe_sync(10, 0)
-
-
 def test_training_loop_determinism():
     def run():
         net = QNetwork((8, 4, 4, 3), seed=9, dtype=np.float64)
-        target = sync_target(net)
+        target = net.copy()
         adam = AdamState(net)
         buf = ReplayBuffer(capacity=64, min_size=4)
         rng = np.random.default_rng(11)
@@ -174,8 +205,8 @@ def test_training_loop_determinism():
             buf.push(tr(i, done=(i % 3 == 0), r=float(i % 5) / 5))
             if len(buf) >= 4:
                 losses.append(train_batch(net, target, buf.sample(8, rng), adam, lr=5e-4))
-            if maybe_sync(i, 25):
-                target = sync_target(net)
+            if i % 25 == 0:
+                target = net.copy()
         return losses
 
     assert run() == run()
@@ -183,7 +214,7 @@ def test_training_loop_determinism():
 
 def test_train_batch_returns_pre_step_loss():
     net = QNetwork((8, 4, 4, 3), seed=3, dtype=np.float64)
-    target = sync_target(net)
+    target = net.copy()
     adam = AdamState(net)
     batch = [tr(i, done=True, r=0.9) for i in range(8)]
     q = net.forward(np.stack([t.s for t in batch]))

@@ -63,6 +63,7 @@ def test_config_unknown_key():
         {"taxonomy": ["add_object", "add_object"]},
         {"taxonomy": ["not_a_category"]},
         {"difficulty_min": 5, "difficulty_max": 2},
+        {"target_sync_interval": 0},
     ],
 )
 def test_config_validation_errors(patch):
@@ -239,6 +240,9 @@ def test_train_budget_stop_and_episode_replay():
     # the learner hook ends the last episode mid-way when the budget runs out
     assert result.episodes[-1].truncated_by == "budget"
     assert sum(e.length for e in result.episodes) == len(result.metrics) == 101
+    # the target network refreshes after exactly the multiples of the 50-step interval
+    assert cfg.target_sync_interval == 50
+    assert [m.step for m in result.metrics if m.synced] == [50, 100]
     env = Environment(cfg.build_registry(), t_max=cfg.t_max, step_penalty=cfg.step_penalty)
     for episode in result.episodes:
         _, world = episode_streams(episode.seed)
@@ -306,6 +310,39 @@ def test_cli_replay_verifies_episode(tmp_path, capsys):
     assert cli_main(["replay", "--episode", str(run_dir / "episodes.jsonl"), "--index", "0"]) == 0
     out = capsys.readouterr().out
     assert "replay OK" in out
+
+
+def test_cli_replay_compares_whole_step_records(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=3, total_steps=40).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    log = run_dir / "episodes.jsonl"
+    lines = log.read_text().splitlines()
+    step = json.loads(lines[0])
+    assert step["kind"] == "step" and step["episode"] == 0
+    # a field other than reward and raw, then a raw score one ulp off
+    for field, value in (("command_id", step["command_id"] + 1), ("raw", float(np.nextafter(step["raw"], 11.0)))):
+        log.write_text("\n".join([json.dumps({**step, field: value}), *lines[1:]]) + "\n")
+        assert cli_main(["replay", "--episode", str(log), "--index", "0"]) == 3
+        assert "replay mismatch at t=1" in capsys.readouterr().out
+
+
+def test_cli_bad_input_files_exit_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=1, total_steps=20).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 2, 1, 2))
+    capsys.readouterr()
+
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes((run_dir / "checkpoint.ckpt").read_bytes()[:1000])
+    assert cli_main(["eval", "--checkpoint", str(truncated), "--prompts", str(tmp_path / "p.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+    # a directory where a prompt file belongs: one line, no traceback
+    assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):

@@ -2,6 +2,7 @@
 the standard library only (no linter is configured for the project)."""
 
 import ast
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +47,10 @@ def test_no_unused_imports_in_tests():
 
 def test_no_unused_imports_in_package_and_scripts():
     assert unused_imports_in("src/qroute/*.py", "scripts/*.py") == {}
+
+
+def test_package_attributes_do_not_shadow_submodules():
+    import qroute.evaluate as evaluate_module
+    import qroute.train as train_module
+
+    assert inspect.ismodule(train_module) and inspect.ismodule(evaluate_module)
