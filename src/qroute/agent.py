@@ -13,10 +13,8 @@ from .network import AdamState, QNetwork
 
 GAMMA_DEFAULT = 0.99
 LR_DEFAULT = 5e-4
-BATCH_SIZE_DEFAULT = 16
 BUFFER_CAPACITY_DEFAULT = 500
 LEARNING_STARTS_DEFAULT = 50
-TARGET_SYNC_DEFAULT = 50
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", type=Path, default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", type=Path, required=True)
+    p_train.set_defaults(run=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     p_eval.add_argument("--checkpoint", type=Path, required=True)
@@ -61,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--baselines", action="store_true", help="also run every single-expert baseline")
     p_eval.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_base = sub.add_parser("baseline", help="forced single-expert rollouts")
     p_base.add_argument("--expert", type=int, required=True)
@@ -68,17 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--episodes", type=int, default=1)
     p_base.add_argument("--seed", type=int, default=0)
     p_base.add_argument("--out", type=Path, default=None)
+    p_base.set_defaults(run=_cmd_baseline)
 
     p_stats = sub.add_parser("stats", help="statistics over episode logs")
     stats_sub = p_stats.add_subparsers(dest="stat", required=True)
     p_wil = stats_sub.add_parser("wilcoxon", help="paired signed-rank test over per-episode returns")
     p_wil.add_argument("--a", type=Path, required=True)
     p_wil.add_argument("--b", type=Path, required=True)
+    p_wil.set_defaults(run=_cmd_wilcoxon)
 
     p_replay = sub.add_parser("replay", help="re-simulate a logged episode and verify it")
     p_replay.add_argument("--episode", type=Path, required=True, help="episode log file")
     p_replay.add_argument("--index", type=int, required=True, help="episode id inside the log")
     p_replay.add_argument("--config", type=Path, default=None)
+    p_replay.set_defaults(run=_cmd_replay)
 
     p_prompts = sub.add_parser("prompts", help="generate a prompt corpus file")
     p_prompts.add_argument("--count", type=int, required=True)
@@ -86,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prompts.add_argument("--difficulty-min", type=int, default=1)
     p_prompts.add_argument("--difficulty-max", type=int, default=6)
     p_prompts.add_argument("--out", type=Path, required=True)
+    p_prompts.set_defaults(run=_cmd_prompts)
     return parser
 
 
@@ -155,13 +161,29 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _returns_by_episode_key(path: Path) -> dict[tuple[int, int], float]:
+    """Each episode's return keyed by (prompt id, seed), the key that pairs
+    two policies' rollouts of the same prompt under the same randomness."""
+    returns: dict[tuple[int, int], float] = {}
+    for ep in read_episode_log(path):
+        key = (ep.prompt.id, ep.seed)
+        if key in returns:
+            raise ConfigError(f"{path}: two episodes with prompt id {key[0]} and seed {key[1]}")
+        returns[key] = ep.episode_return
+    return returns
+
+
 def _cmd_wilcoxon(args) -> int:
-    a = read_episode_log(args.a)
-    b = read_episode_log(args.b)
-    if len(a) != len(b):
-        raise ConfigError(f"logs hold {len(a)} vs {len(b)} episodes; need equal counts")
-    pairs = [(x.episode_return, y.episode_return) for x, y in zip(a, b)]
-    res = wilcoxon_signed_rank(pairs)
+    a = _returns_by_episode_key(args.a)
+    b = _returns_by_episode_key(args.b)
+    unmatched = sorted(a.keys() ^ b.keys())
+    if unmatched:
+        prompt_id, seed = unmatched[0]
+        raise ConfigError(
+            f"{len(unmatched)} episodes have no partner in the other log, "
+            f"the first with prompt id {prompt_id} and seed {seed}"
+        )
+    res = wilcoxon_signed_rank([(a[k], b[k]) for k in sorted(a)])
     mode = "exact" if res.exact else "normal-approx"
     print(f"n={res.n_used} W={res.statistic:.1f} p={res.pvalue:.6g} ({mode})")
     return EXIT_OK
@@ -203,26 +225,12 @@ def _cmd_prompts(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "baseline":
-            return _cmd_baseline(args)
-        if args.command == "stats":
-            return _cmd_wilcoxon(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "prompts":
-            return _cmd_prompts(args)
-        parser.error(f"unknown command {args.command}")
-        return EXIT_VALIDATION
+        return args.run(args)
     except BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,7 +7,7 @@ style tag; experts mutate that set, the critic reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -95,9 +95,6 @@ class AtomicCommand:
         if self.attempts < 0 or self.attempts > 3:
             raise ValueError(f"attempt counter out of range: {self.attempts}")
 
-    def with_attempts(self, attempts: int) -> "AtomicCommand":
-        return replace(self, attempts=attempts)
-
 
 _COMMAND_PHRASES: dict[TaskCategory, str] = {
     TaskCategory.ADD_OBJECT: "insert objects",
@@ -151,11 +148,6 @@ class CommandSet:
             if c.id == command_id:
                 return c
         return None
-
-    def added(self, command: AtomicCommand) -> "CommandSet":
-        if self.get(command.id) is not None:
-            raise ValueError(f"duplicate command id {command.id}")
-        return CommandSet(self.commands + (command,))
 
     def removed(self, command_id: int) -> "CommandSet":
         return CommandSet(tuple(c for c in self.commands if c.id != command_id))

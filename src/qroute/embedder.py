@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 EMBED_DIM = 1536
+NGRAM = 3
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _BOUNDARY = "\x00"
@@ -40,9 +41,9 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _bucket(gram: str, dim: int) -> int:
+def _bucket(gram: str) -> int:
     digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, person=b"bucket").digest()
-    return int.from_bytes(digest, "little") % dim
+    return int.from_bytes(digest, "little") % EMBED_DIM
 
 
 def _sign(gram: str) -> float:
@@ -65,11 +66,7 @@ class HashingEmbedder:
     distinct texts over thousands of episodes), so the memo needs no bound.
     """
 
-    def __init__(self, dim: int = EMBED_DIM, ngram: int = 3):
-        if dim < 1 or ngram < 1:
-            raise ValueError("dim and ngram must be positive")
-        self.dim = dim
-        self.ngram = ngram
+    def __init__(self) -> None:
         self._memo: dict[str, np.ndarray] = {}
 
     def __call__(self, text: str) -> np.ndarray:
@@ -82,14 +79,13 @@ class HashingEmbedder:
 
     def _encode(self, text: str) -> np.ndarray:
         toks = [_BOUNDARY] + _tokens(text) + [_BOUNDARY]
-        v = np.zeros(self.dim, dtype=np.float64)
-        n = self.ngram
-        for i in range(len(toks) - n + 1):
-            gram = "\x1f".join(toks[i : i + n])
-            v[_bucket(gram, self.dim)] += _sign(gram)
+        v = np.zeros(EMBED_DIM, dtype=np.float64)
+        for i in range(len(toks) - NGRAM + 1):
+            gram = "\x1f".join(toks[i : i + NGRAM])
+            v[_bucket(gram)] += _sign(gram)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
-            out = np.zeros(self.dim, dtype=np.float64)
+            out = np.zeros(EMBED_DIM, dtype=np.float64)
             out[0] = 1.0
             return out
         return v / norm

@@ -111,16 +111,15 @@ class Environment:
 
         canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, rng)
         verdict = critic_score(
-            state.canvas,
             canvas2,
             state.c_curr,
             state.c_rem,
             state.prompt,
             quality,
-            abandoned=state.abandoned_atoms,
             id_start=state.next_id,
+            abandoned=state.abandoned_atoms,
         )
-        outcome = apply_attempt_policy(verdict, state.c_curr, verdict.residual)
+        outcome = apply_attempt_policy(verdict, state.c_curr)
 
         abandoned_atoms = state.abandoned_atoms
         if outcome.abandoned is not None:

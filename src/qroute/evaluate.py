@@ -70,15 +70,6 @@ def routing_stats(
     return hits, total
 
 
-def _routing_accuracy(
-    episodes: Sequence[EpisodeRecord], registry: ExpertRegistry
-) -> Optional[float]:
-    hits, total = routing_stats(episodes, registry)
-    if total == 0:
-        return None
-    return hits / total
-
-
 def summarize_policy(
     name: str, episodes: list[EpisodeRecord], registry: ExpertRegistry
 ) -> PolicyEval:
@@ -100,6 +91,7 @@ def summarize_policy(
         mean_len = float(np.mean([ep.length for ep in episodes]))
     else:
         mean_ret = se_ret = mean_oracle = mean_len = 0.0
+    hits, total = routing_stats(episodes, registry)
     return PolicyEval(
         name=name,
         episodes=episodes,
@@ -109,7 +101,7 @@ def summarize_policy(
         mean_length=mean_len,
         choice_matrix=matrix,
         per_expert_mean_raw=per_expert,
-        routing_accuracy=_routing_accuracy(episodes, registry),
+        routing_accuracy=hits / total if total else None,
     )
 
 
@@ -146,9 +138,8 @@ def baseline_single_expert(
     prompts: Sequence[Prompt],
     episodes_per_prompt: int = 1,
     seed: int = 0,
-    default_t2i: Optional[int] = 4,
 ) -> PolicyEval:
-    policy = SingleExpertPolicy(index=index, registry=env.registry, default_t2i=default_t2i)
+    policy = SingleExpertPolicy(index=index, registry=env.registry)
     spec = env.registry.spec(index)
     return evaluate(
         env,
@@ -203,11 +194,9 @@ class EvalReport:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
-def build_report(
-    main: PolicyEval, baselines: Sequence[PolicyEval], extras: Sequence[PolicyEval] = ()
-) -> EvalReport:
+def build_report(main: PolicyEval, baselines: Sequence[PolicyEval]) -> EvalReport:
     """Attach paired statistics of the main policy against each baseline."""
-    report = EvalReport(policies=[main, *baselines, *extras])
+    report = EvalReport(policies=[main, *baselines])
     main_returns = main.returns_by_prompt()
     for b in baselines:
         b_returns = b.returns_by_prompt()

@@ -4,7 +4,7 @@ signed-rank statistics, and check the routing/convergence diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,12 +63,10 @@ def _loss_decile_ratio(result: TrainResult) -> float:
     return float(np.mean(last) / np.mean(first))
 
 
-def run_seed(
-    config: RunConfig,
-    eval_prompt_count: int = 100,
-    episodes_per_prompt: int = 1,
-    eval_seed: Optional[int] = None,
-) -> SeedOutcome:
+def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
+    """Train one seed, then roll each held-out prompt once under the trained
+    policy, every single-expert baseline, random and the oracle, all paired
+    on the same per-prompt seeds."""
     result = train(config)
     registry = config.build_registry()
     env = Environment(registry, t_max=config.t_max, step_penalty=config.step_penalty)
@@ -80,17 +78,12 @@ def run_seed(
         config.difficulty_max,
         id_start=10_000,
     )
-    es = eval_seed if eval_seed is not None else config.seed + 1
+    es = config.seed + 1
 
-    trained = evaluate(
-        env, GreedyPolicy(result.net), heldout, episodes_per_prompt, es, name="trained_greedy"
-    )
-    baselines = [
-        baseline_single_expert(env, spec.index, heldout, episodes_per_prompt, es)
-        for spec in registry.list()
-    ]
-    rand = evaluate(env, RandomPolicy(), heldout, episodes_per_prompt, es, name="random")
-    oracle = evaluate(env, OraclePolicy(registry), heldout, episodes_per_prompt, es, name="oracle")
+    trained = evaluate(env, GreedyPolicy(result.net), heldout, 1, es, name="trained_greedy")
+    baselines = [baseline_single_expert(env, spec.index, heldout, 1, es) for spec in registry.list()]
+    rand = evaluate(env, RandomPolicy(), heldout, 1, es, name="random")
+    oracle = evaluate(env, OraclePolicy(registry), heldout, 1, es, name="oracle")
     return SeedOutcome(
         seed=config.seed,
         train_result=result,
@@ -105,13 +98,9 @@ def run_learning_experiment(
     base_config: Optional[RunConfig] = None,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     eval_prompt_count: int = 100,
-    episodes_per_prompt: int = 1,
 ) -> ExperimentResult:
     base = base_config if base_config is not None else RunConfig()
-    outcomes = []
-    for seed in seeds:
-        cfg = RunConfig(**{**base.__dict__, "seed": seed})
-        outcomes.append(run_seed(cfg, eval_prompt_count, episodes_per_prompt))
+    outcomes = [run_seed(replace(base, seed=seed), eval_prompt_count) for seed in seeds]
 
     # pooled comparison target: the baseline with the best pooled mean return
     pooled_means: dict[str, list[float]] = {}

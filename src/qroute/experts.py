@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,17 +75,15 @@ class ExpertSpec:
 class ExpertRegistry:
     """Ordered, read-only-after-construction expert table."""
 
-    def __init__(self, specs: Optional[list[ExpertSpec]] = None):
+    def __init__(self, specs: Sequence[ExpertSpec] = ()):
         self._specs: dict[int, ExpertSpec] = {}
-        self._by_modality: dict[Modality, frozenset[int]] = {m: frozenset() for m in Modality}
-        for spec in specs or []:
-            self.register(spec)
-
-    def register(self, spec: ExpertSpec) -> None:
-        if spec.index in self._specs:
-            raise DuplicateIndex(f"expert index {spec.index} already registered")
-        self._specs[spec.index] = spec
-        self._by_modality[spec.modality] = self._by_modality[spec.modality] | {spec.index}
+        for spec in specs:
+            if spec.index in self._specs:
+                raise DuplicateIndex(f"expert index {spec.index} already registered")
+            self._specs[spec.index] = spec
+        self._by_modality: dict[Modality, frozenset[int]] = {
+            m: frozenset(i for i, s in self._specs.items() if s.modality is m) for m in Modality
+        }
 
     def list(self) -> list[ExpertSpec]:
         return [self._specs[i] for i in sorted(self._specs)]
@@ -212,11 +210,11 @@ _DEFAULT_ORDER: list[tuple[str, Modality]] = [
 ]
 
 
-def default_registry(sigma: float = 0.5) -> ExpertRegistry:
+def default_registry() -> ExpertRegistry:
     """The stock 12-expert synthetic registry (7 T2I + 5 I2I)."""
     specs = []
     for index, (name, modality) in enumerate(_DEFAULT_ORDER):
-        profile = SkillProfile(means=dict(DEFAULT_SKILL_TABLE[name]), sigma=sigma)
+        profile = SkillProfile(means=dict(DEFAULT_SKILL_TABLE[name]))
         # the paired frontier experts share a display name across modalities
         display = name.removesuffix("-edit")
         specs.append(ExpertSpec(index=index, name=display, modality=modality, profile=profile))

@@ -92,28 +92,9 @@ def read_prompts(path: str | Path) -> list[Prompt]:
 
 
 def episode_lines(episode: EpisodeRecord) -> list[str]:
-    lines = []
-    for s in episode.steps:
-        lines.append(
-            _dump(
-                {
-                    "kind": "step",
-                    "episode": episode.episode_id,
-                    "t": s.t,
-                    "expert": s.expert,
-                    "category": s.category,
-                    "raw": s.raw,
-                    "subscores": list(s.subscores),
-                    "reward": s.reward,
-                    "completed": s.completed,
-                    "mask": list(s.mask),
-                    "command_id": s.command_id,
-                    "attempts": s.attempts,
-                    "abandoned_command": s.abandoned_command,
-                    "terminal_reason": s.terminal_reason,
-                }
-            )
-        )
+    lines = [
+        _dump({"kind": "step", "episode": episode.episode_id, **vars(s)}) for s in episode.steps
+    ]
     lines.append(
         _dump(
             {

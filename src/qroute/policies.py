@@ -70,19 +70,23 @@ class OraclePolicy:
         return best_legal_expert(self.registry, state.c_curr.category, state.canvas)
 
 
+#: The generator that opens the canvas for an editing-only baseline.
+DEFAULT_T2I = 4
+
+
 @dataclass
 class SingleExpertPolicy:
     """Forces one expert everywhere it is legal.
 
     When the forced expert is modally illegal, the same-name counterpart in
-    the other block substitutes if one exists. An editing-only expert gets
-    a configured default generator for the opening step; a generation-only
-    expert simply stops once the canvas exists (a single-shot system).
+    the other block substitutes if one exists. An editing-only expert opens
+    the canvas with generator ``DEFAULT_T2I`` when that generator is legal
+    and stops otherwise; a generation-only expert simply stops once the
+    canvas exists (a single-shot system).
     """
 
     index: int
     registry: ExpertRegistry
-    default_t2i: Optional[int] = 4
 
     def __call__(self, state, mask, rng):
         if mask[self.index]:
@@ -94,10 +98,10 @@ class SingleExpertPolicy:
         if (
             spec.modality is Modality.I2I
             and state.canvas.is_blank
-            and self.default_t2i is not None
-            and mask[self.default_t2i]
+            and DEFAULT_T2I < len(mask)
+            and mask[DEFAULT_T2I]
         ):
-            return self.default_t2i
+            return DEFAULT_T2I
         return None
 
 

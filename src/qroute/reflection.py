@@ -54,14 +54,13 @@ def _clamp(x: float) -> float:
 
 
 def critic_score(
-    prev: CanvasState,
     curr: CanvasState,
     c_curr: AtomicCommand,
     c_rem: CommandSet,
     prompt: Prompt,
     quality: float,
+    id_start: int,
     abandoned: frozenset[Atom] = frozenset(),
-    id_start: Optional[int] = None,
 ) -> CriticVerdict:
     """Score one step and rebuild the residual ledger.
 
@@ -108,7 +107,7 @@ def _decompose(
     c_rem: CommandSet,
     prompt: Prompt,
     abandoned: frozenset[Atom],
-    id_start: Optional[int],
+    id_start: int,
 ) -> CommandSet:
     """Group unsatisfied prompt atoms per category into residual commands.
 
@@ -121,7 +120,7 @@ def _decompose(
             continue
         open_atoms.setdefault(a.category, set()).add(a)
 
-    next_id = id_start if id_start is not None else max(c_rem.max_id(), -1) + 1
+    next_id = id_start
     commands: list[AtomicCommand] = []
     claimed: set[TaskCategory] = set()
 
@@ -162,16 +161,13 @@ def _decompose(
 @dataclass(frozen=True)
 class AttemptOutcome:
     """Result of the attempt policy: the updated ledger, plus the executed
-    command when it was requeued or permanently abandoned."""
+    command when it was permanently abandoned."""
 
     residual: CommandSet
-    requeued: Optional[AtomicCommand] = None
     abandoned: Optional[AtomicCommand] = None
 
 
-def apply_attempt_policy(
-    verdict: CriticVerdict, c_curr: AtomicCommand, residual: CommandSet
-) -> AttemptOutcome:
+def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> AttemptOutcome:
     """Decide the executed command's fate inside the fresh residual ledger.
 
     A completed command is simply gone (its atoms are satisfied, so the
@@ -182,6 +178,7 @@ def apply_attempt_policy(
     command (only the initial whole-prompt command qualifies) is
     superseded by its per-category decomposition and never requeued.
     """
+    residual = verdict.residual
     if verdict.completed:
         return AttemptOutcome(residual=residual)
 
@@ -191,34 +188,21 @@ def apply_attempt_policy(
     category = next(iter(categories))
 
     slot = next((c for c in residual if c.category is category), None)
-    new_attempts = c_curr.attempts + 1
-
-    if new_attempts < MAX_ATTEMPTS:
-        if slot is None:
-            # constructed command whose atoms are not prompt atoms; requeue as-is
-            requeued = c_curr.with_attempts(new_attempts)
-            return AttemptOutcome(residual=residual.added(requeued), requeued=requeued)
-        requeued = AtomicCommand(
-            id=c_curr.id,
-            text=slot.text,
-            category=category,
-            payload=slot.payload,
-            attempts=new_attempts,
-        )
-        out = tuple(requeued if c.id == slot.id else c for c in residual)
-        return AttemptOutcome(residual=CommandSet(out), requeued=requeued)
-
-    dropped = c_curr.with_attempts(MAX_ATTEMPTS)
-    if slot is not None:
-        residual = residual.removed(slot.id)
-        dropped = AtomicCommand(
-            id=c_curr.id,
-            text=slot.text,
-            category=category,
-            payload=slot.payload,
-            attempts=MAX_ATTEMPTS,
-        )
-    return AttemptOutcome(residual=residual, abandoned=dropped)
+    # an unmet atom of the command is a prompt atom not yet abandoned, so
+    # the decomposition always gives its category a slot
+    assert slot is not None
+    attempts = min(c_curr.attempts + 1, MAX_ATTEMPTS)
+    retried = AtomicCommand(
+        id=c_curr.id,
+        text=slot.text,
+        category=category,
+        payload=slot.payload,
+        attempts=attempts,
+    )
+    if attempts < MAX_ATTEMPTS:
+        out = tuple(retried if c.id == slot.id else c for c in residual)
+        return AttemptOutcome(residual=CommandSet(out))
+    return AttemptOutcome(residual=residual.removed(slot.id), abandoned=retried)
 
 
 def extract_command(c_rem: CommandSet) -> tuple[Optional[AtomicCommand], CommandSet]:

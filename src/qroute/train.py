@@ -19,7 +19,7 @@ import numpy as np
 from .agent import ReplayBuffer, Transition, epsilon_at, select_action, train_batch
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .embedder import embed
+from .embedder import EMBED_DIM, embed
 from .environment import Environment
 from .logs import EpisodeRecord, write_episode_log, write_lines
 from .policies import run_episode
@@ -82,7 +82,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         config.difficulty_max,
     )
 
-    net = QNetwork(layer_sizes=(1536, 64, 64, len(registry)), seed=config.seed)
+    net = QNetwork(layer_sizes=(EMBED_DIM, 64, 64, len(registry)), seed=config.seed)
     target = net.copy()  # frozen copy to bootstrap against, refreshed every sync interval
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)
@@ -159,19 +159,7 @@ def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
     save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, result.adam, step)
     write_episode_log(out_dir / EPISODES_NAME, result.episodes)
     metric_lines = [
-        json.dumps(
-            {
-                "step": m.step,
-                "episode": m.episode,
-                "epsilon": m.epsilon,
-                "reward": m.reward,
-                "loss": m.loss,
-                "synced": m.synced,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for m in result.metrics
+        json.dumps(vars(m), sort_keys=True, separators=(",", ":")) for m in result.metrics
     ]
     write_lines(out_dir / METRICS_NAME, metric_lines)
     losses = result.losses

@@ -129,9 +129,9 @@ def test_default_registry_shape(registry):
 
 
 def test_register_duplicate_index():
-    reg = two_expert_registry()
+    gen = ExpertSpec(0, "gen", Modality.T2I, profile=flat_profile(8.0))
     with pytest.raises(DuplicateIndex):
-        reg.register(ExpertSpec(0, "again", Modality.T2I, profile=flat_profile(5.0)))
+        ExpertRegistry([gen, ExpertSpec(0, "again", Modality.T2I, profile=flat_profile(5.0))])
 
 
 def test_empty_registry():

@@ -122,7 +122,7 @@ def test_single_expert_policy_t2i_stops_after_opening(env):
 
 def test_single_expert_policy_i2i_uses_default_opener(env):
     prompt = make_prompt([atom("add_object", "dog")])
-    rec = run_episode(env, SingleExpertPolicy(index=8, registry=env.registry, default_t2i=4), prompt, seed=5)
+    rec = run_episode(env, SingleExpertPolicy(index=8, registry=env.registry), prompt, seed=5)
     assert rec.steps[0].expert == 4
     for s in rec.steps[1:]:
         assert s.expert == 8
@@ -385,15 +385,51 @@ def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_eval_baselines_on_a_three_expert_run(tmp_path, capsys):
+    # no generator 4 to open the canvas: the editing-only baselines stop at once
+    profiles = [
+        {
+            "index": i,
+            "name": f"e{i}",
+            "modality": "t2i" if i == 0 else "i2i",
+            "means": {c.value: 5.0 for c in TaskCategory},
+        }
+        for i in range(3)
+    ]
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=3, total_steps=60, expert_profiles=profiles).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 4, 1, 6))
+    eval_args = ["--prompts", str(tmp_path / "p.jsonl"), "--baselines", "--out", str(tmp_path / "report.json")]
+    assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), *eval_args]) == 0
+    capsys.readouterr()
+    lengths = {p["name"]: p["mean_length"] for p in json.loads((tmp_path / "report.json").read_text())["policies"]}
+    assert lengths["expert_1_e1_i2i"] == lengths["expert_2_e2_i2i"] == 0.0
+    assert lengths["expert_0_e0_t2i"] == 1.0
+
+
 def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     prompts = generate_corpus(6, 10, 1, 6)
-    a = [run_episode(env, RandomPolicy(), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
-    b = [run_episode(env, RandomPolicy(), p, seed=100 + i, episode_id=i) for i, p in enumerate(prompts)]
-    write_episode_log(tmp_path / "a.jsonl", a)
-    write_episode_log(tmp_path / "b.jsonl", b)
-    assert cli_main(["stats", "wilcoxon", "--a", str(tmp_path / "a.jsonl"), "--b", str(tmp_path / "b.jsonl")]) == 0
-    out = capsys.readouterr().out
-    assert "W=" in out and "p=" in out
+    oracle = [run_episode(env, OraclePolicy(env.registry), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
+    rand = [run_episode(env, RandomPolicy(), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
+    logs = {name: tmp_path / f"{name}.jsonl" for name in ("a", "b", "shuffled", "unmatched", "twice")}
+    write_episode_log(logs["a"], oracle)
+    write_episode_log(logs["b"], rand)
+    write_episode_log(logs["shuffled"], rand[::-1])
+    write_episode_log(logs["unmatched"], [replace(rand[0], seed=99), *rand[1:]])
+    write_episode_log(logs["twice"], [*rand, rand[0]])
+
+    def wilcoxon(b):
+        code = cli_main(["stats", "wilcoxon", "--a", str(logs["a"]), "--b", str(logs[b])])
+        return code, capsys.readouterr()
+
+    code, out = wilcoxon("b")
+    assert code == 0 and "W=" in out.out and "p=" in out.out
+    # episodes pair by (prompt id, seed), not by position in the log
+    assert wilcoxon("shuffled") == (0, out)
+    for bad in ("unmatched", "twice"):
+        code, out = wilcoxon(bad)
+        assert code == 2 and out.err.startswith("error: ")
 
 
 def test_cli_baseline_command(tmp_path, capsys):

@@ -36,6 +36,39 @@ def unused_imports_in(*patterns: str) -> dict[str, list[str]]:
     }
 
 
+#: The parameters of a ``Policy`` implementation: the protocol fixes them,
+#: whether or not one policy reads them all.
+POLICY_CALL = ["self", "state", "mask", "rng"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters a function body never reads, as ``function.parameter``.
+
+    ``self``, ``_``-prefixed names and ``Policy.__call__`` implementations
+    are exempt. A read inside a nested function counts.
+    """
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        if node.name == "__call__" and params == POLICY_CALL:
+            continue
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [
+            f"{node.name}.{p} (line {node.lineno})"
+            for p in params
+            if p != "self" and not p.startswith("_") and p not in read
+        ]
+    return unused
+
+
 def test_scanner_sees_unused_and_attribute_uses():
     src = "import os\nimport numpy as np\nfrom a import b, c\nnp.zeros(1)\nc()\n"
     assert unused_imports(src) == ["b (line 3)", "os (line 1)"]
@@ -54,3 +87,17 @@ def test_package_attributes_do_not_shadow_submodules():
     import qroute.train as train_module
 
     assert inspect.ismodule(train_module) and inspect.ismodule(evaluate_module)
+
+
+def test_parameter_scanner():
+    src = (
+        "def f(a, b, _c, *args, d, **kw):\n    b = 1\n    def g():\n        return a + d\n    return g\n"
+        "class P:\n    def __call__(self, state, mask, rng):\n        return None\n"
+    )
+    assert unused_parameters(src) == ["f.b (line 1)", "f.args (line 1)", "f.kw (line 1)"]
+
+
+def test_no_unused_parameters():
+    paths = sorted((ROOT / "src" / "qroute").glob("*.py"))
+    unused = {path.name: names for path in paths if (names := unused_parameters(path.read_text(encoding="utf-8")))}
+    assert unused == {}

@@ -51,7 +51,7 @@ def test_full_satisfaction_scores_ten():
     a1, a2 = atom("add_object", "dog"), atom("add_text", "sign")
     prompt = make_prompt([a1, a2])
     c = cmd("add_object", [a1, a2])
-    verdict = critic_score(CanvasState.blank(), canvas_with(a1, a2), c, CommandSet(), prompt, 10.0)
+    verdict = critic_score(canvas_with(a1, a2), c, CommandSet(), prompt, 10.0, id_start=1)
     assert verdict.raw == pytest.approx(10.0)
     assert verdict.completed
     assert verdict.residual.is_empty()
@@ -62,7 +62,7 @@ def test_half_content_rubric_case():
     prompt = make_prompt(atoms)
     c = cmd("add_object", atoms)
     verdict = critic_score(
-        CanvasState.blank(), canvas_with(atoms[0], atoms[1]), c, CommandSet(), prompt, 8.0
+        canvas_with(atoms[0], atoms[1]), c, CommandSet(), prompt, 8.0, id_start=1
     )
     assert verdict.subscores == pytest.approx((5.0, 10.0, 8.0, 10.0))
     assert verdict.raw == pytest.approx(8.25)
@@ -82,14 +82,14 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
         for style in (None, "noir", "popart"):
             canvas = CanvasState.symbolic(sat, style=style)
             for quality in (0.0, 4.5, 10.0):
-                verdict = critic_score(CanvasState.blank(), canvas, c, CommandSet(), prompt, quality)
+                verdict = critic_score(canvas, c, CommandSet(), prompt, quality, id_start=1)
                 assert verdict.raw == pytest.approx(rubric_oracle(prompt, canvas, quality))
 
 
 def test_style_mismatch_zeroes_style_dimension():
     a = atom("add_object", "dog")
     prompt = make_prompt([a], style="noir")
-    verdict = critic_score(CanvasState.blank(), canvas_with(a, style="popart"), cmd("add_object", [a]), CommandSet(), prompt, 10.0)
+    verdict = critic_score(canvas_with(a, style="popart"), cmd("add_object", [a]), CommandSet(), prompt, 10.0, id_start=1)
     assert verdict.subscores[3] == 0.0
 
 
@@ -102,9 +102,9 @@ def test_raw_is_ten_only_at_perfect_subscores():
     a = atom("add_object", "dog")
     prompt = make_prompt([a], style="noir")
     c = cmd("add_object", [a])
-    perfect = critic_score(CanvasState.blank(), canvas_with(a, style="noir"), c, CommandSet(), prompt, 10.0)
+    perfect = critic_score(canvas_with(a, style="noir"), c, CommandSet(), prompt, 10.0, id_start=1)
     assert perfect.raw == 10.0 and all(s == 10.0 for s in perfect.subscores)
-    near = critic_score(CanvasState.blank(), canvas_with(a, style="noir"), c, CommandSet(), prompt, 9.999)
+    near = critic_score(canvas_with(a, style="noir"), c, CommandSet(), prompt, 9.999, id_start=1)
     assert near.raw < 10.0
 
 
@@ -112,7 +112,7 @@ def test_decomposition_groups_per_category_with_fresh_ids():
     a1, a2, a3 = atom("add_text", "t1"), atom("add_text", "t2"), atom("color_change", "c1")
     prompt = make_prompt([a1, a2, a3])
     c = cmd("add_object", [], cid=0)
-    verdict = critic_score(CanvasState.blank(), CanvasState.symbolic(), c, CommandSet(), prompt, 5.0, id_start=7)
+    verdict = critic_score(CanvasState.symbolic(), c, CommandSet(), prompt, 5.0, id_start=7)
     cats = {r.category: r for r in verdict.residual}
     assert set(cats) == {_C.ADD_TEXT, _C.COLOR_CHANGE}
     assert cats[_C.ADD_TEXT].payload == frozenset({a1, a2})
@@ -124,7 +124,7 @@ def test_decomposition_preserves_existing_ids_and_attempts():
     prompt = make_prompt([a1, a2])
     existing = CommandSet((cmd("add_text", [a1], attempts=2, cid=5),))
     verdict = critic_score(
-        CanvasState.blank(), CanvasState.symbolic(), cmd("add_object", [], cid=0), existing, prompt, 5.0, id_start=9
+        CanvasState.symbolic(), cmd("add_object", [], cid=0), existing, prompt, 5.0, id_start=9
     )
     by_cat = {r.category: r for r in verdict.residual}
     assert by_cat[_C.ADD_TEXT].id == 5
@@ -136,7 +136,7 @@ def test_decomposition_excludes_abandoned_atoms():
     a1, a2 = atom("add_text", "t1"), atom("color_change", "c1")
     prompt = make_prompt([a1, a2])
     verdict = critic_score(
-        CanvasState.blank(), CanvasState.symbolic(), cmd("add_object", [], cid=0), CommandSet(), prompt, 5.0,
+        CanvasState.symbolic(), cmd("add_object", [], cid=0), CommandSet(), prompt, 5.0, id_start=1,
         abandoned=frozenset({a1}),
     )
     assert {r.category for r in verdict.residual} == {_C.COLOR_CHANGE}
@@ -187,28 +187,28 @@ def failed_verdict(residual):
 
 def test_attempt_policy_completed_command_gone():
     c = cmd("add_text", [atom("add_text", "x")], attempts=1, cid=3)
-    out = apply_attempt_policy(completed_verdict(), c, CommandSet())
+    out = apply_attempt_policy(completed_verdict(), c)
     assert out.residual.get(3) is None
-    assert out.requeued is None and out.abandoned is None
+    assert out.abandoned is None
 
 
 def test_attempt_policy_requeues_with_increment():
     a = atom("add_text", "x")
     c = cmd("add_text", [a], attempts=1, cid=3)
     residual = CommandSet((cmd("add_text", [a], cid=9),))  # fresh slot from decomposition
-    out = apply_attempt_policy(failed_verdict(residual), c, residual)
+    out = apply_attempt_policy(failed_verdict(residual), c)
     requeued = out.residual.get(3)
     assert requeued is not None
     assert requeued.attempts == 2
     assert out.residual.get(9) is None
-    assert out.requeued.id == 3
+    assert out.abandoned is None
 
 
 def test_attempt_policy_drops_after_third_attempt():
     a = atom("add_text", "x")
     c = cmd("add_text", [a], attempts=2, cid=3)
     residual = CommandSet((cmd("add_text", [a], cid=9),))
-    out = apply_attempt_policy(failed_verdict(residual), c, residual)
+    out = apply_attempt_policy(failed_verdict(residual), c)
     assert out.residual.is_empty()
     assert out.abandoned is not None
     assert out.abandoned.attempts == 3
@@ -219,10 +219,10 @@ def test_attempt_policy_multi_category_monolith_superseded():
     a1, a2 = atom("add_text", "x"), atom("color_change", "y")
     monolith = AtomicCommand(id=0, text="whole prompt", category=_C.ADD_TEXT, payload=frozenset({a1, a2}))
     residual = CommandSet((cmd("add_text", [a1], cid=1), cmd("color_change", [a2], cid=2)))
-    out = apply_attempt_policy(failed_verdict(residual), monolith, residual)
+    out = apply_attempt_policy(failed_verdict(residual), monolith)
     assert out.residual.get(0) is None
     assert {c.id for c in out.residual} == {1, 2}
-    assert out.requeued is None and out.abandoned is None
+    assert out.abandoned is None
 
 
 @pytest.mark.parametrize(
