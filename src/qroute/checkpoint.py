@@ -65,9 +65,6 @@ class _Reader:
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 2 bad input (arguments, config, a missing,
-unreadable or damaged file), 3 runtime abort (numerical failure, replay
-mismatch).
+unreadable or damaged file, episodes that do not pair), 3 runtime abort
+(numerical failure, replay mismatch).
 
 ``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
 world the run was trained in: the config ``train`` recorded in the
@@ -25,12 +25,13 @@ from .errors import (
     AllZeroDifferences,
     ConfigError,
     CorruptChecksum,
+    DomainError,
     LogParseError,
     NumericalError,
     QRouteError,
     VersionMismatch,
 )
-from .evaluate import baseline_single_expert, build_report, evaluate, render_report
+from .evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
 from .logs import read_episode_log, read_prompts, write_prompts
 from .policies import GreedyPolicy, run_episode
 from .simworld import generate_corpus
@@ -42,7 +43,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 #: Errors that blame the input, not the run; they exit 2.
-BAD_INPUT = (ConfigError, LogParseError, AllZeroDifferences, CorruptChecksum, VersionMismatch, OSError)
+BAD_INPUT = (ConfigError, DomainError, LogParseError, AllZeroDifferences,
+             CorruptChecksum, VersionMismatch, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,29 +163,8 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _returns_by_episode_key(path: Path) -> dict[tuple[int, int], float]:
-    """Each episode's return keyed by (prompt id, seed), the key that pairs
-    two policies' rollouts of the same prompt under the same randomness."""
-    returns: dict[tuple[int, int], float] = {}
-    for ep in read_episode_log(path):
-        key = (ep.prompt.id, ep.seed)
-        if key in returns:
-            raise ConfigError(f"{path}: two episodes with prompt id {key[0]} and seed {key[1]}")
-        returns[key] = ep.episode_return
-    return returns
-
-
 def _cmd_wilcoxon(args) -> int:
-    a = _returns_by_episode_key(args.a)
-    b = _returns_by_episode_key(args.b)
-    unmatched = sorted(a.keys() ^ b.keys())
-    if unmatched:
-        prompt_id, seed = unmatched[0]
-        raise ConfigError(
-            f"{len(unmatched)} episodes have no partner in the other log, "
-            f"the first with prompt id {prompt_id} and seed {seed}"
-        )
-    res = wilcoxon_signed_rank([(a[k], b[k]) for k in sorted(a)])
+    res = wilcoxon_signed_rank(paired_returns(read_episode_log(args.a), read_episode_log(args.b)))
     mode = "exact" if res.exact else "normal-approx"
     print(f"n={res.n_used} W={res.statistic:.1f} p={res.pvalue:.6g} ({mode})")
     return EXIT_OK

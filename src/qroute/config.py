@@ -100,6 +100,11 @@ class RunConfig:
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad expert profile entry: {exc}") from exc
+            indices = sorted(spec.index for spec in specs)
+            if indices != list(range(len(specs))):
+                raise ConfigError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
+            if {spec.modality for spec in specs} != set(Modality):
+                raise ConfigError("expert profiles need at least one t2i and one i2i expert")
             registry = ExpertRegistry(specs)
         cats = self.categories()
         for spec in registry.list():

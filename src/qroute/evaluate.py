@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import TAXONOMY, Prompt, TaskCategory
 from .environment import Environment
-from .errors import AllZeroDifferences
+from .errors import AllZeroDifferences, DomainError
 from .experts import ExpertRegistry, Modality
 from .logs import EpisodeRecord
 from .policies import Policy, SingleExpertPolicy, episode_seed, run_episode
@@ -36,16 +36,42 @@ class PolicyEval:
     mean_length: float
     choice_matrix: np.ndarray  # categories x experts, step counts
     per_expert_mean_raw: dict[int, float]
-    routing_accuracy: Optional[float]
+    routing: tuple[int, int]  # (hits, total) of routing_stats
 
-    def returns_by_prompt(self) -> dict[tuple[int, int], float]:
-        out: dict[tuple[int, int], float] = {}
-        reps: dict[int, int] = {}
-        for ep in self.episodes:
-            rep = reps.get(ep.prompt.id, 0)
-            reps[ep.prompt.id] = rep + 1
-            out[(ep.prompt.id, rep)] = ep.episode_return
-        return out
+    @property
+    def routing_accuracy(self) -> Optional[float]:
+        hits, total = self.routing
+        return hits / total if total else None
+
+
+def paired_returns(
+    a: Sequence[EpisodeRecord], b: Sequence[EpisodeRecord]
+) -> list[tuple[float, float]]:
+    """(a return, b return) of each episode key, in key order.
+
+    The key is (prompt id, seed): two policies rolled over the same prompt
+    with the same randomness. A key twice in one list, or in only one of
+    the lists, raises DomainError.
+    """
+
+    def by_key(episodes: Sequence[EpisodeRecord]) -> dict[tuple[int, int], float]:
+        returns: dict[tuple[int, int], float] = {}
+        for ep in episodes:
+            key = (ep.prompt.id, ep.seed)
+            if key in returns:
+                raise DomainError(f"two episodes with prompt id {key[0]} and seed {key[1]}")
+            returns[key] = ep.episode_return
+        return returns
+
+    ra, rb = by_key(a), by_key(b)
+    unmatched = sorted(ra.keys() ^ rb.keys())
+    if unmatched:
+        prompt_id, seed = unmatched[0]
+        raise DomainError(
+            f"{len(unmatched)} episodes have no partner, "
+            f"the first with prompt id {prompt_id} and seed {seed}"
+        )
+    return [(ra[k], rb[k]) for k in sorted(ra)]
 
 
 def routing_stats(
@@ -91,7 +117,6 @@ def summarize_policy(
         mean_len = float(np.mean([ep.length for ep in episodes]))
     else:
         mean_ret = se_ret = mean_oracle = mean_len = 0.0
-    hits, total = routing_stats(episodes, registry)
     return PolicyEval(
         name=name,
         episodes=episodes,
@@ -101,7 +126,7 @@ def summarize_policy(
         mean_length=mean_len,
         choice_matrix=matrix,
         per_expert_mean_raw=per_expert,
-        routing_accuracy=hits / total if total else None,
+        routing=routing_stats(episodes, registry),
     )
 
 
@@ -115,6 +140,8 @@ def evaluate(
 ) -> PolicyEval:
     """Greedy rollouts over a prompt set; empty prompt sets yield an empty
     (zeroed) evaluation rather than an error."""
+    if episodes_per_prompt < 1:
+        raise DomainError(f"episodes per prompt must be >= 1: {episodes_per_prompt}")
     episodes: list[EpisodeRecord] = []
     eid = 0
     for prompt in prompts:
@@ -157,12 +184,6 @@ class EvalReport:
     wilcoxon: dict[str, tuple[float, float]] = field(default_factory=dict)
     win_rates: dict[str, tuple[float, float]] = field(default_factory=dict)
 
-    def policy(self, name: str) -> PolicyEval:
-        for p in self.policies:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def to_payload(self) -> dict:
         return {
             "policies": [
@@ -197,11 +218,8 @@ class EvalReport:
 def build_report(main: PolicyEval, baselines: Sequence[PolicyEval]) -> EvalReport:
     """Attach paired statistics of the main policy against each baseline."""
     report = EvalReport(policies=[main, *baselines])
-    main_returns = main.returns_by_prompt()
     for b in baselines:
-        b_returns = b.returns_by_prompt()
-        keys = sorted(set(main_returns) & set(b_returns))
-        pairs = [(main_returns[k], b_returns[k]) for k in keys]
+        pairs = paired_returns(main.episodes, b.episodes)
         if pairs:
             try:
                 res = wilcoxon_signed_rank(pairs)

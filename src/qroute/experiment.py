@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .environment import Environment
-from .evaluate import PolicyEval, baseline_single_expert, evaluate, routing_stats
+from .evaluate import PolicyEval, baseline_single_expert, evaluate, paired_returns
 from .policies import GreedyPolicy, OraclePolicy, RandomPolicy
 from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
@@ -113,20 +113,12 @@ def run_learning_experiment(
 
     pairs: list[tuple[float, float]] = []
     for oc in outcomes:
-        trained_returns = oc.trained.returns_by_prompt()
         baseline = next(b for b in oc.baselines if b.name == best_name)
-        base_returns = baseline.returns_by_prompt()
-        for key in sorted(set(trained_returns) & set(base_returns)):
-            pairs.append((trained_returns[key], base_returns[key]))
+        pairs += paired_returns(oc.trained.episodes, baseline.episodes)
     res = wilcoxon_signed_rank(pairs)
 
-    i2i_hits = 0
-    i2i_total = 0
-    for oc in outcomes:
-        registry = oc.train_result.config.build_registry()
-        hits, total = routing_stats(oc.trained.episodes, registry)
-        i2i_hits += hits
-        i2i_total += total
+    i2i_hits = sum(oc.trained.routing[0] for oc in outcomes)
+    i2i_total = sum(oc.trained.routing[1] for oc in outcomes)
     routing = i2i_hits / i2i_total if i2i_total else None
 
     return ExperimentResult(

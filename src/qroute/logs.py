@@ -79,15 +79,22 @@ def write_prompts(path: str | Path, prompts: Iterable[Prompt]) -> None:
 
 
 def read_prompts(path: str | Path) -> list[Prompt]:
+    """The prompts of a prompt file. A repeated prompt id is refused: its
+    prompts would run under one episode seed and share a pairing key."""
     prompts = []
+    ids: set[int] = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            prompts.append(_prompt_from_payload(json.loads(line)))
+            prompt = _prompt_from_payload(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise LogParseError(lineno, f"bad prompt record: {exc}") from exc
+        if prompt.id in ids:
+            raise LogParseError(lineno, f"repeated prompt id {prompt.id}")
+        ids.add(prompt.id)
+        prompts.append(prompt)
     return prompts
 
 

@@ -28,21 +28,12 @@ class WilcoxonResult:
     exact: bool
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks of |d| with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of |d| with ties sharing their average rank, and the size of
+    each group of tied values."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based rank of each group's last member
+    return (last - (counts - 1) / 2.0)[group], counts
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
@@ -87,7 +78,7 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
     if n == 0:
         raise AllZeroDifferences("all pair differences are zero")
 
-    ranks = _average_ranks(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -99,7 +90,6 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     # tie correction: each group of t equal magnitudes removes (t^3 - t)/48
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
     if var <= 0:
         return WilcoxonResult(statistic=w, pvalue=1.0, n_used=n, exact=False)

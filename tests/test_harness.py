@@ -9,10 +9,11 @@ from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
 from qroute.environment import Environment
 from qroute.errors import ConfigError, DomainError, LogParseError
-from qroute.evaluate import baseline_single_expert, build_report, evaluate, render_report
+from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
+from qroute.stats import wilcoxon_signed_rank, win_rate
 from qroute.train import train
 
 from conftest import atom, make_prompt
@@ -77,6 +78,26 @@ def test_config_profiles_must_cover_taxonomy():
     del profiles[0]["means"]["add_text"]
     with pytest.raises(ConfigError):
         config_from_dict({"expert_profiles": profiles})
+
+
+def profile(index, modality):
+    return {"index": index, "name": f"e{index}", "modality": modality, "means": {c.value: 5.0 for c in TaskCategory}}
+
+
+@pytest.mark.parametrize(
+    "experts",
+    [
+        pytest.param([(0, "i2i"), (1, "i2i"), (2, "i2i")], id="editing-only"),
+        pytest.param([(0, "t2i"), (1, "t2i"), (2, "t2i")], id="generation-only"),
+        pytest.param([(0, "t2i"), (5, "i2i")], id="index-gap"),
+        pytest.param([(1, "t2i"), (2, "i2i")], id="not-from-zero"),
+        pytest.param([(0, "t2i"), (0, "i2i")], id="repeated-index"),
+        pytest.param([], id="empty"),
+    ],
+)
+def test_config_expert_indices_and_modalities(experts):
+    with pytest.raises(ConfigError):
+        config_from_dict({"expert_profiles": [profile(i, m) for i, m in experts]})
 
 
 # ---------------------------------------------------------------- logs
@@ -209,6 +230,39 @@ def test_report_statistics_do_not_hide_errors(env):
         build_report(main_eval, [broken])
 
 
+def test_paired_returns_keys_by_prompt_and_seed(env):
+    prompts = generate_corpus(3, 6, 1, 6)
+    a = evaluate(env, OraclePolicy(env.registry), prompts, 2, seed=5).episodes
+    b = evaluate(env, RandomPolicy(), prompts, 2, seed=5).episodes
+    pairs = paired_returns(a, b)
+    assert len(pairs) == 12
+    assert paired_returns(a[::-1], b) == pairs == paired_returns(a, b[::-1])
+    with pytest.raises(DomainError):
+        paired_returns([*a, a[0]], b)
+    with pytest.raises(DomainError):
+        paired_returns(a, [*b[1:], replace(b[0], seed=b[0].seed + 1)])
+
+
+def test_report_pairs_repeated_rollouts_as_by_repeat(env):
+    prompts = generate_corpus(4, 7, 1, 6)
+    main_eval = evaluate(env, RandomPolicy(), prompts, 3, seed=2, name="main")
+    base = baseline_single_expert(env, 9, prompts, 3, seed=2)
+    report = build_report(main_eval, [base])
+
+    def by_repeat(episodes):
+        returns, reps = {}, {}
+        for ep in episodes:
+            reps[ep.prompt.id] = rep = reps.get(ep.prompt.id, -1) + 1
+            returns[(ep.prompt.id, rep)] = ep.episode_return
+        return returns
+
+    m, b = by_repeat(main_eval.episodes), by_repeat(base.episodes)
+    pairs = [(m[k], b[k]) for k in sorted(m)]
+    res = wilcoxon_signed_rank(pairs)
+    assert report.wilcoxon[base.name] == (res.statistic, res.pvalue)
+    assert report.win_rates[base.name] == win_rate([x > y for x, y in pairs])
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -290,9 +344,11 @@ def test_cli_prompts_and_eval_round_trip(tmp_path, capsys):
 
 
 def test_cli_invalid_config_is_validation_error(tmp_path, capsys):
-    (tmp_path / "bad.json").write_text('{"gamma": 2.0}')
-    assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
-    capsys.readouterr()
+    index_gap = {"total_steps": 20, "expert_profiles": [profile(0, "t2i"), profile(5, "i2i")]}
+    for config in ({"gamma": 2.0}, index_gap):
+        (tmp_path / "bad.json").write_text(json.dumps(config))
+        assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_missing_checkpoint_is_validation_error(tmp_path, capsys):
@@ -343,6 +399,15 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys):
     assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+    eval_args = ["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts"]
+    assert cli_main([*eval_args, str(tmp_path / "p.jsonl"), "--episodes", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # a repeated prompt id would give two prompts one pairing key
+    lines = (tmp_path / "p.jsonl").read_text().splitlines()
+    (tmp_path / "twice.jsonl").write_text("\n".join([*lines, lines[0]]) + "\n")
+    assert cli_main([*eval_args, str(tmp_path / "twice.jsonl")]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
@@ -412,12 +477,13 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     prompts = generate_corpus(6, 10, 1, 6)
     oracle = [run_episode(env, OraclePolicy(env.registry), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
     rand = [run_episode(env, RandomPolicy(), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
-    logs = {name: tmp_path / f"{name}.jsonl" for name in ("a", "b", "shuffled", "unmatched", "twice")}
+    logs = {name: tmp_path / f"{name}.jsonl" for name in ("a", "b", "shuffled", "unmatched", "twice", "nan")}
     write_episode_log(logs["a"], oracle)
     write_episode_log(logs["b"], rand)
     write_episode_log(logs["shuffled"], rand[::-1])
     write_episode_log(logs["unmatched"], [replace(rand[0], seed=99), *rand[1:]])
     write_episode_log(logs["twice"], [*rand, rand[0]])
+    write_episode_log(logs["nan"], [replace(rand[0], episode_return=float("nan")), *rand[1:]])
 
     def wilcoxon(b):
         code = cli_main(["stats", "wilcoxon", "--a", str(logs["a"]), "--b", str(logs[b])])
@@ -427,7 +493,7 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     assert code == 0 and "W=" in out.out and "p=" in out.out
     # episodes pair by (prompt id, seed), not by position in the log
     assert wilcoxon("shuffled") == (0, out)
-    for bad in ("unmatched", "twice"):
+    for bad in ("unmatched", "twice", "nan"):
         code, out = wilcoxon(bad)
         assert code == 2 and out.err.startswith("error: ")
 
@@ -436,4 +502,5 @@ def test_cli_baseline_command(tmp_path, capsys):
     write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 4, 1, 6))
     assert cli_main(["baseline", "--expert", "9", "--prompts", str(tmp_path / "p.jsonl")]) == 0
     assert cli_main(["baseline", "--expert", "44", "--prompts", str(tmp_path / "p.jsonl")]) == 2
+    assert cli_main(["baseline", "--expert", "9", "--prompts", str(tmp_path / "p.jsonl"), "--episodes", "0"]) == 2
     capsys.readouterr()

@@ -101,3 +101,61 @@ def test_no_unused_parameters():
     paths = sorted((ROOT / "src" / "qroute").glob("*.py"))
     unused = {path.name: names for path in paths if (names := unused_parameters(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def defined_functions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every function and method a module defines, dunder
+    methods left out."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads: loaded names and attributes, imported
+    names, and string constants (which name the targets of a patch)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_function_scanner():
+    src = (
+        "import m\nfrom a import f\nclass C:\n    def __len__(self):\n        return 0\n"
+        "    def used(self):\n        return m.g\n    def unused(self):\n        x = 1\n"
+        "def h():\n    return C().used()\ntarget = 'patched'\n"
+    )
+    read = names_read(src)
+    assert read >= {"m", "f", "g", "C", "used", "patched"} and "unused" not in read and "x" not in read
+    assert sorted(defined_functions(src)) == [("h", 10), ("unused", 8), ("used", 6)]
+
+
+def test_no_unread_functions():
+    """A function or method of the package whose name nothing in the
+    package, scripts, tests or benchmark reads is dead code. Names are
+    matched alone, so a method that shares its name with a read name passes."""
+    read = set().union(
+        *(
+            names_read(path.read_text(encoding="utf-8"))
+            for pattern in ("src/qroute/*.py", "scripts/*.py", "tests/*.py", "perfbench/*.py")
+            for path in ROOT.glob(pattern)
+        )
+    )
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in sorted((ROOT / "src" / "qroute").glob("*.py"))
+        for name, line in defined_functions(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == []
