@@ -146,6 +146,5 @@ def train_batch(
     dq = np.zeros_like(q, dtype=np.float64)
     dq[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
     grads = net.backward(cache, dq)
-    adam.step(net.parameters(), grads, lr)
-    net.check_finite()
+    net.check_finite(adam.step(net.parameters(), grads, lr))
     return loss

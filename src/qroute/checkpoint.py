@@ -18,6 +18,7 @@ so the network must be float32 to be checkpointable without loss.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -69,8 +70,7 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(4 * count)
+        raw = self.take(4 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 
 
@@ -91,20 +91,21 @@ def load_checkpoint(path: str | Path) -> tuple[QNetwork, AdamState, int]:
     step = r.u64()
     n_dims = r.u16()
     dims = tuple(struct.unpack(f"<{n_dims}I", r.take(4 * n_dims)))
-
-    net = QNetwork(layer_sizes=dims, dtype=np.float32)
+    if n_dims < 2 or min(dims) < 1:
+        raise CorruptChecksum(f"checkpoint layer sizes {list(dims)}: need two or more, each at least 1")
     shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         shapes.append((fan_in, fan_out))
         shapes.append((fan_out,))
-    params = [r.f32_array(shape) for shape in shapes]
-    net.weights = [params[2 * i] for i in range(len(dims) - 1)]
-    net.biases = [params[2 * i + 1] for i in range(len(dims) - 1)]
+    # parameters, then adam t, m and v: sized before any array is built
+    n_values = sum(math.prod(shape) for shape in shapes)
+    if len(body) - r.pos != 4 * n_values + 8 + 2 * 4 * n_values:
+        raise CorruptChecksum(f"checkpoint length does not match its layer sizes {list(dims)}")
 
+    params = [r.f32_array(shape) for shape in shapes]
+    net = QNetwork.from_parameters(params[0::2], params[1::2])
     adam = AdamState(net)
     adam.t = r.u64()
     adam.m = [r.f32_array(shape) for shape in shapes]
     adam.v = [r.f32_array(shape) for shape in shapes]
-    if r.pos != len(body):
-        raise CorruptChecksum("trailing bytes in checkpoint")
     return net, adam, step

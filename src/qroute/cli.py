@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, config_from_dict, load_config
+from .embedder import EMBED_DIM
 from .environment import Environment
 from .errors import (
     AllZeroDifferences,
@@ -135,6 +136,8 @@ def _cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint scores {net.n_actions} experts, its run config registers {len(env.registry)}"
         )
+    if net.n_inputs != EMBED_DIM:
+        raise ConfigError(f"checkpoint reads {net.n_inputs}-wide states, the embedder writes {EMBED_DIM}")
     trained = evaluate(env, GreedyPolicy(net), prompts, args.episodes, args.seed, name="trained_greedy")
     baselines = []
     if args.baselines:

@@ -42,7 +42,8 @@ class NumericalError(QRouteError):
 
 
 class CorruptChecksum(QRouteError):
-    """Checkpoint bytes fail CRC verification or are truncated."""
+    """Checkpoint bytes fail CRC verification, are truncated, or do not
+    describe a network."""
 
 
 class VersionMismatch(QRouteError):

@@ -6,11 +6,17 @@ forward/backward pair can be checked against finite differences and the
 whole training loop stays bit-reproducible. Parameters default to float32
 so checkpoints round-trip exactly; tests instantiate float64 copies when
 they need headroom for numerical differentiation.
+
+The input is a feature-hashed state with about ten nonzeros of 1536, so
+the first layer multiplies only the batch's nonzero input columns, its
+weight gradient covers only those rows (a ``RowGrad``), and Adam and the
+finiteness check touch only the rows a step can change. The products stay
+small enough that BLAS runs them on one thread.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +27,15 @@ LAYER_SIZES_DEFAULT: tuple[int, ...] = (1536, 64, 64, 12)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+class RowGrad(NamedTuple):
+    """Gradient of a 2-D parameter that is zero outside ``rows``:
+    ``values[i]`` is the gradient of row ``rows[i]``, and the rows are
+    distinct."""
+
+    rows: np.ndarray
+    values: np.ndarray
 
 
 class QNetwork:
@@ -65,64 +80,92 @@ class QNetwork:
             out.append(b)
         return out
 
+    @classmethod
+    def from_parameters(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "QNetwork":
+        """A network holding the given arrays (not copies), with no
+        initialization drawn; the layer sizes and dtype are read off them."""
+        net = cls.__new__(cls)
+        net.layer_sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+        net.dtype = weights[0].dtype
+        net.weights = weights
+        net.biases = biases
+        return net
+
     def copy(self) -> "QNetwork":
-        clone = QNetwork.__new__(QNetwork)
-        clone.layer_sizes = self.layer_sizes
-        clone.dtype = self.dtype
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return QNetwork.from_parameters(
+            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a single state (in,) or a batch (B, in)."""
         q, _ = self.forward_cached(x)
         return q
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass keeping post-activation layer inputs for backprop."""
+    def forward_cached(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, list[np.ndarray]]]:
+        """Forward pass keeping what ``backward`` needs.
+
+        The first layer multiplies only the input columns that are nonzero
+        (or NaN) in some row of the batch, ``x[:, cols] @ W1[cols]``. The
+        other columns add nothing, so the NaN or infinite weights of a row
+        no input reaches never enter the result. The cache is ``cols`` and
+        the layer inputs, the first of them ``x[:, cols]``.
+        """
         arr = np.asarray(x, dtype=self.dtype)
         squeeze = arr.ndim == 1
         if squeeze:
             arr = arr[None, :]
         if arr.shape[1] != self.n_inputs:
             raise ValueError(f"expected input width {self.n_inputs}, got {arr.shape[1]}")
-        activations = [arr]
-        h = arr
+        cols = np.flatnonzero(arr.any(axis=0))
+        h = arr[:, cols]
+        activations = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = h @ (w[cols] if i == 0 else w) + b
             h = z if i == last else np.maximum(z, 0)
             activations.append(h)
         q = activations[-1]
-        return (q[0] if squeeze else q), activations
+        return (q[0] if squeeze else q), (cols, activations)
 
     def backward(
-        self, activations: list[np.ndarray], dq: np.ndarray
-    ) -> list[np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(q), in parameters() order."""
+        self, cache: tuple[np.ndarray, list[np.ndarray]], dq: np.ndarray
+    ) -> list[RowGrad | np.ndarray]:
+        """Gradients of a scalar loss given d(loss)/d(q), in parameters() order.
+
+        Weight gradients are ``RowGrad``s. The first layer's holds only the
+        rows of the input columns the forward pass multiplied, so its dense
+        (n_inputs, width) gradient is never built; every other layer's holds
+        all its rows. Bias gradients are plain arrays.
+        """
+        cols, activations = cache
         delta = np.asarray(dq, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
+        out: list[RowGrad | np.ndarray] = []
         for i in range(len(self.weights) - 1, -1, -1):
             a_prev = activations[i]
-            grads_w[i] = a_prev.T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            rows = cols if i == 0 else np.arange(a_prev.shape[1])
+            out = [RowGrad(rows, a_prev.T @ delta), delta.sum(axis=0)] + out
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (activations[i] > 0)
-        out: list[np.ndarray] = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.append(gw)
-            out.append(gb)
         return out
 
-    def check_finite(self) -> None:
-        for p in self.parameters():
-            if not np.all(np.isfinite(p)):
+    def check_finite(self, rows: Sequence[np.ndarray | slice] | None = None) -> None:
+        """Raise ``NumericalError`` on a non-finite parameter.
+
+        ``rows``, as ``AdamState.step`` returns it, limits the check to the
+        rows a step wrote, one index per parameter. Without it every
+        parameter is checked whole.
+        """
+        params = self.parameters()
+        for p, r in zip(params, rows if rows is not None else [slice(None)] * len(params)):
+            part = p[r]
+            if not np.isfinite(part).all():
                 raise NumericalError(
                     f"non-finite parameter detected (shape {p.shape}, "
-                    f"min {np.nanmin(p)}, max {np.nanmax(p)})"
+                    f"min {np.nanmin(part)}, max {np.nanmax(part)})"
                 )
 
 
@@ -136,7 +179,8 @@ class AdamState:
     "live" mask of the rows that ever had a nonzero (or NaN) gradient and
     runs Adam only on those. A live row stays live, so its moments keep
     decaying exactly as in the dense update (unlike lazy or sparse Adam
-    variants, which skip that decay).
+    variants, which skip that decay). Gradients arrive as ``RowGrad``s, so
+    the rows a step does not give read as zero without being built.
     """
 
     def __init__(self, net: QNetwork):
@@ -164,7 +208,16 @@ class AdamState:
         self._v = value
         self._live = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    def step(
+        self, params: list[np.ndarray], grads: list[RowGrad | np.ndarray], lr: float
+    ) -> list[np.ndarray | slice]:
+        """One Adam step. A 2-D parameter's gradient is a ``RowGrad``, a 1-D
+        one's a plain array.
+
+        Returns, per parameter, the rows the step wrote, for
+        ``QNetwork.check_finite``: the live rows of a matrix (a slice when
+        every row is live), the whole of a vector.
+        """
         if len(params) != len(self.m) or len(grads) != len(self.m):
             raise ValueError("parameter/gradient count mismatch")
         if self._live is None:
@@ -172,17 +225,28 @@ class AdamState:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
+        written: list[np.ndarray | slice] = []
         for p, g, m, v, live in zip(params, grads, self._m, self._v, self._live):
-            g = g.astype(p.dtype, copy=False)
-            if live is not None:
-                live |= g.any(axis=1)
-            if live is None or live.all():
-                _adam_update(p, g, m, v, lr, b1t, b2t)
+            if live is None:
+                _adam_update(p, g.astype(p.dtype, copy=False), m, v, lr, b1t, b2t)
+                written.append(slice(None))
                 continue
-            rows = np.flatnonzero(live)
-            p_r, m_r, v_r = p[rows], m[rows], v[rows]
-            _adam_update(p_r, g[rows], m_r, v_r, lr, b1t, b2t)
-            p[rows], m[rows], v[rows] = p_r, m_r, v_r
+            rows, values = g
+            values = values.astype(p.dtype, copy=False)
+            live[rows] |= values.any(axis=1)
+            upd = np.flatnonzero(live)
+            # the live rows' gradient: zero but where ``rows`` gives a value
+            # (a given row that is not live holds only zeros; it changes nothing)
+            given = live[rows]
+            g_upd = np.zeros((len(upd), p.shape[1]), dtype=p.dtype)
+            g_upd[np.searchsorted(upd, rows[given])] = values[given]
+            if len(upd) == len(live):
+                upd = slice(None)  # every row live: update views in place
+            p_u, m_u, v_u = p[upd], m[upd], v[upd]
+            _adam_update(p_u, g_upd, m_u, v_u, lr, b1t, b2t)
+            p[upd], m[upd], v[upd] = p_u, m_u, v_u
+            written.append(upd)
+        return written
 
 
 def _moment_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from qroute.simworld import generate_corpus
 from qroute.stats import win_rate, wilcoxon_signed_rank
 from qroute.train import train
 
+from conftest import scatter
+
 
 class Criterion:
     def __init__(self, number, title):
@@ -170,7 +172,7 @@ def test_criterion_4_gradient_correctness():
         err = q[np.arange(len(batch)), a] - y
         dq = np.zeros_like(q)
         dq[np.arange(len(batch)), a] = 2 * err / len(batch)
-        grads = net.backward(cache, dq)
+        grads = scatter(net.parameters(), net.backward(cache, dq))
 
         def loss():
             e = net.forward(s)[np.arange(len(batch)), a] - y

@@ -8,12 +8,14 @@ from qroute.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from qroute.errors import CorruptChecksum, VersionMismatch
 from qroute.network import AdamState, QNetwork
 
+from conftest import all_rows
+
 
 def trained_pair(tmp_path):
     net = QNetwork((16, 8, 8, 4), seed=5)
     adam = AdamState(net)
     # dirty the optimizer state so the round trip is non-trivial
-    grads = [np.full_like(p, 0.01) for p in net.parameters()]
+    grads = all_rows([np.full_like(p, 0.01) for p in net.parameters()])
     for _ in range(3):
         adam.step(net.parameters(), grads, lr=1e-3)
     path = tmp_path / "net.ckpt"
@@ -105,7 +107,7 @@ def test_resumed_optimizer_continues_bit_identically(tmp_path):
             if p.ndim == 2:
                 g[rows] = rng.normal(size=(len(rows), p.shape[1]))
             out.append(g)
-        return out
+        return all_rows(out)
 
     for _ in range(5):
         adam.step(net.parameters(), grads([0, 1, 2, 3]), lr=1e-2)

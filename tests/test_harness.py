@@ -1,9 +1,12 @@
 import json
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qroute.checkpoint import MAGIC, save_checkpoint
 from qroute.cli import main as cli_main
 from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
@@ -11,6 +14,7 @@ from qroute.environment import Environment
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
+from qroute.network import AdamState, QNetwork
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 from qroute.stats import wilcoxon_signed_rank, win_rate
@@ -408,6 +412,26 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys):
     (tmp_path / "twice.jsonl").write_text("\n".join([*lines, lines[0]]) + "\n")
     assert cli_main([*eval_args, str(tmp_path / "twice.jsonl")]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def crc_sealed(body):
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_cli_crafted_checkpoints_exit_2(tmp_path, capsys):
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 2, 1, 2))
+    header = MAGIC + struct.pack("<HQ", 1, 0)
+    # CRC-valid, one layer size: no network to build
+    (tmp_path / "one_layer.ckpt").write_bytes(crc_sealed(header + struct.pack("<HI", 1, 12)))
+    # a 4000x4000 header with no body: refused before any array is built
+    (tmp_path / "no_body.ckpt").write_bytes(crc_sealed(header + struct.pack("<HII", 2, 4000, 4000)))
+    # well formed, but reads 8-wide states
+    net = QNetwork((8, 12), seed=0)
+    save_checkpoint(tmp_path / "narrow.ckpt", net, AdamState(net), step=0)
+    for name, says in (("one_layer", "layer sizes"), ("no_body", "layer sizes"), ("narrow", "8-wide")):
+        rc = cli_main(["eval", "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--prompts", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and says in err, (name, err)
 
 
 def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from qroute.agent import Transition, select_action, td_targets, train_batch
 from qroute.errors import NumericalError
-from qroute.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, QNetwork
+from qroute.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, QNetwork, RowGrad
+
+from conftest import all_rows, scatter
 
 
 def naive_forward(net, x):
@@ -68,6 +70,49 @@ def test_forward_matches_naive_oracle():
         assert net.forward(x) == pytest.approx(naive_forward(net, x), abs=1e-10)
 
 
+def test_sparse_first_layer_matches_naive_oracle():
+    # the first layer multiplies only the columns some row uses; a row
+    # with no nonzero, and a batch with none, still get the dense result
+    rng = np.random.default_rng(8)
+    net = QNetwork((40, 6, 6, 4), seed=12, dtype=np.float64)
+    randomize_biases(net, rng)
+    x = np.zeros((4, 40))
+    x[0, [3, 17]] = rng.normal(size=2)
+    x[1, [3, 25, 39]] = rng.normal(size=3)
+    x[3, 0] = rng.normal()  # row 2 stays all zero
+    for batch in (x, np.zeros((3, 40))):
+        q = net.forward(batch)
+        for row, q_row in zip(batch, q):
+            assert q_row == pytest.approx(naive_forward(net, row), abs=1e-10)
+    assert net.forward(x[1]) == pytest.approx(naive_forward(net, x[1]), abs=1e-10)
+
+
+def test_rows_no_input_reaches_stay_out_of_every_product():
+    # NaN in the first-layer rows of the columns no input touches: a dense
+    # product would spread them (0 * NaN = NaN) into q, the gradients and
+    # the Adam step
+    net = QNetwork((32, 8, 8, 4), seed=2)
+    adam = AdamState(net)
+    rng = np.random.default_rng(6)
+    s = np.zeros((5, 32), dtype=np.float32)
+    for row in s:
+        row[rng.choice(16, size=3, replace=False)] = rng.normal(size=3)
+    untouched = ~s.any(axis=0)
+    net.weights[0][untouched] = np.nan
+    before = [a[untouched].copy() for a in (net.weights[0], adam.m[0], adam.v[0])]
+    q, cache = net.forward_cached(s)
+    assert np.isfinite(q).all()
+    grads = net.backward(cache, rng.normal(size=q.shape))
+    assert all(np.isfinite(g.values if isinstance(g, RowGrad) else g).all() for g in grads)
+    written = adam.step(net.parameters(), grads, lr=1e-2)
+    net.check_finite(written)
+    for a, b in zip((net.weights[0], adam.m[0], adam.v[0]), before):
+        assert_bits_equal(a[untouched], b)
+    assert adam.v[0][~untouched].any(axis=1).all()
+    with pytest.raises(NumericalError):
+        net.check_finite()  # the sentinels are still there
+
+
 def test_glorot_initialization_bounds():
     net = QNetwork((50, 10, 10, 3), seed=0)
     for w, (fan_in, fan_out) in zip(net.weights, zip(net.layer_sizes[:-1], net.layer_sizes[1:])):
@@ -101,7 +146,7 @@ def test_gradients_match_finite_differences():
         err = q[np.arange(len(batch)), a] - y
         dq = np.zeros_like(q)
         dq[np.arange(len(batch)), a] = 2 * err / len(batch)
-        grads = net.backward(cache, dq)
+        grads = scatter(net.parameters(), net.backward(cache, dq))
 
         def loss():
             qq = net.forward(s)
@@ -162,7 +207,7 @@ def test_adam_single_step_matches_hand_computation():
     params = net.parameters()
     grads = [np.full_like(p, 0.5) for p in params]
     before = [p.copy() for p in params]
-    adam.step(params, grads, lr=1e-3)
+    adam.step(params, all_rows(grads), lr=1e-3)
     m_hat = (0.5 * (1 - ADAM_BETA1)) / (1 - ADAM_BETA1)
     v_hat = (0.25 * (1 - ADAM_BETA2)) / (1 - ADAM_BETA2)
     expected_delta = 1e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -227,18 +272,27 @@ def dense_adam_step(params, grads, ms, vs, t, lr):
 
 
 def row_sparse_grads(rng, params, rows_by_param):
-    """float32 gradients that are nonzero only on the given rows of each
-    matrix; the other rows hold -0.0 or +0.0, as a matmul can leave them."""
+    """float32 gradients: for each matrix a ``RowGrad`` of random values on
+    the given rows, for each vector a random array."""
     grads = []
     for p, rows in zip(params, rows_by_param):
-        zero = -0.0 if rng.random() < 0.5 else 0.0
-        g = np.full(p.shape, zero, dtype=np.float32)
         if p.ndim == 1:
-            g[:] = rng.normal(size=p.shape)
+            grads.append(rng.normal(size=p.shape).astype(np.float32))
         else:
-            g[rows] = rng.normal(size=(len(rows), p.shape[1]))
-        grads.append(g)
+            values = rng.normal(size=(len(rows), p.shape[1])).astype(np.float32)
+            grads.append(RowGrad(np.asarray(rows), values))
     return grads
+
+
+def zeroed(grads):
+    """The same rows given, every value +0.0."""
+    return [RowGrad(g.rows, np.zeros_like(g.values)) if isinstance(g, RowGrad) else np.zeros_like(g) for g in grads]
+
+
+def reference_grads(rng, params, grads):
+    """The row-sparse gradients scattered over -0.0 or +0.0, as a dense
+    matmul can leave the rows no input reaches."""
+    return scatter(params, grads, fill=-0.0 if rng.random() < 0.5 else 0.0)
 
 
 def sparse_schedule(rng, params, step):
@@ -266,9 +320,9 @@ def test_row_sparse_adam_matches_dense_reference_bit_for_bit():
     for step in range(1, 25):
         grads = row_sparse_grads(rng, net.parameters(), sparse_schedule(rng, net.parameters(), step))
         if step == 12:  # a step where every gradient is zero
-            grads = [np.zeros_like(g) for g in grads]
+            grads = zeroed(grads)
         adam.step(net.parameters(), grads, lr=1e-2)
-        dense_adam_step(ref.parameters(), grads, ref_m, ref_v, step, lr=1e-2)
+        dense_adam_step(ref.parameters(), reference_grads(rng, ref.parameters(), grads), ref_m, ref_v, step, lr=1e-2)
         for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
             assert_bits_equal(a, b)
     # the first matrix kept untouched rows, and rows that went quiet at step 10
@@ -288,17 +342,21 @@ def test_nan_gradient_on_untouched_row_poisons_like_dense():
         rows = [[0, 1] if p.ndim == 2 else None for p in net.parameters()]
         grads = row_sparse_grads(rng, net.parameters(), rows)
         adam.step(net.parameters(), grads, lr=1e-2)
-        dense_adam_step(ref.parameters(), grads, ref_m, ref_v, step, lr=1e-2)
+        dense_adam_step(ref.parameters(), scatter(ref.parameters(), grads), ref_m, ref_v, step, lr=1e-2)
     assert not adam.m[0][9].any()  # row 9 never had a gradient
-    grads = [np.zeros_like(p) for p in net.parameters()]
-    grads[0][9, 2] = np.nan
-    adam.step(net.parameters(), grads, lr=1e-2)
-    dense_adam_step(ref.parameters(), grads, ref_m, ref_v, 4, lr=1e-2)
+    # the step gives row 9 of the first matrix, with a NaN in it
+    grads = zeroed(grads)
+    nan_row = np.zeros((1, 4), dtype=np.float32)
+    nan_row[0, 2] = np.nan
+    grads[0] = RowGrad(np.array([9]), nan_row)
+    written = adam.step(net.parameters(), grads, lr=1e-2)
+    dense_adam_step(ref.parameters(), scatter(ref.parameters(), grads), ref_m, ref_v, 4, lr=1e-2)
     for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
         assert np.array_equal(a, b, equal_nan=True)
     assert np.isnan(net.weights[0][9]).any()
+    assert 9 in written[0]
     with pytest.raises(NumericalError):
-        net.check_finite()
+        net.check_finite(written)
 
 
 def test_assigned_moments_rebuild_live_rows():
@@ -313,7 +371,7 @@ def test_assigned_moments_rebuild_live_rows():
     adam = AdamState(net)
     adam.m, adam.v, adam.t = [m.copy() for m in ms], [v.copy() for v in vs], 3
     grads = [np.zeros_like(p) for p in net.parameters()]
-    adam.step(net.parameters(), grads, lr=1e-2)
+    adam.step(net.parameters(), all_rows(grads), lr=1e-2)
     dense_adam_step(ref.parameters(), grads, ms, vs, 4, lr=1e-2)
     for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ms + vs):
         assert_bits_equal(a, b)
