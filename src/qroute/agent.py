@@ -1,10 +1,18 @@
 """Value-learning machinery: replay buffer, exploration schedule, masked
-action selection, Bellman targets and the per-batch update."""
+action selection, Bellman targets and the per-batch update.
+
+The replay buffer is a ring of preallocated arrays (action, reward, done,
+successor mask) whose states are rows of a state table. The table stores
+each distinct pushed state once, as its nonzero columns and their values,
+so a sampled batch is a few gathers: its states come out compact, ``x``
+holding only the union of the batch's nonzero columns ``cols``, which is
+what the network's first layer multiplies.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +35,108 @@ class Transition:
     next_mask: np.ndarray  # legal actions in s2
 
 
+class States(NamedTuple):
+    """Rows of state vectors in compact form: ``x[:, j]`` is column
+    ``cols[j]`` of every vector, and the vectors are zero in every other
+    column. ``cols`` is sorted, as ``QNetwork.forward_cached`` takes it."""
+
+    x: np.ndarray
+    cols: np.ndarray
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Transitions as arrays, one row per transition."""
+
+    s: States
+    a: np.ndarray
+    r: np.ndarray
+    s2: States
+    done: np.ndarray
+    next_mask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+
+class _StateTable:
+    """The distinct states a replay buffer refers to, each stored once as
+    its nonzero columns and their values, padded to the widest state with
+    column -1 and value 0.
+
+    A row is keyed on the identity of the pushed vector and holds a
+    reference to it, so the key cannot be reused while the row lives; the
+    vectors must not change after they are pushed (the embedder's are
+    read-only). Rows are counted by the ring slots that refer to them and
+    freed at zero.
+    """
+
+    def __init__(self, rows: int):
+        self.vectors: list[np.ndarray | None] = [None] * rows
+        self._refs = [0] * rows
+        self._row_of: dict[int, int] = {}
+        self._free = list(range(rows - 1, -1, -1))
+        self._cols = np.full((rows, 0), -1, dtype=np.intp)
+        self._vals = np.zeros((rows, 0), dtype=np.float64)
+        # a column's position in the batch being gathered, zero between
+        # gathers; the last entry stands for the padding column -1
+        self._pos = np.zeros(1, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+    def add(self, vector: np.ndarray) -> int:
+        row = self._row_of.get(id(vector))
+        if row is None:
+            row = self._free.pop()
+            nz = np.flatnonzero(vector)
+            width = len(nz)
+            if width > self._cols.shape[1]:
+                pad = ((0, 0), (0, width - self._cols.shape[1]))
+                self._cols = np.pad(self._cols, pad, constant_values=-1)
+                self._vals = np.pad(self._vals, pad)
+            if width and nz[-1] + 2 > len(self._pos):
+                self._pos = np.zeros(nz[-1] + 2, dtype=np.intp)
+            self._cols[row, :width] = nz
+            self._cols[row, width:] = -1
+            self._vals[row, :width] = vector[nz]
+            self._vals[row, width:] = 0.0
+            self.vectors[row] = vector
+            self._row_of[id(vector)] = row
+        self._refs[row] += 1
+        return row
+
+    def release(self, row: int) -> None:
+        self._refs[row] -= 1
+        if not self._refs[row]:
+            del self._row_of[id(self.vectors[row])]
+            self.vectors[row] = None
+            self._free.append(row)
+
+    def gather(self, rows: np.ndarray) -> States:
+        """The states of ``rows`` in compact form. ``cols``, the union of
+        their stored columns, equals ``flatnonzero(x_dense.any(axis=0))``."""
+        padded = self._cols.take(rows, axis=0)
+        pos = self._pos
+        pos[padded] = 1
+        pos[-1] = 0
+        cols = np.flatnonzero(pos)
+        n = len(cols)
+        pos[cols] = np.arange(n)
+        pos[-1] = n  # the padding goes to a spare last column of x
+        x = np.zeros((len(rows), n + 1))
+        x[np.arange(len(rows))[:, None], pos[padded]] = self._vals.take(rows, axis=0)
+        pos[cols] = 0
+        return States(x[:, :n], cols)
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions; oldest entries evict first."""
+    """Fixed-capacity ring of transitions; oldest entries evict first.
+
+    Each slot holds an action, reward, done flag and successor mask in
+    preallocated arrays, and its two states as rows of a state table, so
+    the table holds at most 2 * capacity rows.
+    """
 
     def __init__(
         self,
@@ -39,30 +147,63 @@ class ReplayBuffer:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
         self.min_size = min_size
-        self._items: list[Transition] = []
+        self._len = 0
         self._cursor = 0
+        self._states = _StateTable(2 * capacity)
+        self._s = np.zeros(capacity, dtype=np.intp)
+        self._s2 = np.zeros(capacity, dtype=np.intp)
+        self._a = np.zeros(capacity, dtype=np.intp)
+        self._r = np.zeros(capacity, dtype=np.float64)
+        self._done = np.zeros(capacity, dtype=bool)
+        self._next_mask: np.ndarray | None = None  # (capacity, actions), sized by the first push
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
     def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
+        slot = self._cursor
+        self._cursor = (slot + 1) % self.capacity
+        if self._len == self.capacity:
+            self._states.release(self._s[slot])
+            self._states.release(self._s2[slot])
         else:
-            self._items[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+            self._len += 1
+        if self._next_mask is None:
+            self._next_mask = np.zeros((self.capacity, len(transition.next_mask)), dtype=bool)
+        self._s[slot] = self._states.add(transition.s)
+        self._s2[slot] = self._states.add(transition.s2)
+        self._a[slot] = transition.a
+        self._r[slot] = transition.r
+        self._done[slot] = transition.done
+        self._next_mask[slot] = transition.next_mask
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement; refused below the warmup size."""
-        if len(self._items) < self.min_size:
+        if self._len < self.min_size:
             raise BufferTooSmall(
-                f"buffer holds {len(self._items)} transitions, learning starts at {self.min_size}"
+                f"buffer holds {self._len} transitions, learning starts at {self.min_size}"
             )
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[int(i)] for i in idx]
+        idx = rng.integers(0, self._len, size=batch_size)
+        return Batch(
+            s=self._states.gather(self._s.take(idx)),
+            a=self._a.take(idx),
+            r=self._r.take(idx),
+            s2=self._states.gather(self._s2.take(idx)),
+            done=self._done.take(idx),
+            next_mask=self._next_mask.take(idx, axis=0),
+        )
 
     def snapshot(self) -> list[Transition]:
-        return list(self._items)
+        """The held transitions in slot order, their states the pushed
+        vector objects."""
+        vectors, s, s2 = self._states.vectors, self._s, self._s2
+        return [
+            Transition(
+                vectors[s[i]], int(self._a[i]), float(self._r[i]), vectors[s2[i]],
+                bool(self._done[i]), self._next_mask[i].copy(),
+            )
+            for i in range(self._len)
+        ]
 
 
 def epsilon_at(
@@ -105,46 +246,39 @@ def select_action(
     return int(np.argmax(masked))
 
 
-def td_targets(
-    batch: Sequence[Transition], target_net: QNetwork, gamma: float = GAMMA_DEFAULT
-) -> np.ndarray:
+def td_targets(batch: Batch, target_net: QNetwork, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
     """One-step Bellman targets; terminal transitions use the bare reward.
 
     The successor-state maximum ranges over that state's own legal actions
     so the bootstrap never leans on an expert the agent could not pick; a
     successor with no legal action bootstraps from 0.0.
     """
-    if not batch:
+    if not len(batch):
         raise DomainError("batch must be non-empty")
-    s2 = np.stack([tr.s2 for tr in batch])
-    legal = np.array([tr.next_mask for tr in batch], dtype=bool)
-    r = np.array([tr.r for tr in batch], dtype=np.float64)
-    done = np.array([tr.done for tr in batch], dtype=bool)
-    q2 = np.asarray(target_net.forward(s2), dtype=np.float64)
+    legal = batch.next_mask
+    q2 = np.asarray(target_net.forward(batch.s2.x, batch.s2.cols), dtype=np.float64)
     bootstrap = np.where(legal.any(axis=1), np.where(legal, q2, -np.inf).max(axis=1), 0.0)
-    return np.where(done, r, r + gamma * bootstrap)
+    return np.where(batch.done, batch.r, batch.r + gamma * bootstrap)
 
 
 def train_batch(
     net: QNetwork,
     target_net: QNetwork,
-    batch: Sequence[Transition],
+    batch: Batch,
     adam: AdamState,
     lr: float = LR_DEFAULT,
     gamma: float = GAMMA_DEFAULT,
 ) -> float:
     """One Adam step on the mean squared TD error; returns the pre-step loss."""
     y = td_targets(batch, target_net, gamma)
-    s = np.stack([tr.s for tr in batch])
-    actions = np.array([tr.a for tr in batch], dtype=np.intp)
-    q, cache = net.forward_cached(s)
-    q_sel = q[np.arange(len(batch)), actions].astype(np.float64)
-    err = q_sel - y
+    q, cache = net.forward_cached(batch.s.x, batch.s.cols)
+    rows = np.arange(len(y))
+    err = q[rows, batch.a].astype(np.float64) - y
     loss = float(np.mean(err**2))
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss: {loss}")
     dq = np.zeros_like(q, dtype=np.float64)
-    dq[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
+    dq[rows, batch.a] = 2.0 * err / len(y)
     grads = net.backward(cache, dq)
-    net.check_finite(adam.step(net.parameters(), grads, lr))
+    net.check_finite(adam.step(net, grads, lr))
     return loss

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptChecksum, VersionMismatch
-from .network import AdamState, QNetwork
+from .network import AdamState, QNetwork, param_shapes
 
 MAGIC = b"POSERCKPT"
 VERSION = 1
@@ -93,10 +93,7 @@ def load_checkpoint(path: str | Path) -> tuple[QNetwork, AdamState, int]:
     dims = tuple(struct.unpack(f"<{n_dims}I", r.take(4 * n_dims)))
     if n_dims < 2 or min(dims) < 1:
         raise CorruptChecksum(f"checkpoint layer sizes {list(dims)}: need two or more, each at least 1")
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        shapes.append((fan_in, fan_out))
-        shapes.append((fan_out,))
+    shapes = param_shapes(dims)
     # parameters, then adam t, m and v: sized before any array is built
     n_values = sum(math.prod(shape) for shape in shapes)
     if len(body) - r.pos != 4 * n_values + 8 + 2 * 4 * n_values:

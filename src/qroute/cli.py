@@ -68,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(run=_cmd_eval)
 
     p_base = sub.add_parser("baseline", help="forced single-expert rollouts")
+    p_base.add_argument("--config", type=Path, default=None)
     p_base.add_argument("--expert", type=int, required=True)
     p_base.add_argument("--prompts", type=Path, required=True)
     p_base.add_argument("--episodes", type=int, default=1)
@@ -153,8 +154,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = RunConfig()
-    env = _env_for(cfg)
+    env = _env_for(_load_run_config(args.config, None))
     if not 0 <= args.expert < len(env.registry):
         raise ConfigError(f"expert index out of range: {args.expert}")
     prompts = read_prompts(args.prompts)

@@ -3,17 +3,17 @@ oracles over the symbolic canvas.
 
 A prompt of difficulty d carries exactly d atoms spanning at least
 min(d, 3) distinct categories; half of all prompts ask for a style tag.
-Removal-category atoms never appear in generated prompts (a constraint
-"satisfied by deletion" cannot simultaneously be "present on the canvas",
-which is what the content oracle counts), so remove_object exists in the
-taxonomy for classification and adversarial commands only.
+Removal-category atoms never appear in generated prompts, so remove_object
+exists in the taxonomy for classification, adversarial commands and
+hand-written prompt files; the content oracle counts a removal atom as met
+by its absence, like the critic (``core.atom_satisfied``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Atom, CanvasState, Prompt, TaskCategory, command_text
+from .core import Atom, CanvasState, Prompt, TaskCategory, atom_satisfied, command_text
 from .errors import DomainError
 from .experts import ExpertRegistry
 
@@ -21,7 +21,7 @@ _C = TaskCategory
 
 #: Content categories a sampled atom may use. Spatial-configuration
 #: categories enter through the forced constraint below; removal never
-#: appears (a constraint satisfied by deletion cannot also be "present").
+#: appears in a generated prompt.
 GENERATABLE: tuple[TaskCategory, ...] = (
     _C.ADD_TEXT,
     _C.LIGHTING_CHANGE,
@@ -143,10 +143,11 @@ def generate_corpus(
 
 
 def oracle_fraction(canvas: CanvasState, prompt: Prompt) -> float:
-    """Fraction of the prompt's atoms present on the canvas; blank scores 0."""
+    """Fraction of the prompt's atoms the canvas satisfies (``atom_satisfied``:
+    a removal atom by its absence, any other by its presence); blank scores 0."""
     if canvas.is_blank or not prompt.atoms:
         return 0.0
-    return len(prompt.atoms & canvas.atoms) / len(prompt.atoms)
+    return sum(atom_satisfied(a, canvas) for a in prompt.atoms) / len(prompt.atoms)
 
 
 def best_expert(registry: ExpertRegistry, category: TaskCategory) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qroute.agent import Batch, States
 from qroute.core import Atom, CanvasState, Prompt, TaskCategory
 from qroute.environment import Environment
 from qroute.experts import default_registry
@@ -32,19 +33,33 @@ def atom(category, key="k", value="v"):
 
 
 def scatter(params, grads, fill=0.0):
-    """Gradients as arrays of the parameters' shapes: each ``RowGrad``
-    scattered over a matrix of ``fill`` (+0.0 or -0.0)."""
-    out = []
-    for p, g in zip(params, grads):
-        if isinstance(g, RowGrad):
-            dense = np.full(p.shape, fill, dtype=g.values.dtype)
-            dense[g.rows] = g.values
-            g = dense
-        out.append(g)
-    return out
+    """Gradients as arrays of the parameters' shapes: the first matrix's
+    ``RowGrad`` scattered over a matrix of ``fill`` (+0.0 or -0.0)."""
+    rows, values = grads[0]
+    dense = np.full(params[0].shape, fill, dtype=values.dtype)
+    dense[rows] = values
+    return [dense, *grads[1:]]
 
 
 def all_rows(grads):
-    """Array gradients as ``AdamState.step`` takes them: each matrix's as a
-    ``RowGrad`` over all its rows."""
-    return [RowGrad(np.arange(len(g)), g) if g.ndim == 2 else g for g in grads]
+    """Array gradients as ``AdamState.step`` takes them: the first
+    matrix's as a ``RowGrad`` over all its rows."""
+    return [RowGrad(np.arange(len(grads[0])), grads[0]), *grads[1:]]
+
+
+def compact(x):
+    """Dense state rows in the compact form a replay batch carries."""
+    cols = np.flatnonzero(x.any(axis=0))
+    return States(x[:, cols], cols)
+
+
+def batch_of(transitions):
+    """A list of transitions as the ``Batch`` ``ReplayBuffer.sample`` gives."""
+    return Batch(
+        s=compact(np.stack([t.s for t in transitions])),
+        a=np.array([t.a for t in transitions], dtype=np.intp),
+        r=np.array([t.r for t in transitions], dtype=np.float64),
+        s2=compact(np.stack([t.s2 for t in transitions])),
+        done=np.array([t.done for t in transitions], dtype=bool),
+        next_mask=np.array([t.next_mask for t in transitions], dtype=bool),
+    )

@@ -12,6 +12,8 @@ from qroute.agent import (
 from qroute.errors import BufferTooSmall, DomainError, EmptyMask
 from qroute.network import AdamState, QNetwork
 
+from conftest import batch_of
+
 
 def tr(i, done=False, r=0.1, mask=(True,) * 3, n=8):
     rng = np.random.default_rng(i)
@@ -84,7 +86,7 @@ def test_td_targets_bellman_cases():
     for w in net.weights:
         w[:] = 0
     net.biases[-1][:] = np.array([0.2, 1.0, 0.7])
-    batch = [tr(1, done=False, r=0.5), tr(2, done=True, r=0.95)]
+    batch = batch_of([tr(1, done=False, r=0.5), tr(2, done=True, r=0.95)])
     y = td_targets(batch, net, gamma=0.99)
     assert y[0] == pytest.approx(0.5 + 0.99 * 1.0)  # 1.49
     assert y[1] == pytest.approx(0.95)
@@ -97,7 +99,7 @@ def test_td_targets_respect_successor_mask():
     for w in net.weights:
         w[:] = 0
     net.biases[-1][:] = np.array([0.2, 1.0, 0.7])
-    batch = [tr(3, done=False, r=0.0, mask=(True, False, True))]
+    batch = batch_of([tr(3, done=False, r=0.0, mask=(True, False, True))])
     y = td_targets(batch, net, gamma=1.0)
     assert y[0] == pytest.approx(0.7)  # the global max (1.0) is masked out
 
@@ -136,7 +138,7 @@ def test_td_targets_match_per_transition_reference_bit_for_bit(gamma, dtype):
                     next_mask=mask,
                 )
             )
-        got = td_targets(batch, net, gamma)
+        got = td_targets(batch_of(batch), net, gamma)
         want = reference_td_targets(batch, net, gamma)
         assert got.dtype == np.float64 and got.shape == (len(batch),)
         assert got.tobytes() == want.tobytes(), trial
@@ -169,8 +171,8 @@ def test_buffer_sampling_uniform_chi_square():
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     draws = 10_000
-    for t in buf.sample(draws, rng):
-        counts[int(t.r)] += 1
+    for r in buf.sample(draws, rng).r:
+        counts[int(r)] += 1
     expected = draws / 10
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 9 + 3 * np.sqrt(18)
@@ -182,7 +184,7 @@ def test_sync_copies_and_freezes():
     for p, q in zip(net.parameters(), target.parameters()):
         assert np.array_equal(p, q)
     adam = AdamState(net)
-    batch = [tr(i, done=True, r=0.5) for i in range(4)]
+    batch = batch_of([tr(i, done=True, r=0.5) for i in range(4)])
     before = [p.copy() for p in target.parameters()]
     y1 = td_targets(batch, target, 0.99)
     for _ in range(10):
@@ -216,8 +218,76 @@ def test_train_batch_returns_pre_step_loss():
     net = QNetwork((8, 4, 4, 3), seed=3, dtype=np.float64)
     target = net.copy()
     adam = AdamState(net)
-    batch = [tr(i, done=True, r=0.9) for i in range(8)]
-    q = net.forward(np.stack([t.s for t in batch]))
-    expected = float(np.mean((q[np.arange(8), [t.a for t in batch]] - 0.9) ** 2))
+    transitions = [tr(i, done=True, r=0.9) for i in range(8)]
+    q = net.forward(np.stack([t.s for t in transitions]))
+    expected = float(np.mean((q[np.arange(8), [t.a for t in transitions]] - 0.9) ** 2))
+    batch = batch_of(transitions)
     loss = train_batch(net, target, batch, adam, lr=5e-4)
     assert loss == pytest.approx(expected)
+
+
+def sparse_tr(rng, n=40, k=4):
+    """A transition whose states have a few nonzeros, some of them in
+    columns no other state uses, and now and then none at all."""
+
+    def state():
+        v = np.zeros(n)
+        cols = rng.choice(n, size=int(rng.integers(0, 6)), replace=False)
+        v[cols] = rng.normal(size=cols.size)
+        return v
+
+    return Transition(
+        s=state(),
+        a=int(rng.integers(0, k)),
+        r=float(rng.normal()),
+        s2=state(),
+        done=bool(rng.random() < 0.3),
+        next_mask=rng.random(k) < 0.5,
+    )
+
+
+def test_sample_equals_stacking_the_same_draws_bit_for_bit():
+    rng = np.random.default_rng(17)
+    buf = ReplayBuffer(capacity=30, min_size=1)
+    pushed = [sparse_tr(rng) for _ in range(75)]  # wraps the ring twice
+    for i, t in enumerate(pushed):
+        buf.push(t)
+        # a state pushed again, as an episode's next state is its next step's state
+        if i % 4 == 0:
+            buf.push(Transition(t.s2, t.a, t.r, t.s, t.done, t.next_mask))
+    held = buf.snapshot()
+    for trial in range(20):
+        size = int(rng.integers(1, 20))
+        batch = buf.sample(size, np.random.default_rng(trial))
+        drawn = [held[int(i)] for i in np.random.default_rng(trial).integers(0, len(buf), size=size)]
+        want = batch_of(drawn)
+        for got_states, want_states in ((batch.s, want.s), (batch.s2, want.s2)):
+            assert got_states.cols.tobytes() == want_states.cols.tobytes()
+            assert got_states.x.tobytes() == np.ascontiguousarray(want_states.x).tobytes()
+        for field in ("a", "r", "done", "next_mask"):
+            got, expected = getattr(batch, field), getattr(want, field)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+
+
+def test_state_table_holds_at_most_two_rows_per_slot():
+    rng = np.random.default_rng(5)
+    buf = ReplayBuffer(capacity=10, min_size=1)
+    most = 0
+    for i in range(10_000):
+        buf.push(Transition(rng.normal(size=8), 0, 0.0, rng.normal(size=8), False, (True,)))
+        most = max(most, len(buf._states))
+    assert most == 20
+    assert len(buf.sample(4, rng)) == 4
+
+
+def test_snapshot_returns_the_pushed_vectors_in_slot_order():
+    buf = ReplayBuffer(capacity=4, min_size=1)
+    pushed = [tr(i, r=float(i), done=i % 2 == 0) for i in range(6)]
+    for t in pushed:
+        buf.push(t)
+    held = buf.snapshot()
+    # slots 0 and 1 were overwritten by the fifth and sixth pushes
+    for got, want in zip(held, [pushed[4], pushed[5], pushed[2], pushed[3]]):
+        assert got.s is want.s and got.s2 is want.s2
+        assert (got.a, got.r, got.done) == (want.a, want.r, want.done)
+        assert tuple(got.next_mask) == want.next_mask

@@ -17,7 +17,7 @@ def trained_pair(tmp_path):
     # dirty the optimizer state so the round trip is non-trivial
     grads = all_rows([np.full_like(p, 0.01) for p in net.parameters()])
     for _ in range(3):
-        adam.step(net.parameters(), grads, lr=1e-3)
+        adam.step(net, grads, lr=1e-3)
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net, adam, step=777)
     return net, adam, path
@@ -110,14 +110,14 @@ def test_resumed_optimizer_continues_bit_identically(tmp_path):
         return all_rows(out)
 
     for _ in range(5):
-        adam.step(net.parameters(), grads([0, 1, 2, 3]), lr=1e-2)
+        adam.step(net, grads([0, 1, 2, 3]), lr=1e-2)
     path = tmp_path / "mid.ckpt"
     save_checkpoint(path, net, adam, step=5)
     loaded_net, loaded_adam, _ = load_checkpoint(path)
     for _ in range(6):
         g = grads([4, 5])
-        adam.step(net.parameters(), g, lr=1e-2)
-        loaded_adam.step(loaded_net.parameters(), g, lr=1e-2)
+        adam.step(net, g, lr=1e-2)
+        loaded_adam.step(loaded_net, g, lr=1e-2)
         for a, b in zip(
             net.parameters() + adam.m + adam.v,
             loaded_net.parameters() + loaded_adam.m + loaded_adam.v,

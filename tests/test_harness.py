@@ -435,18 +435,9 @@ def test_cli_crafted_checkpoints_exit_2(tmp_path, capsys):
 
 
 def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
-    # a 7-expert world: 3 generators, 4 editors with distinct skills
-    profiles = [
-        {
-            "index": i,
-            "name": f"e{i}",
-            "modality": "t2i" if i < 3 else "i2i",
-            "means": {c.value: 2.0 + i for c in TaskCategory},
-        }
-        for i in range(7)
-    ]
     run_dir = tmp_path / "run"
-    (tmp_path / "cfg.json").write_text(RunConfig(seed=2, total_steps=300, expert_profiles=profiles).to_json())
+    cfg = RunConfig(seed=2, total_steps=300, expert_profiles=seven_expert_profiles())
+    (tmp_path / "cfg.json").write_text(cfg.to_json())
     assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
     last = read_episode_log(run_dir / "episodes.jsonl")[-1].episode_id
     for index in (0, last):
@@ -528,3 +519,45 @@ def test_cli_baseline_command(tmp_path, capsys):
     assert cli_main(["baseline", "--expert", "44", "--prompts", str(tmp_path / "p.jsonl")]) == 2
     assert cli_main(["baseline", "--expert", "9", "--prompts", str(tmp_path / "p.jsonl"), "--episodes", "0"]) == 2
     capsys.readouterr()
+
+
+def seven_expert_profiles():
+    """A 7-expert world: 3 generators, 4 editors with distinct skills."""
+    return [
+        {
+            "index": i,
+            "name": f"e{i}",
+            "modality": "t2i" if i < 3 else "i2i",
+            "means": {c.value: 2.0 + i for c in TaskCategory},
+        }
+        for i in range(7)
+    ]
+
+
+def test_cli_baseline_scores_the_configured_world(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(RunConfig(expert_profiles=seven_expert_profiles()).to_json())
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 4, 1, 6))
+    args = ["baseline", "--config", str(tmp_path / "cfg.json"), "--prompts", str(tmp_path / "p.jsonl")]
+    assert cli_main([*args, "--expert", "6", "--out", str(tmp_path / "r.json")]) == 0
+    (policy,) = json.loads((tmp_path / "r.json").read_text())["policies"]
+    assert policy["name"] == "expert_6_e6_i2i"
+    assert all(len(row) == 7 for row in policy["choice_matrix"]["counts"])
+    assert cli_main([*args, "--expert", "7"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_cli_oracle_fraction_meets_a_removal_atom_by_absence(tmp_path, capsys):
+    # an editing prompt that asks to remove one object and recolor another:
+    # the removal is met when the object is absent, as the critic scores it
+    prompt = make_prompt(
+        [atom("remove_object", "boats", "all"), atom("color_change", "walls", "teal")], editing=True
+    )
+    write_prompts(tmp_path / "p.jsonl", [prompt])
+    out = tmp_path / "r.json"
+    args = ["baseline", "--expert", "8", "--prompts", str(tmp_path / "p.jsonl"), "--episodes", "3"]
+    assert cli_main([*args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (policy,) = json.loads(out.read_text())["policies"]
+    # every episode sends both commands through the strong remover and recolorer once
+    assert policy["mean_length"] == 2.0
+    assert policy["mean_oracle_fraction"] == 1.0

@@ -7,7 +7,7 @@ from qroute.agent import Transition, select_action, td_targets, train_batch
 from qroute.errors import NumericalError
 from qroute.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, QNetwork, RowGrad
 
-from conftest import all_rows, scatter
+from conftest import all_rows, batch_of, scatter
 
 
 def naive_forward(net, x):
@@ -104,7 +104,7 @@ def test_rows_no_input_reaches_stay_out_of_every_product():
     assert np.isfinite(q).all()
     grads = net.backward(cache, rng.normal(size=q.shape))
     assert all(np.isfinite(g.values if isinstance(g, RowGrad) else g).all() for g in grads)
-    written = adam.step(net.parameters(), grads, lr=1e-2)
+    written = adam.step(net, grads, lr=1e-2)
     net.check_finite(written)
     for a, b in zip((net.weights[0], adam.m[0], adam.v[0]), before):
         assert_bits_equal(a[untouched], b)
@@ -139,7 +139,7 @@ def test_gradients_match_finite_differences():
         target = QNetwork((8, 4, 4, 3), seed=case + 99, dtype=np.float64)
         randomize_biases(target, rng)
         batch = [make_transition(rng, net) for _ in range(5)]
-        y = td_targets(batch, target, 0.99)
+        y = td_targets(batch_of(batch), target, 0.99)
         s = np.stack([t.s for t in batch])
         a = np.array([t.a for t in batch])
         q, cache = net.forward_cached(s)
@@ -180,7 +180,7 @@ def test_zero_gradient_fixed_point_up_to_adam_epsilon_drift():
     q = net.forward(tr.s)
     tr = Transition(tr.s, tr.a, float(q[tr.a]), tr.s2, True, tr.next_mask)  # target == prediction
     before = [p.copy() for p in net.parameters()]
-    loss = train_batch(net, net.copy(), [tr] * 4, adam, lr=5e-4, gamma=0.99)
+    loss = train_batch(net, net.copy(), batch_of([tr] * 4), adam, lr=5e-4, gamma=0.99)
     assert loss == pytest.approx(0.0, abs=1e-18)
     for p, b in zip(net.parameters(), before):
         assert np.max(np.abs(p - b)) < 1e-8
@@ -193,7 +193,8 @@ def test_single_transition_training_converges_monotonically():
     rng = np.random.default_rng(9)
     tr = make_transition(rng, net, done=True)
     tr = Transition(tr.s, tr.a, 0.5, tr.s2, True, tr.next_mask)
-    losses = [train_batch(net, target, [tr] * 4, adam, lr=5e-4, gamma=0.99) for _ in range(500)]
+    batch = batch_of([tr] * 4)
+    losses = [train_batch(net, target, batch, adam, lr=5e-4, gamma=0.99) for _ in range(500)]
     floor = 1e-6  # below this Adam's momentum wiggles around exact zero
     settled = next(i for i, v in enumerate(losses) if v < floor)
     assert all(losses[i + 1] <= losses[i] for i in range(settled))
@@ -207,7 +208,7 @@ def test_adam_single_step_matches_hand_computation():
     params = net.parameters()
     grads = [np.full_like(p, 0.5) for p in params]
     before = [p.copy() for p in params]
-    adam.step(params, all_rows(grads), lr=1e-3)
+    adam.step(net, all_rows(grads), lr=1e-3)
     m_hat = (0.5 * (1 - ADAM_BETA1)) / (1 - ADAM_BETA1)
     v_hat = (0.25 * (1 - ADAM_BETA2)) / (1 - ADAM_BETA2)
     expected_delta = 1e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -228,7 +229,7 @@ def test_non_finite_loss_aborts():
     rng = np.random.default_rng(0)
     tr = make_transition(rng, net, done=True)
     with pytest.raises(NumericalError):
-        train_batch(net, net.copy(), [tr], AdamState(net), lr=5e-4)
+        train_batch(net, net.copy(), batch_of([tr]), AdamState(net), lr=5e-4)
 
 
 @given(
@@ -272,21 +273,30 @@ def dense_adam_step(params, grads, ms, vs, t, lr):
 
 
 def row_sparse_grads(rng, params, rows_by_param):
-    """float32 gradients: for each matrix a ``RowGrad`` of random values on
-    the given rows, for each vector a random array."""
+    """float32 gradients with random values on the given rows of each matrix
+    and on every vector. The first matrix's is a ``RowGrad``; each later
+    matrix's is an array whose other rows hold +0.0 or -0.0, a random sign
+    per row, as a dense matmul can leave them."""
     grads = []
     for p, rows in zip(params, rows_by_param):
         if p.ndim == 1:
             grads.append(rng.normal(size=p.shape).astype(np.float32))
-        else:
-            values = rng.normal(size=(len(rows), p.shape[1])).astype(np.float32)
+            continue
+        values = rng.normal(size=(len(rows), p.shape[1])).astype(np.float32)
+        if not grads:
             grads.append(RowGrad(np.asarray(rows), values))
+            continue
+        g = np.zeros(p.shape, dtype=np.float32)
+        g[rng.random(p.shape[0]) < 0.5] = -0.0
+        g[rows] = values
+        grads.append(g)
     return grads
 
 
 def zeroed(grads):
-    """The same rows given, every value +0.0."""
-    return [RowGrad(g.rows, np.zeros_like(g.values)) if isinstance(g, RowGrad) else np.zeros_like(g) for g in grads]
+    """The same rows given, every value +0.0 or -0.0 with the sign of the
+    value it replaces."""
+    return [RowGrad(g.rows, g.values * 0) if isinstance(g, RowGrad) else g * 0 for g in grads]
 
 
 def reference_grads(rng, params, grads):
@@ -311,20 +321,26 @@ def assert_bits_equal(a, b):
 
 
 def test_row_sparse_adam_matches_dense_reference_bit_for_bit():
+    # the first matrix row-sparse, the tail after it in one dense update:
+    # both must equal a dense per-parameter Adam, bit for bit, through zero
+    # and -0.0 gradient rows and rows going quiet
     net = QNetwork((32, 8, 8, 4), seed=3)
     ref = net.copy()
     adam = AdamState(net)
     ref_m = [np.zeros_like(p) for p in ref.parameters()]
     ref_v = [np.zeros_like(p) for p in ref.parameters()]
     rng = np.random.default_rng(11)
+    saw_negative_zero = False
     for step in range(1, 25):
         grads = row_sparse_grads(rng, net.parameters(), sparse_schedule(rng, net.parameters(), step))
         if step == 12:  # a step where every gradient is zero
             grads = zeroed(grads)
-        adam.step(net.parameters(), grads, lr=1e-2)
+        saw_negative_zero |= any(np.signbit(g[g == 0]).any() for g in grads[1:])
+        adam.step(net, grads, lr=1e-2)
         dense_adam_step(ref.parameters(), reference_grads(rng, ref.parameters(), grads), ref_m, ref_v, step, lr=1e-2)
         for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
             assert_bits_equal(a, b)
+    assert saw_negative_zero
     # the first matrix kept untouched rows, and rows that went quiet at step 10
     touched = adam.v[0].any(axis=1)
     assert not touched.all()
@@ -341,7 +357,7 @@ def test_nan_gradient_on_untouched_row_poisons_like_dense():
     for step in range(1, 4):
         rows = [[0, 1] if p.ndim == 2 else None for p in net.parameters()]
         grads = row_sparse_grads(rng, net.parameters(), rows)
-        adam.step(net.parameters(), grads, lr=1e-2)
+        adam.step(net, grads, lr=1e-2)
         dense_adam_step(ref.parameters(), scatter(ref.parameters(), grads), ref_m, ref_v, step, lr=1e-2)
     assert not adam.m[0][9].any()  # row 9 never had a gradient
     # the step gives row 9 of the first matrix, with a NaN in it
@@ -349,12 +365,12 @@ def test_nan_gradient_on_untouched_row_poisons_like_dense():
     nan_row = np.zeros((1, 4), dtype=np.float32)
     nan_row[0, 2] = np.nan
     grads[0] = RowGrad(np.array([9]), nan_row)
-    written = adam.step(net.parameters(), grads, lr=1e-2)
+    written = adam.step(net, grads, lr=1e-2)
     dense_adam_step(ref.parameters(), scatter(ref.parameters(), grads), ref_m, ref_v, 4, lr=1e-2)
     for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
         assert np.array_equal(a, b, equal_nan=True)
     assert np.isnan(net.weights[0][9]).any()
-    assert 9 in written[0]
+    assert 9 in written
     with pytest.raises(NumericalError):
         net.check_finite(written)
 
@@ -371,7 +387,49 @@ def test_assigned_moments_rebuild_live_rows():
     adam = AdamState(net)
     adam.m, adam.v, adam.t = [m.copy() for m in ms], [v.copy() for v in vs], 3
     grads = [np.zeros_like(p) for p in net.parameters()]
-    adam.step(net.parameters(), all_rows(grads), lr=1e-2)
+    adam.step(net, all_rows(grads), lr=1e-2)
     dense_adam_step(ref.parameters(), grads, ms, vs, 4, lr=1e-2)
     for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ms + vs):
         assert_bits_equal(a, b)
+
+
+def test_check_finite_reads_the_written_rows_and_the_tail():
+    # a NaN gradient in the last bias reaches the parameters through the
+    # tail update; a NaN in a first-layer row no input reaches is not a
+    # row the step wrote
+    net = QNetwork((16, 4, 4, 3), seed=5)
+    adam = AdamState(net)
+    rng = np.random.default_rng(3)
+    net.weights[0][15] = np.nan
+    grads = row_sparse_grads(rng, net.parameters(), [[0, 1], None, [0, 1], None, [0, 1], None])
+    net.check_finite(adam.step(net, grads, lr=1e-2))
+    grads[-1][1] = np.nan
+    written = adam.step(net, grads, lr=1e-2)
+    assert np.isnan(net.biases[-1][1])
+    with pytest.raises(NumericalError):
+        net.check_finite(written)
+    net.biases[-1][1] = 0.0
+    net.check_finite(written)
+    with pytest.raises(NumericalError):
+        net.check_finite()  # the whole buffer holds the unreached NaN row
+
+
+def test_parameters_are_views_of_one_buffer():
+    net = QNetwork((6, 4, 3, 2), seed=1)
+    params = net.parameters()
+    assert [p.shape for p in params] == [(6, 4), (4,), (4, 3), (3,), (3, 2), (2,)]
+    assert all(a is b for a, b in zip(params, [x for pair in zip(net.weights, net.biases) for x in pair]))
+    assert all(p.base is net.flat for p in params)
+    assert np.array_equal(np.concatenate([p.reshape(-1) for p in params]), net.flat)
+    copy = net.copy()
+    assert not np.shares_memory(copy.flat, net.flat)
+    assert all(np.array_equal(a, b) for a, b in zip(copy.parameters(), params))
+    built = QNetwork.from_parameters(net.weights, net.biases)
+    assert not np.shares_memory(built.flat, net.flat)
+    assert built.flat.tobytes() == net.flat.tobytes()
+    # the moments share the layout, and assigning them copies the values in
+    adam = AdamState(net)
+    ms = [np.full_like(p, i) for i, p in enumerate(params)]
+    adam.m = ms
+    ms[0][:] = -1.0
+    assert [float(m.flat[0]) for m in adam.m] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
