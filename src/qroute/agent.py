@@ -233,14 +233,17 @@ def select_action(
     mask: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
+    cols: np.ndarray | None = None,
 ) -> int:
-    """Epsilon-greedy over the legal actions only; greedy ties break low."""
+    """Epsilon-greedy over the legal actions only; greedy ties break low.
+    ``s`` is a state vector, or its nonzero entries at ``cols`` (see
+    ``QNetwork.forward_cached``)."""
     legal = np.flatnonzero(np.asarray(mask, dtype=bool))
     if legal.size == 0:
         raise EmptyMask("no legal action to select from")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(legal[rng.integers(0, legal.size)])
-    q = np.asarray(net.forward(s), dtype=np.float64)
+    q = np.asarray(net.forward(s, cols), dtype=np.float64)
     masked = np.full(q.shape, -np.inf)
     masked[legal] = q[legal]
     return int(np.argmax(masked))

@@ -8,6 +8,11 @@ unreadable or damaged file, episodes that do not pair), 3 runtime abort
 world the run was trained in: the config ``train`` recorded in the
 ``summary.json`` beside the checkpoint or episode log, or the default
 config when there is no such file.
+
+``eval --log`` and ``baseline --log`` write the evaluated policy's
+rollouts as an episode log. Two such logs of the same prompt file and
+``--seed`` share their (prompt id, seed) keys, so ``stats wilcoxon`` pairs
+them.
 """
 
 from __future__ import annotations
@@ -32,8 +37,15 @@ from .errors import (
     QRouteError,
     VersionMismatch,
 )
-from .evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
-from .logs import read_episode_log, read_prompts, write_prompts
+from .evaluate import (
+    EvalReport,
+    baseline_single_expert,
+    build_report,
+    evaluate,
+    paired_returns,
+    render_report,
+)
+from .logs import read_episode_log, read_prompts, write_episode_log, write_prompts
 from .policies import GreedyPolicy, run_episode
 from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
@@ -65,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--baselines", action="store_true", help="also run every single-expert baseline")
     p_eval.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+    p_eval.add_argument("--log", type=Path, default=None, help="write the trained policy's episode log here")
     p_eval.set_defaults(run=_cmd_eval)
 
     p_base = sub.add_parser("baseline", help="forced single-expert rollouts")
@@ -74,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--episodes", type=int, default=1)
     p_base.add_argument("--seed", type=int, default=0)
     p_base.add_argument("--out", type=Path, default=None)
+    p_base.add_argument("--log", type=Path, default=None, help="write the baseline's episode log here")
     p_base.set_defaults(run=_cmd_baseline)
 
     p_stats = sub.add_parser("stats", help="statistics over episode logs")
@@ -146,10 +160,7 @@ def _cmd_eval(args) -> int:
             baseline_single_expert(env, spec.index, prompts, args.episodes, args.seed)
             for spec in env.registry.list()
         ]
-    report = build_report(trained, baselines)
-    print(render_report(report))
-    if args.out is not None:
-        args.out.write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_outputs(args, build_report(trained, baselines))
     return EXIT_OK
 
 
@@ -159,11 +170,19 @@ def _cmd_baseline(args) -> int:
         raise ConfigError(f"expert index out of range: {args.expert}")
     prompts = read_prompts(args.prompts)
     result = baseline_single_expert(env, args.expert, prompts, args.episodes, args.seed)
-    report = build_report(result, [])
+    _write_outputs(args, build_report(result, []))
+    return EXIT_OK
+
+
+def _write_outputs(args, report: EvalReport) -> None:
+    """Print the report, write it to ``--out``, and write the main policy's
+    rollouts to ``--log``: an episode log that ``stats wilcoxon`` pairs with
+    any other log of the same prompts and ``--seed``."""
     print(render_report(report))
     if args.out is not None:
         args.out.write_text(report.to_json() + "\n", encoding="utf-8")
-    return EXIT_OK
+    if args.log is not None:
+        write_episode_log(args.log, report.policies[0].episodes)
 
 
 def _cmd_wilcoxon(args) -> int:

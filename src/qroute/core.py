@@ -3,12 +3,18 @@
 The synthetic world tracks image content symbolically. A canvas carries the
 set of prompt constraints ("atoms") currently satisfied plus an optional
 style tag; experts mutate that set, the critic reads it.
+
+``satisfied_atoms`` is the one rule for which constraints a canvas meets.
+It works on whole sets: frozenset operations reuse the hashes the sets
+store, where a per-atom check would hash each atom again through the
+dataclass's Python ``__hash__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -68,17 +74,22 @@ class CanvasState:
         return CanvasState(CanvasKind.SYMBOLIC, atoms=frozenset(atoms), style=style)
 
 
-def atom_satisfied(atom: Atom, canvas: CanvasState) -> bool:
-    """Whether a single constraint is met on the given canvas.
+def satisfied_atoms(atoms: frozenset[Atom], canvas: CanvasState) -> frozenset[Atom]:
+    """The constraints among ``atoms`` that the canvas meets.
 
     Removal constraints are met by absence; everything else by presence.
-    Blank canvases satisfy nothing.
+    Blank canvases satisfy nothing. The result is built with set operations
+    on the stored hashes, so no atom is hashed again.
     """
     if canvas.is_blank:
-        return False
-    if atom.category in REMOVAL_CATEGORIES:
-        return atom not in canvas.atoms
-    return atom in canvas.atoms
+        return frozenset()
+    removals = frozenset(a for a in atoms if a.category in REMOVAL_CATEGORIES)
+    return (atoms & canvas.atoms) ^ removals
+
+
+def clamp_score(x: float) -> float:
+    """``x`` clipped to the rubric's [0, 10] scale."""
+    return min(10.0, max(0.0, x))
 
 
 @dataclass(frozen=True)
@@ -179,3 +190,12 @@ class Prompt:
     @property
     def difficulty(self) -> int:
         return len(self.atoms)
+
+    @cached_property
+    def by_category(self) -> dict[TaskCategory, frozenset[Atom]]:
+        """The atoms grouped by category, in taxonomy order; computed once
+        per prompt, so the critic partitions a canvas with set operations."""
+        groups: dict[TaskCategory, set[Atom]] = {}
+        for a in self.atoms:
+            groups.setdefault(a.category, set()).add(a)
+        return {cat: frozenset(groups[cat]) for cat in TAXONOMY if cat in groups}

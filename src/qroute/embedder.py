@@ -64,10 +64,13 @@ class HashingEmbedder:
     vector is the exact array a fresh computation would give and no caller
     can change it. The reflection states are formulaic (a few hundred
     distinct texts over thousands of episodes), so the memo needs no bound.
+    Beside each vector it keeps, on first request, the vector's compact form
+    (``compact``) for the network's one-row forward pass.
     """
 
     def __init__(self) -> None:
         self._memo: dict[str, np.ndarray] = {}
+        self._compact: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def __call__(self, text: str) -> np.ndarray:
         out = self._memo.get(text)
@@ -75,6 +78,25 @@ class HashingEmbedder:
             out = self._encode(text)
             out.setflags(write=False)
             self._memo[text] = out
+        return out
+
+    def compact(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """The vector of ``text`` as ``(values, cols)``: its nonzero entries
+        and their sorted columns, the compact input ``QNetwork.forward_cached``
+        takes. Memoized beside the vector and read-only like it.
+
+        Every nonzero entry is at least ``1 / ||counts||`` in magnitude, far
+        above float32's smallest normal, so these are also the columns a
+        float32 network finds nonzero in the dense vector.
+        """
+        vector = self(text)
+        out = self._compact.get(text)
+        if out is None:
+            cols = np.flatnonzero(vector)
+            out = (vector[cols], cols)
+            for a in out:
+                a.setflags(write=False)
+            self._compact[text] = out
         return out
 
     def _encode(self, text: str) -> np.ndarray:

@@ -4,6 +4,11 @@ One step = select expert, invoke it on the current command, score through
 the critic, update the residual ledger via the attempt policy, extract the
 next command, shape the reward. Episodes end when the ledger drains or the
 step budget runs out; done is absorbing.
+
+Which experts are legal depends only on whether the canvas is blank, so
+the environment builds its two legal masks once, when it is made: a step
+checks its action against one and logs its tuple, and ``legal_actions``
+hands out a copy.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt
 from .embedder import serialize_reflection_state
 from .errors import DomainError, IneligibleAction, SteppedAfterDone
-from .experts import ExpertRegistry
+from .experts import ExpertRegistry, Modality
 from .logs import StepRecord
 from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
 
@@ -56,6 +61,15 @@ class EnvState:
         return serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
 
 
+def _mask(n_actions: int, legal: frozenset[int]) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """A read-only boolean mask over ``n_actions`` that is true at ``legal``,
+    and the same mask as a tuple."""
+    mask = np.zeros(n_actions, dtype=bool)
+    mask[sorted(legal)] = True
+    mask.setflags(write=False)
+    return mask, tuple(bool(b) for b in mask)
+
+
 class Environment:
     """Binds a registry and the reflection loop into one symbolic MDP."""
 
@@ -71,6 +85,12 @@ class Environment:
         self.t_max = t_max
         self.step_penalty = step_penalty
         self.n_actions = len(registry)
+        # eligibility depends only on whether the canvas is blank, so each
+        # legal mask is built once, with its tuple for the step records
+        self._masks = {
+            blank: _mask(self.n_actions, registry.indices(modality))
+            for blank, modality in ((True, Modality.T2I), (False, Modality.I2I))
+        }
 
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
@@ -90,13 +110,11 @@ class Environment:
         )
 
     def legal_actions(self, state: EnvState) -> np.ndarray:
-        """Boolean mask over expert indices; all-false once the episode ended."""
-        mask = np.zeros(self.n_actions, dtype=bool)
+        """Boolean mask over expert indices; all-false once the episode ended.
+        The array is a fresh copy, the caller's to keep or change."""
         if state.done:
-            return mask
-        for i in self.registry.eligible(state.canvas):
-            mask[i] = True
-        return mask
+            return np.zeros(self.n_actions, dtype=bool)
+        return self._masks[state.canvas.is_blank][0].copy()
 
     def step(
         self, state: EnvState, action: int, rng: np.random.Generator
@@ -105,7 +123,7 @@ class Environment:
         if state.done:
             raise SteppedAfterDone("episode already finished")
         assert state.c_curr is not None
-        mask = self.legal_actions(state)
+        mask = self._masks[state.canvas.is_blank][1]
         if not (0 <= action < self.n_actions) or not mask[action]:
             raise IneligibleAction(f"action {action} illegal on {state.canvas.kind.value} canvas")
 
@@ -152,7 +170,7 @@ class Environment:
             subscores=verdict.subscores,
             reward=reward,
             completed=verdict.completed,
-            mask=tuple(bool(b) for b in mask),
+            mask=mask,
             command_id=state.c_curr.id,
             attempts=state.c_curr.attempts,
             abandoned_command=outcome.abandoned.id if outcome.abandoned is not None else None,

@@ -6,7 +6,9 @@ symbolic canvas accordingly.
 
 Canonical ordering: indices 0..6 are text-to-image, indices 7..11 are
 image-to-image. Eligibility is purely modal: T2I experts act on a blank
-canvas, I2I experts on anything that already has an image.
+canvas, I2I experts on anything that already has an image. A call's
+quality is clamped to the rubric's [0, 10] scale by ``core.clamp_score``,
+the clamp the critic applies too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory
+from .core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory, clamp_score
 from .errors import DuplicateIndex, IneligibleExpert
 
 N_EXPERTS = 12
@@ -141,7 +143,7 @@ class ExpertRegistry:
             success = False  # removing something that is not there is a no-op
 
         if success:
-            quality = float(np.clip(mean + profile.sigma * noise, 0.0, 10.0))
+            quality = clamp_score(mean + profile.sigma * noise)
             if removal:
                 atoms = canvas.atoms - command.payload
             else:
@@ -151,7 +153,7 @@ class ExpertRegistry:
                 if a.category is TaskCategory.STYLE_TRANSFER:
                     style = a.value
             return CanvasState.symbolic(atoms, style), quality
-        quality = float(np.clip(mean / 2.0 + profile.sigma * noise, 0.0, 10.0))
+        quality = clamp_score(mean / 2.0 + profile.sigma * noise)
         if canvas.is_blank:
             return CanvasState.symbolic(frozenset(), None), quality
         return canvas, quality

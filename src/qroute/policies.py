@@ -1,13 +1,24 @@
 """Rollout policies and the one episode runner that training and
 evaluation both use: greedy network policy, uniform random, the
-ground-truth routing oracle, and forced single-expert baselines."""
+ground-truth routing oracle, and forced single-expert baselines.
+
+An episode draws from two streams of its seed: the world's, which every
+expert call draws from, and the policy's, which only the random and the
+exploring policies draw from and which is therefore made on its first draw.
+Both start from memoized seed-sequence words, since paired comparisons roll
+every policy over the same episode seeds.
+
+The network policies score the memoized compact form of the state's
+embedding, so their one-row forward pass skips the 1536-column scan."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Protocol
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .agent import select_action
 from .core import Prompt
@@ -37,7 +48,8 @@ class GreedyPolicy:
     net: QNetwork
 
     def __call__(self, state, mask, rng):
-        return select_action(self.net, embed(state.serialized), mask, 0.0, rng)
+        x, cols = embed.compact(state.serialized)
+        return select_action(self.net, x, mask, 0.0, rng, cols)
 
 
 @dataclass
@@ -46,7 +58,8 @@ class EpsilonGreedyPolicy:
     epsilon: float
 
     def __call__(self, state, mask, rng):
-        return select_action(self.net, embed(state.serialized), mask, self.epsilon, rng)
+        x, cols = embed.compact(state.serialized)
+        return select_action(self.net, x, mask, self.epsilon, rng, cols)
 
 
 class RandomPolicy:
@@ -105,16 +118,60 @@ class SingleExpertPolicy:
         return None
 
 
-def episode_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(policy stream, world stream) for one episode.
+#: Entries kept by each per-seed memo below (about 350 and 220 bytes
+#: each): enough for a paired comparison over several hundred prompt
+#: repeats (a held-out evaluation has 100), and small beside the process.
+SEED_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=SEED_MEMO_SIZE)
+def _state_words(seed: int, spawn_key: tuple[int, ...], n_words: int, dtype: np.dtype) -> np.ndarray:
+    words = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(n_words, dtype)
+    words.setflags(write=False)
+    return words
+
+
+class MemoizedSeedSequence(ISeedSequence):
+    """``SeedSequence(seed, spawn_key=spawn_key)`` as a bit generator reads
+    it: the same state words, memoized per (seed, spawn key) across
+    instances, so a generator seeded from either starts in the same state.
+    Every policy of a paired comparison replays the same episode seeds, and
+    deriving a seed sequence costs about as much as a rollout step."""
+
+    def __init__(self, seed: int, spawn_key: tuple[int, ...]):
+        self.seed = seed
+        self.spawn_key = spawn_key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return _state_words(self.seed, self.spawn_key, n_words, np.dtype(dtype))
+
+
+class LazyGenerator:
+    """A ``numpy.random.Generator`` on a seed sequence, made on its first
+    draw. Most policies never draw from their stream."""
+
+    def __init__(self, seed_seq: ISeedSequence):
+        self._seed_seq = seed_seq
+        self._rng: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed_seq)
+        return getattr(self._rng, name)
+
+
+def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
+    """(policy stream, world stream) for one episode: generators on the two
+    children ``SeedSequence(seed).spawn(2)`` gives, built directly from
+    their spawn keys. The policy stream is made only if the policy draws
+    from it.
 
     Keeping them separate means a logged episode can be re-simulated from
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
-    ss = np.random.SeedSequence(seed)
-    policy_ss, world_ss = ss.spawn(2)
-    return np.random.default_rng(policy_ss), np.random.default_rng(world_ss)
+    world = np.random.default_rng(MemoizedSeedSequence(seed, (1,)))
+    return LazyGenerator(MemoizedSeedSequence(seed, (0,))), world
 
 
 def run_episode(
@@ -163,8 +220,10 @@ def run_episode(
     )
 
 
+@lru_cache(maxsize=SEED_MEMO_SIZE)
 def episode_seed(base_seed: int, prompt_id: int, repeat: int) -> int:
-    """Stable per-(prompt, repeat) seed so paired policies share randomness."""
+    """Stable per-(prompt, repeat) seed so paired policies share randomness.
+    Memoized: every policy of a comparison asks for the same keys."""
     if repeat < 0:
         raise DomainError("repeat must be >= 0")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(prompt_id, repeat))

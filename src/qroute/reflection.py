@@ -8,6 +8,11 @@ still-unsatisfied atoms into one command per category. The attempt policy
 then decides the fate of the command that was just executed: completed
 commands disappear, failed ones requeue with an incremented attempt
 counter, and a command failing its third attempt is abandoned for good.
+
+The critic finds the prompt's met atoms once per call (``satisfied_atoms``);
+the subscores, the completion flag and the decomposition all read that set,
+and the decomposition groups the unmet atoms by intersecting them with the
+prompt's per-category atom sets (``Prompt.by_category``).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from .core import (
     CommandSet,
     Prompt,
     TaskCategory,
-    atom_satisfied,
+    clamp_score,
     command_text,
+    satisfied_atoms,
 )
 from .errors import DomainError
 
@@ -49,10 +55,6 @@ class CriticVerdict:
             raise ValueError("raw must be the mean of the four subscores")
 
 
-def _clamp(x: float) -> float:
-    return min(10.0, max(0.0, x))
-
-
 def critic_score(
     curr: CanvasState,
     c_curr: AtomicCommand,
@@ -74,75 +76,82 @@ def critic_score(
     atom, one command per category. Commands already present in ``c_rem``
     keep their id and attempt counter (payload refreshed); new categories
     get fresh ids starting at ``id_start`` in taxonomy order.
-    """
-    n_total = len(prompt.atoms)
-    n_sat = sum(1 for a in prompt.atoms if atom_satisfied(a, curr))
-    content = 10.0 * n_sat / n_total if n_total else 10.0
 
-    spatial_atoms = [a for a in prompt.atoms if a.category in SPATIAL_CATEGORIES]
-    if spatial_atoms:
-        n_spatial = sum(1 for a in spatial_atoms if atom_satisfied(a, curr))
-        spatial = 10.0 * n_spatial / len(spatial_atoms)
+    The prompt's met atoms are found once, and every subscore, the
+    completion flag and the decomposition read them. A payload atom outside
+    the prompt (only a hand-built command has one) is checked on its own.
+    """
+    met = satisfied_atoms(prompt.atoms, curr)
+    n_total = len(prompt.atoms)
+    content = 10.0 * len(met) / n_total if n_total else 10.0
+
+    spatial_parts = [part for cat, part in prompt.by_category.items() if cat in SPATIAL_CATEGORIES]
+    if spatial_parts:
+        n_spatial = sum(len(part & met) for part in spatial_parts)
+        spatial = 10.0 * n_spatial / sum(len(part) for part in spatial_parts)
     else:
         spatial = 10.0
 
-    visual = _clamp(float(quality))
+    visual = clamp_score(float(quality))
 
     if prompt.style_tag is None or curr.style == prompt.style_tag:
         style = 10.0
     else:
         style = 0.0
 
-    subscores = (_clamp(content), _clamp(spatial), visual, _clamp(style))
+    # content and spatial are fractions of 10 and style is 0 or 10, so only
+    # the expert's quality needs clamping
+    subscores = (content, spatial, visual, style)
     raw = sum(subscores) / 4.0
 
-    completed = all(atom_satisfied(a, curr) for a in c_curr.payload)
+    outside = c_curr.payload - prompt.atoms
+    completed = c_curr.payload <= (met | satisfied_atoms(outside, curr) if outside else met)
 
-    residual = _decompose(curr, c_rem, prompt, abandoned, id_start)
+    residual = _decompose(met, c_rem, prompt, abandoned, id_start)
     return CriticVerdict(raw=raw, subscores=subscores, completed=completed, residual=residual)
 
 
 def _decompose(
-    curr: CanvasState,
+    met: frozenset[Atom],
     c_rem: CommandSet,
     prompt: Prompt,
     abandoned: frozenset[Atom],
     id_start: int,
 ) -> CommandSet:
-    """Group unsatisfied prompt atoms per category into residual commands.
+    """Group the prompt atoms that are neither met nor abandoned per
+    category into residual commands.
 
     Atom iteration order never reaches the output: payloads are sets and
     new commands are created in taxonomy order.
     """
-    open_atoms: dict[TaskCategory, set[Atom]] = {}
-    for a in prompt.atoms:
-        if a in abandoned or atom_satisfied(a, curr):
-            continue
-        open_atoms.setdefault(a.category, set()).add(a)
+    unmet = prompt.atoms - met - abandoned
+    open_atoms: dict[TaskCategory, frozenset[Atom]] = {}
+    if unmet:
+        for cat, part in prompt.by_category.items():
+            group = part & unmet
+            if group:
+                open_atoms[cat] = group
 
     next_id = id_start
     commands: list[AtomicCommand] = []
     claimed: set[TaskCategory] = set()
 
-    # existing ledger entries keep identity and position
+    # existing ledger entries keep identity and position; an entry whose
+    # text and payload are already current is kept as it is
     for cmd in c_rem:
         if cmd.category in open_atoms and cmd.category not in claimed:
-            payload = frozenset(open_atoms[cmd.category])
-            commands.append(
-                AtomicCommand(
-                    id=cmd.id,
-                    text=command_text(cmd.category),
-                    category=cmd.category,
-                    payload=payload,
-                    attempts=cmd.attempts,
+            text, payload = command_text(cmd.category), open_atoms[cmd.category]
+            if cmd.text != text or cmd.payload != payload:
+                cmd = AtomicCommand(
+                    id=cmd.id, text=text, category=cmd.category, payload=payload, attempts=cmd.attempts
                 )
-            )
+            commands.append(cmd)
             claimed.add(cmd.category)
 
-    # leftover categories become new commands, taxonomy order
-    for cat in TAXONOMY:
-        if cat in open_atoms and cat not in claimed:
-            payload = frozenset(open_atoms[cat])
+    # leftover categories become new commands, in taxonomy order (the
+    # order of ``by_category``)
+    for cat, payload in open_atoms.items():
+        if cat not in claimed:
             commands.append(
                 AtomicCommand(
                     id=next_id,
@@ -153,7 +162,6 @@ def _decompose(
                 )
             )
             next_id += 1
-            claimed.add(cat)
 
     return CommandSet(tuple(commands))
 

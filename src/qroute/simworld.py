@@ -6,14 +6,14 @@ min(d, 3) distinct categories; half of all prompts ask for a style tag.
 Removal-category atoms never appear in generated prompts, so remove_object
 exists in the taxonomy for classification, adversarial commands and
 hand-written prompt files; the content oracle counts a removal atom as met
-by its absence, like the critic (``core.atom_satisfied``).
+by its absence, like the critic (``core.satisfied_atoms``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Atom, CanvasState, Prompt, TaskCategory, atom_satisfied, command_text
+from .core import Atom, CanvasState, Prompt, TaskCategory, command_text, satisfied_atoms
 from .errors import DomainError
 from .experts import ExpertRegistry
 
@@ -143,11 +143,9 @@ def generate_corpus(
 
 
 def oracle_fraction(canvas: CanvasState, prompt: Prompt) -> float:
-    """Fraction of the prompt's atoms the canvas satisfies (``atom_satisfied``:
+    """Fraction of the prompt's atoms the canvas satisfies (``satisfied_atoms``:
     a removal atom by its absence, any other by its presence); blank scores 0."""
-    if canvas.is_blank or not prompt.atoms:
-        return 0.0
-    return sum(atom_satisfied(a, canvas) for a in prompt.atoms) / len(prompt.atoms)
+    return len(satisfied_atoms(prompt.atoms, canvas)) / len(prompt.atoms)
 
 
 def best_expert(registry: ExpertRegistry, category: TaskCategory) -> int:

@@ -107,7 +107,8 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
             config.epsilon_final,
             config.exploration_fraction,
         )
-        return select_action(net, embed(state.serialized), mask, epsilon, explore_rng)
+        x, cols = embed.compact(state.serialized)
+        return select_action(net, x, mask, epsilon, explore_rng, cols)
 
     def learn(state, action, reward, state2, next_mask) -> bool:
         nonlocal global_step, target

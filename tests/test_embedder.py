@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qroute.agent import select_action
 from qroute.embedder import EMBED_DIM, HashingEmbedder, serialize_reflection_state
+from qroute.network import QNetwork
+from qroute.policies import RandomPolicy, run_episode
+from qroute.simworld import generate_corpus
 
 embed = HashingEmbedder()
 
@@ -113,3 +117,31 @@ def test_memoized_vectors_equal_fresh_encodings():
     assert len(set(texts)) >= 50
     for text in texts + texts:  # the second pass is served from the memo
         assert np.array_equal(memo(text), HashingEmbedder()(text))
+
+
+def test_compact_and_dense_forwards_agree_bit_for_bit(env):
+    texts = {""}  # the empty text's basis vector e0 too
+    for i, prompt in enumerate(generate_corpus(3, 30, 1, 6, editing_prob=0.25)):
+        state = env.reset(prompt)
+        texts.add(state.serialized)
+
+        def visit(state, action, reward, state2, next_mask):
+            texts.add(state2.serialized)
+            return True
+
+        run_episode(env, RandomPolicy(), prompt, seed=i, on_step=visit)
+    assert len(texts) >= 40
+    memo = HashingEmbedder()
+    nets = [QNetwork((EMBED_DIM, 64, 64, 12), seed=4), QNetwork((EMBED_DIM, 64, 64, 12), seed=4, dtype=np.float64)]
+    mask = np.ones(12, dtype=bool)
+    mask[:7] = False
+    for text in sorted(texts) * 2:  # the second pass is served from the memo
+        dense = memo(text)
+        x, cols = memo.compact(text)
+        assert memo.compact(text)[1] is cols
+        assert np.array_equal(cols, np.flatnonzero(dense)) and np.array_equal(x, dense[cols])
+        assert not x.flags.writeable and not cols.flags.writeable
+        for net in nets:
+            assert net.forward(x, cols).tobytes() == net.forward(dense).tobytes()
+            rng = np.random.default_rng(0)
+            assert select_action(net, x, mask, 0.0, rng, cols) == select_action(net, dense, mask, 0.0, rng)

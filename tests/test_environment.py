@@ -3,7 +3,7 @@ import pytest
 
 from qroute.environment import shape_reward
 from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
-from qroute.policies import RandomPolicy, episode_streams, run_episode
+from qroute.policies import MemoizedSeedSequence, RandomPolicy, episode_seed, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 
 from conftest import atom, make_prompt
@@ -46,6 +46,57 @@ def test_reset_is_deterministic(env):
     assert a.serialized == b.serialized
     assert a.canvas == b.canvas
     assert a.c_curr == b.c_curr
+
+
+def test_legal_actions_returns_an_array_the_caller_owns(env):
+    prompt = make_prompt([atom("add_object", "dog"), atom("add_text", "sign")])
+    state = env.reset(prompt)
+    expected = env.legal_actions(state).copy()
+    env.legal_actions(state)[:] = ~expected
+    mask = env.legal_actions(state)
+    assert np.array_equal(mask, expected)
+    mask[:] = True
+    state2, _, _, record = env.step(state, 4, np.random.default_rng(0))
+    assert record.mask == tuple(bool(b) for b in expected)
+    # the editing mask and the finished episode's mask are copies too
+    while not state2.done:
+        after = env.legal_actions(state2)
+        after[:] = False
+        assert set(np.flatnonzero(env.legal_actions(state2))) == {7, 8, 9, 10, 11}
+        state2, _, _, _ = env.step(state2, 9, np.random.default_rng(1))
+    env.legal_actions(state2)[:] = True
+    assert not env.legal_actions(state2).any()
+    assert np.array_equal(env.legal_actions(env.reset(prompt)), expected)
+
+
+def test_episode_streams_draw_what_spawned_children_draw():
+    for seed in (0, 1, 12345, 2**63 - 1):
+        policy, world = episode_streams(seed)
+        ref_policy, ref_world = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        # the world stream first: the policy stream is made on its first draw
+        assert np.array_equal(world.random(5), ref_world.random(5))
+        assert np.array_equal(world.normal(size=5), ref_world.normal(size=5))
+        assert np.array_equal(policy.integers(0, 12, size=7), ref_policy.integers(0, 12, size=7))
+        assert policy.random() == ref_policy.random()
+        assert np.array_equal(world.random(3), ref_world.random(3))
+        # the memoized words are the seed sequence's for any request
+        for key in ((0,), (1,)):
+            for n_words, dtype in ((4, np.uint64), (4, np.uint32), (8, np.uint32)):
+                words = MemoizedSeedSequence(seed, key).generate_state(n_words, dtype)
+                expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(n_words, dtype)
+                assert words.dtype == expected.dtype and np.array_equal(words, expected)
+                assert not words.flags.writeable
+
+
+def test_memoized_episode_seed_equals_the_direct_computation():
+    for _ in range(2):  # the second pass is served from the memo
+        for base in (0, 2, 971):
+            for prompt_id in (0, 7, 10_099):
+                for repeat in (0, 3):
+                    ss = np.random.SeedSequence(entropy=base, spawn_key=(prompt_id, repeat))
+                    assert episode_seed(base, prompt_id, repeat) == int(ss.generate_state(1, dtype=np.uint64)[0])
+        with pytest.raises(DomainError):
+            episode_seed(0, 0, -1)
 
 
 def test_illegal_action_rejected(env):

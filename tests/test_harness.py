@@ -513,6 +513,32 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
         assert code == 2 and out.err.startswith("error: ")
 
 
+def test_cli_eval_logs_of_two_checkpoints_pair_under_wilcoxon(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(RunConfig(total_steps=30).to_json())
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(4, 20, 1, 6))
+    logs = []
+    for seed in ("1", "2"):
+        run_dir = tmp_path / f"run{seed}"
+        assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--seed", seed, "--out", str(run_dir)]) == 0
+        logs.append(tmp_path / f"eval{seed}.jsonl")
+        assert cli_main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts", str(tmp_path / "p.jsonl"),
+            "--seed", "7", "--log", str(logs[-1]),
+        ]) == 0
+    assert [len(read_episode_log(log)) for log in logs] == [20, 20]
+    capsys.readouterr()
+    assert cli_main(["stats", "wilcoxon", "--a", str(logs[0]), "--b", str(logs[1])]) == 0
+    assert "n=" in capsys.readouterr().out
+    # a baseline's log of the same prompts and seed pairs with them too
+    base_log = tmp_path / "expert9.jsonl"
+    assert cli_main([
+        "baseline", "--expert", "9", "--prompts", str(tmp_path / "p.jsonl"), "--seed", "7", "--log", str(base_log),
+    ]) == 0
+    capsys.readouterr()
+    assert cli_main(["stats", "wilcoxon", "--a", str(logs[0]), "--b", str(base_log)]) == 0
+    assert "n=" in capsys.readouterr().out
+
+
 def test_cli_baseline_command(tmp_path, capsys):
     write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 4, 1, 6))
     assert cli_main(["baseline", "--expert", "9", "--prompts", str(tmp_path / "p.jsonl")]) == 0

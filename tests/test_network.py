@@ -246,7 +246,7 @@ def test_masked_argmax_shift_invariance(qs, shift, mask):
     class Fixed:
         n_inputs = 4
 
-        def forward(self, s):
+        def forward(self, s, cols=None):
             return q + s[0]
 
     net = Fixed()

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.core import AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
+from qroute.core import TAXONOMY, AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
 from qroute.errors import DomainError
 from qroute.reflection import (
     SPATIAL_CATEGORIES,
@@ -69,6 +71,52 @@ def test_half_content_rubric_case():
     assert not verdict.completed
 
 
+def satisfied_one_by_one(a, canvas):
+    """The satisfaction rule per atom: a removal atom is met by its absence,
+    any other by its presence; a blank canvas meets nothing."""
+    if canvas.is_blank:
+        return False
+    if a.category is _C.REMOVE_OBJECT:
+        return a not in canvas.atoms
+    return a in canvas.atoms
+
+
+def reference_verdict(curr, c_curr, c_rem, prompt, quality, id_start, abandoned):
+    """The critic as it was first written: every atom checked on its own,
+    for each subscore, for completion and for the decomposition."""
+    content = 10.0 * sum(1 for a in prompt.atoms if satisfied_one_by_one(a, curr)) / len(prompt.atoms)
+    spatial_atoms = [a for a in prompt.atoms if a.category in SPATIAL_CATEGORIES]
+    if spatial_atoms:
+        spatial = 10.0 * sum(1 for a in spatial_atoms if satisfied_one_by_one(a, curr)) / len(spatial_atoms)
+    else:
+        spatial = 10.0
+    style = 10.0 if prompt.style_tag is None or curr.style == prompt.style_tag else 0.0
+    subscores = (content, spatial, min(10.0, max(0.0, float(quality))), style)
+
+    open_atoms = {}
+    for a in prompt.atoms:
+        if a not in abandoned and not satisfied_one_by_one(a, curr):
+            open_atoms.setdefault(a.category, set()).add(a)
+    commands, claimed, next_id = [], set(), id_start
+    for c in c_rem:
+        if c.category in open_atoms and c.category not in claimed:
+            commands.append(replace(c, text=command_text(c.category), payload=frozenset(open_atoms[c.category])))
+            claimed.add(c.category)
+    for cat in TAXONOMY:
+        if cat in open_atoms and cat not in claimed:
+            commands.append(
+                AtomicCommand(id=next_id, text=command_text(cat), category=cat, payload=frozenset(open_atoms[cat]))
+            )
+            next_id += 1
+            claimed.add(cat)
+    return CriticVerdict(
+        raw=sum(subscores) / 4.0,
+        subscores=subscores,
+        completed=all(satisfied_one_by_one(a, curr) for a in c_curr.payload),
+        residual=CommandSet(tuple(commands)),
+    )
+
+
 def test_rubric_matches_independent_scorer_over_enumerated_canvases():
     atoms = [
         atom("add_object", "a"),
@@ -84,6 +132,47 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
             for quality in (0.0, 4.5, 10.0):
                 verdict = critic_score(canvas, c, CommandSet(), prompt, quality, id_start=1)
                 assert verdict.raw == pytest.approx(rubric_oracle(prompt, canvas, quality))
+                assert verdict == reference_verdict(canvas, c, CommandSet(), prompt, quality, 1, frozenset())
+
+    # the whole verdict, exactly, with a removal atom, two atoms of one
+    # category, blank canvases, abandoned atoms, stale ledger entries and
+    # payload atoms outside the prompt
+    atoms = [
+        *atoms,
+        atom("remove_object", "d"),
+        atom("object_resizing", "e"),
+        atom("add_text", "f"),
+    ]
+    outside = atom("color_change", "not-in-prompt")
+    prompt = make_prompt(atoms)
+    commands = [
+        cmd("add_object", [atoms[0]]),
+        cmd("add_text", [atoms[2], atoms[5]]),
+        cmd("remove_object", [atoms[3]]),
+        cmd("add_object", [atoms[0], outside]),
+        cmd("color_change", [outside]),
+        AtomicCommand(id=0, text=prompt.text, category=_C.ADD_OBJECT, payload=prompt.atoms),
+        cmd("add_object", []),
+    ]
+    ledgers = [
+        CommandSet(),
+        CommandSet((
+            cmd("add_text", [atoms[2]], attempts=2, cid=4),
+            cmd("spatial_rearrange", [atoms[1]], cid=6, text="old wording"),
+        )),
+    ]
+    abandons = [frozenset(), frozenset({atoms[2], atoms[4]})]
+    canvases = [CanvasState.blank()]
+    for mask in range(1 << len(atoms)):
+        sat = frozenset(a for i, a in enumerate(atoms) if mask & (1 << i))
+        canvases += [CanvasState.symbolic(sat), CanvasState.symbolic(sat | {outside})]
+    for canvas in canvases:
+        for quality in (-1.0, 4.5, 12.5):
+            for c in commands:
+                for ledger in ledgers:
+                    for abandoned in abandons:
+                        verdict = critic_score(canvas, c, ledger, prompt, quality, id_start=9, abandoned=abandoned)
+                        assert verdict == reference_verdict(canvas, c, ledger, prompt, quality, 9, abandoned)
 
 
 def test_style_mismatch_zeroes_style_dimension():

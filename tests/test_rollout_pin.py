@@ -1,0 +1,57 @@
+"""A pin on the world layer: the episode logs of every network-free policy
+over a fixed prompt set hash to a recorded value.
+
+The rollouts use no network, so no BLAS product enters them and the hash
+depends only on the environment, the critic, the experts, the policies and
+the episode streams. A change to any of those that is meant to be bit-exact
+must leave the hash as it is; a change that means to alter rollouts must
+record the new value here and say why.
+"""
+
+import hashlib
+
+from qroute.core import CanvasState, Prompt
+from qroute.evaluate import baseline_single_expert, evaluate
+from qroute.logs import episode_lines
+from qroute.policies import OraclePolicy, RandomPolicy
+from qroute.simworld import generate_corpus
+
+from conftest import atom
+
+#: sha256 of the joined episode lines, recorded before the rollout fast path
+#: (memoized streams, set-based critic, prebuilt masks) and unchanged by it
+PINNED_SHA256 = "b5ee71a7fe88e20916088894badd1af7b4ca4cfcb2e1af9e71edbf47feb6325d"
+
+
+def pinned_prompts():
+    """48 generated prompts of difficulty 1-6, each starting on an (empty)
+    input image with probability 0.25, plus two editing prompts whose input
+    image holds an object to remove."""
+    prompts = generate_corpus(23, 48, 1, 6, id_start=500, editing_prob=0.25)
+    boats = atom("remove_object", "boats", "all")
+    walls = atom("color_change", "walls", "teal")
+    style = atom("style_transfer", "style", "noir")
+    for pid, atoms, tag in ((900, {boats, walls}, None), (901, {boats, walls, style}, "noir")):
+        prompts.append(
+            Prompt(
+                id=pid,
+                text="erase unwanted | recolor regions",
+                atoms=frozenset(atoms),
+                style_tag=tag,
+                initial_canvas=CanvasState.symbolic(frozenset({boats})),
+            )
+        )
+    return prompts
+
+
+def test_network_free_rollouts_match_the_pinned_hash(env):
+    prompts = pinned_prompts()
+    evals = [baseline_single_expert(env, spec.index, prompts, 1, 5) for spec in env.registry.list()]
+    evals.append(evaluate(env, RandomPolicy(), prompts, 2, 5, name="random"))
+    evals.append(evaluate(env, OraclePolicy(env.registry), prompts, 1, 5, name="oracle"))
+    digest = hashlib.sha256()
+    for ev in evals:
+        for ep in ev.episodes:
+            digest.update(("\n".join(episode_lines(ep)) + "\n").encode("utf-8"))
+    assert sum(len(ev.episodes) for ev in evals) == (12 + 2 + 1) * 50
+    assert digest.hexdigest() == PINNED_SHA256
