@@ -64,40 +64,42 @@ class HashingEmbedder:
     vector is the exact array a fresh computation would give and no caller
     can change it. The reflection states are formulaic (a few hundred
     distinct texts over thousands of episodes), so the memo needs no bound.
-    Beside each vector it keeps, on first request, the vector's compact form
-    (``compact``) for the network's one-row forward pass.
+    With each vector it keeps the vector's compact form (``compact``) for
+    the network's one-row forward pass.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[str, np.ndarray] = {}
-        self._compact: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # text -> (vector, (values, cols)); see ``compact`` for the pair
+        self._memo: dict[str, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
 
     def __call__(self, text: str) -> np.ndarray:
-        out = self._memo.get(text)
-        if out is None:
-            out = self._encode(text)
-            out.setflags(write=False)
-            self._memo[text] = out
-        return out
+        entry = self._memo.get(text)
+        if entry is None:
+            entry = self._remember(text)
+        return entry[0]
 
     def compact(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """The vector of ``text`` as ``(values, cols)``: its nonzero entries
         and their sorted columns, the compact input ``QNetwork.forward_cached``
-        takes. Memoized beside the vector and read-only like it.
+        takes. Memoized with the vector and read-only like it.
 
         Every nonzero entry is at least ``1 / ||counts||`` in magnitude, far
         above float32's smallest normal, so these are also the columns a
         float32 network finds nonzero in the dense vector.
         """
-        vector = self(text)
-        out = self._compact.get(text)
-        if out is None:
-            cols = np.flatnonzero(vector)
-            out = (vector[cols], cols)
-            for a in out:
-                a.setflags(write=False)
-            self._compact[text] = out
-        return out
+        entry = self._memo.get(text)
+        if entry is None:
+            entry = self._remember(text)
+        return entry[1]
+
+    def _remember(self, text: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        vector = self._encode(text)
+        cols = np.flatnonzero(vector)
+        entry = (vector, (vector[cols], cols))
+        for a in (vector, *entry[1]):
+            a.setflags(write=False)
+        self._memo[text] = entry
+        return entry
 
     def _encode(self, text: str) -> np.ndarray:
         toks = [_BOUNDARY] + _tokens(text) + [_BOUNDARY]

@@ -22,7 +22,7 @@ import numpy as np
 from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt
 from .embedder import serialize_reflection_state
 from .errors import DomainError, IneligibleAction, SteppedAfterDone
-from .experts import ExpertRegistry, Modality
+from .experts import ExpertRegistry
 from .logs import StepRecord
 from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
 
@@ -88,8 +88,8 @@ class Environment:
         # eligibility depends only on whether the canvas is blank, so each
         # legal mask is built once, with its tuple for the step records
         self._masks = {
-            blank: _mask(self.n_actions, registry.indices(modality))
-            for blank, modality in ((True, Modality.T2I), (False, Modality.I2I))
+            canvas.is_blank: _mask(self.n_actions, registry.eligible(canvas))
+            for canvas in (CanvasState.blank(), CanvasState.symbolic())
         }
 
     def reset(self, prompt: Prompt) -> EnvState:

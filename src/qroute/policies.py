@@ -5,8 +5,8 @@ ground-truth routing oracle, and forced single-expert baselines.
 An episode draws from two streams of its seed: the world's, which every
 expert call draws from, and the policy's, which only the random and the
 exploring policies draw from and which is therefore made on its first draw.
-Both start from memoized seed-sequence words, since paired comparisons roll
-every policy over the same episode seeds.
+``episode_seed`` is memoized, since a paired comparison rolls every policy
+over the same episode seeds.
 
 The network policies score the memoized compact form of the state's
 embedding, so their one-row forward pass skips the 1536-column scan."""
@@ -18,11 +18,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Protocol
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .agent import select_action
 from .core import Prompt
-from .embedder import embed
+from .embedder import EMBED_DIM, embed
 from .environment import Environment, EnvState
 from .errors import DomainError
 from .experts import ExpertRegistry, Modality
@@ -35,7 +34,9 @@ class Policy(Protocol):
     def __call__(
         self, state: EnvState, mask: np.ndarray, rng: np.random.Generator
     ) -> Optional[int]:
-        """Return an action index, or None to stop the rollout."""
+        """Return an action index, or None to stop the rollout. ``rng`` is
+        the episode's policy stream; ``run_episode`` passes a
+        ``LazyGenerator``, which forwards every draw to a generator."""
 
 
 #: Sees each transition as (state, action, reward, state2, next_mask);
@@ -43,9 +44,18 @@ class Policy(Protocol):
 StepHook = Callable[[EnvState, int, float, EnvState, np.ndarray], bool]
 
 
+def _check_width(net: QNetwork) -> None:
+    # the compact input carries no width, so the forward pass cannot check it
+    if net.n_inputs != EMBED_DIM:
+        raise ValueError(f"expected a network of input width {EMBED_DIM}, got {net.n_inputs}")
+
+
 @dataclass
 class GreedyPolicy:
     net: QNetwork
+
+    def __post_init__(self) -> None:
+        _check_width(self.net)
 
     def __call__(self, state, mask, rng):
         x, cols = embed.compact(state.serialized)
@@ -56,6 +66,9 @@ class GreedyPolicy:
 class EpsilonGreedyPolicy:
     net: QNetwork
     epsilon: float
+
+    def __post_init__(self) -> None:
+        _check_width(self.net)
 
     def __call__(self, state, mask, rng):
         x, cols = embed.compact(state.serialized)
@@ -118,45 +131,26 @@ class SingleExpertPolicy:
         return None
 
 
-#: Entries kept by each per-seed memo below (about 350 and 220 bytes
-#: each): enough for a paired comparison over several hundred prompt
-#: repeats (a held-out evaluation has 100), and small beside the process.
-SEED_MEMO_SIZE = 1024
+class LazyGenerator:
+    """A ``numpy.random.Generator`` on ``SeedSequence(seed, spawn_key)``,
+    made on its first draw: most policies never draw from their stream.
+    Every attribute of the generator is forwarded, so a policy draws from it
+    as from the generator itself (though it is not an instance of one)."""
 
-
-@lru_cache(maxsize=SEED_MEMO_SIZE)
-def _state_words(seed: int, spawn_key: tuple[int, ...], n_words: int, dtype: np.dtype) -> np.ndarray:
-    words = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(n_words, dtype)
-    words.setflags(write=False)
-    return words
-
-
-class MemoizedSeedSequence(ISeedSequence):
-    """``SeedSequence(seed, spawn_key=spawn_key)`` as a bit generator reads
-    it: the same state words, memoized per (seed, spawn key) across
-    instances, so a generator seeded from either starts in the same state.
-    Every policy of a paired comparison replays the same episode seeds, and
-    deriving a seed sequence costs about as much as a rollout step."""
+    __slots__ = ("_seed", "_spawn_key", "_rng")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...]):
-        self.seed = seed
-        self.spawn_key = spawn_key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return _state_words(self.seed, self.spawn_key, n_words, np.dtype(dtype))
-
-
-class LazyGenerator:
-    """A ``numpy.random.Generator`` on a seed sequence, made on its first
-    draw. Most policies never draw from their stream."""
-
-    def __init__(self, seed_seq: ISeedSequence):
-        self._seed_seq = seed_seq
+        self._seed = seed
+        self._spawn_key = spawn_key
         self._rng: Optional[np.random.Generator] = None
 
     def __getattr__(self, name: str):
+        if name.startswith("_"):
+            # an unset slot (a copy being built) or a protocol probe; never
+            # a draw, and looking it up on the generator would recurse
+            raise AttributeError(name)
         if self._rng is None:
-            self._rng = np.random.default_rng(self._seed_seq)
+            self._rng = np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._spawn_key))
         return getattr(self._rng, name)
 
 
@@ -170,8 +164,8 @@ def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
-    world = np.random.default_rng(MemoizedSeedSequence(seed, (1,)))
-    return LazyGenerator(MemoizedSeedSequence(seed, (0,))), world
+    world = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    return LazyGenerator(seed, (0,)), world
 
 
 def run_episode(
@@ -220,10 +214,11 @@ def run_episode(
     )
 
 
-@lru_cache(maxsize=SEED_MEMO_SIZE)
+@lru_cache(maxsize=1024)
 def episode_seed(base_seed: int, prompt_id: int, repeat: int) -> int:
     """Stable per-(prompt, repeat) seed so paired policies share randomness.
-    Memoized: every policy of a comparison asks for the same keys."""
+    Memoized: every policy of a comparison asks for the same keys (a
+    held-out evaluation has 100)."""
     if repeat < 0:
         raise DomainError("repeat must be >= 0")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(prompt_id, repeat))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qroute.agent import select_action
 from qroute.embedder import EMBED_DIM, HashingEmbedder, serialize_reflection_state
 from qroute.network import QNetwork
-from qroute.policies import RandomPolicy, run_episode
+from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 
 embed = HashingEmbedder()
@@ -145,3 +145,12 @@ def test_compact_and_dense_forwards_agree_bit_for_bit(env):
             assert net.forward(x, cols).tobytes() == net.forward(dense).tobytes()
             rng = np.random.default_rng(0)
             assert select_action(net, x, mask, 0.0, rng, cols) == select_action(net, dense, mask, 0.0, rng)
+
+
+@pytest.mark.parametrize("width", [EMBED_DIM - 1, EMBED_DIM + 1])
+def test_network_policies_reject_a_net_of_another_input_width(width):
+    net = QNetwork((width, 8, 12), seed=0)
+    with pytest.raises(ValueError, match="input width"):
+        GreedyPolicy(net)
+    with pytest.raises(ValueError, match="input width"):
+        EpsilonGreedyPolicy(net, 0.1)

@@ -1,9 +1,12 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from qroute.environment import shape_reward
 from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
-from qroute.policies import MemoizedSeedSequence, RandomPolicy, episode_seed, episode_streams, run_episode
+from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 
 from conftest import atom, make_prompt
@@ -79,13 +82,21 @@ def test_episode_streams_draw_what_spawned_children_draw():
         assert np.array_equal(policy.integers(0, 12, size=7), ref_policy.integers(0, 12, size=7))
         assert policy.random() == ref_policy.random()
         assert np.array_equal(world.random(3), ref_world.random(3))
-        # the memoized words are the seed sequence's for any request
-        for key in ((0,), (1,)):
-            for n_words, dtype in ((4, np.uint64), (4, np.uint32), (8, np.uint32)):
-                words = MemoizedSeedSequence(seed, key).generate_state(n_words, dtype)
-                expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(n_words, dtype)
-                assert words.dtype == expected.dtype and np.array_equal(words, expected)
-                assert not words.flags.writeable
+
+
+def test_lazy_policy_stream_survives_copy_and_pickle():
+    for drawn in (False, True):
+        policy, _ = episode_streams(7)
+        if drawn:
+            policy.random(3)
+        shallow = copy.copy(policy)  # shares the generator once it is made
+        clones = [copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))]
+        expected = policy.integers(0, 12, size=5)
+        for clone in clones:
+            assert np.array_equal(clone.integers(0, 12, size=5), expected)
+        assert np.isfinite(shallow.random())
+    with pytest.raises(AttributeError):
+        policy.no_such_draw
 
 
 def test_memoized_episode_seed_equals_the_direct_computation():
