@@ -7,6 +7,10 @@ each distinct pushed state once, as its nonzero columns and their values,
 so a sampled batch is a few gathers: its states come out compact, ``x``
 holding only the union of the batch's nonzero columns ``cols``, which is
 what the network's first layer multiplies.
+
+The learner's settings (discount, learning rate, buffer sizes, exploration
+schedule) have no defaults here: ``RunConfig`` owns them, and ``train``
+passes them in.
 """
 
 from __future__ import annotations
@@ -18,11 +22,6 @@ import numpy as np
 
 from .errors import BufferTooSmall, DomainError, EmptyMask, NumericalError
 from .network import AdamState, QNetwork
-
-GAMMA_DEFAULT = 0.99
-LR_DEFAULT = 5e-4
-BUFFER_CAPACITY_DEFAULT = 500
-LEARNING_STARTS_DEFAULT = 50
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,7 @@ class ReplayBuffer:
     the table holds at most 2 * capacity rows.
     """
 
-    def __init__(
-        self,
-        capacity: int = BUFFER_CAPACITY_DEFAULT,
-        min_size: int = LEARNING_STARTS_DEFAULT,
-    ):
+    def __init__(self, capacity: int, min_size: int):
         if capacity < 1:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
@@ -206,13 +201,7 @@ class ReplayBuffer:
         ]
 
 
-def epsilon_at(
-    step: int,
-    horizon: int,
-    initial: float = 1.0,
-    final: float = 0.1,
-    fraction: float = 0.5,
-) -> float:
+def epsilon_at(step: int, horizon: int, initial: float, final: float, fraction: float) -> float:
     """Linear anneal from ``initial`` to ``final`` over ``fraction`` of the
     horizon, flat afterwards."""
     if step < 0:
@@ -249,7 +238,7 @@ def select_action(
     return int(np.argmax(masked))
 
 
-def td_targets(batch: Batch, target_net: QNetwork, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
+def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """One-step Bellman targets; terminal transitions use the bare reward.
 
     The successor-state maximum ranges over that state's own legal actions
@@ -265,12 +254,7 @@ def td_targets(batch: Batch, target_net: QNetwork, gamma: float = GAMMA_DEFAULT)
 
 
 def train_batch(
-    net: QNetwork,
-    target_net: QNetwork,
-    batch: Batch,
-    adam: AdamState,
-    lr: float = LR_DEFAULT,
-    gamma: float = GAMMA_DEFAULT,
+    net: QNetwork, target_net: QNetwork, batch: Batch, adam: AdamState, lr: float, gamma: float
 ) -> float:
     """One Adam step on the mean squared TD error; returns the pre-step loss."""
     y = td_targets(batch, target_net, gamma)

@@ -25,8 +25,6 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, config_from_dict, load_config
-from .embedder import EMBED_DIM
-from .environment import Environment
 from .errors import (
     AllZeroDifferences,
     ConfigError,
@@ -139,20 +137,14 @@ def _recorded_config(run_file: Path) -> RunConfig:
         raise ConfigError(f"no run config in {summary}: {exc}") from exc
 
 
-def _env_for(cfg: RunConfig) -> Environment:
-    return Environment(cfg.build_registry(), t_max=cfg.t_max, step_penalty=cfg.step_penalty)
-
-
 def _cmd_eval(args) -> int:
     net, _, _ = load_checkpoint(args.checkpoint)
     prompts = read_prompts(args.prompts)
-    env = _env_for(_recorded_config(args.checkpoint))
+    env = _recorded_config(args.checkpoint).environment()
     if net.n_actions != len(env.registry):
         raise ConfigError(
             f"checkpoint scores {net.n_actions} experts, its run config registers {len(env.registry)}"
         )
-    if net.n_inputs != EMBED_DIM:
-        raise ConfigError(f"checkpoint reads {net.n_inputs}-wide states, the embedder writes {EMBED_DIM}")
     trained = evaluate(env, GreedyPolicy(net), prompts, args.episodes, args.seed, name="trained_greedy")
     baselines = []
     if args.baselines:
@@ -165,7 +157,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    env = _env_for(_load_run_config(args.config, None))
+    env = _load_run_config(args.config, None).environment()
     if not 0 <= args.expert < len(env.registry):
         raise ConfigError(f"expert index out of range: {args.expert}")
     prompts = read_prompts(args.prompts)
@@ -201,7 +193,7 @@ def _cmd_replay(args) -> int:
     cfg = load_config(args.config) if args.config is not None else _recorded_config(args.episode)
     # feed the runner the logged experts in order, then stop
     experts = iter([logged.expert for logged in episode.steps])
-    replayed = run_episode(_env_for(cfg), lambda *_: next(experts, None), episode.prompt, episode.seed)
+    replayed = run_episode(cfg.environment(), lambda *_: next(experts, None), episode.prompt, episode.seed)
 
     print(f"{'t':>2} {'expert':>6} {'category':<24} {'raw':>7} {'reward':>8} {'done':>5}")
     for t, (got, logged) in enumerate(zip_longest(replayed.steps, episode.steps), start=1):

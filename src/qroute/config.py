@@ -1,13 +1,21 @@
-"""Run configuration: one dataclass, JSON round-trip, strict validation."""
+"""Run configuration: one dataclass, JSON round-trip, strict validation.
+
+``RunConfig`` is the one place a run's settings and their defaults are
+written, and ``RunConfig.environment`` the one place a config becomes a
+world. ``config_from_dict`` is the JSON boundary: it checks each value's
+JSON type before the config validates its range.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_type_hints
 
 from .core import TAXONOMY, TaskCategory
+from .environment import Environment
 from .errors import ConfigError
 from .experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile, default_registry
 
@@ -27,7 +35,6 @@ class RunConfig:
     epsilon_final: float = 0.1
     t_max: int = 6
     step_penalty: float = 0.05
-    taxonomy: tuple[str, ...] = tuple(c.value for c in TAXONOMY)
     expert_profiles: Optional[list[dict[str, Any]]] = None
     train_prompt_count: int = 450
     difficulty_min: int = 6
@@ -60,21 +67,12 @@ class RunConfig:
             raise ConfigError("t_max must be >= 1")
         if self.step_penalty < 0:
             raise ConfigError("step_penalty must be >= 0")
-        try:
-            cats = tuple(TaskCategory(c) for c in self.taxonomy)
-        except ValueError as exc:
-            raise ConfigError(f"unknown task category: {exc}") from exc
-        if len(set(cats)) != len(cats) or not cats:
-            raise ConfigError("taxonomy must be a non-empty set of distinct categories")
         if not 1 <= self.difficulty_min <= self.difficulty_max <= 6:
             raise ConfigError("difficulty bounds must satisfy 1 <= min <= max <= 6")
         if self.train_prompt_count < 1:
             raise ConfigError("train_prompt_count must be >= 1")
-        self.build_registry()  # profiles must parse and cover the taxonomy
+        self.build_registry()  # profiles must parse and cover every category
         return self
-
-    def categories(self) -> tuple[TaskCategory, ...]:
-        return tuple(TaskCategory(c) for c in self.taxonomy)
 
     def build_registry(self) -> ExpertRegistry:
         if self.expert_profiles is None:
@@ -98,7 +96,7 @@ class RunConfig:
                             profile=profile,
                         )
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"bad expert profile entry: {exc}") from exc
             indices = sorted(spec.index for spec in specs)
             if indices != list(range(len(specs))):
@@ -106,31 +104,54 @@ class RunConfig:
             if {spec.modality for spec in specs} != set(Modality):
                 raise ConfigError("expert profiles need at least one t2i and one i2i expert")
             registry = ExpertRegistry(specs)
-        cats = self.categories()
         for spec in registry.list():
-            if not spec.profile.covers(cats):
+            if not spec.profile.covers(TAXONOMY):
                 raise ConfigError(f"expert {spec.index} profile does not cover the taxonomy")
         return registry
 
+    def environment(self) -> Environment:
+        """The world this config describes: its registry, step budget and
+        step penalty."""
+        return Environment(self.build_registry(), self.t_max, self.step_penalty)
+
     def to_json(self) -> str:
-        d = asdict(self)
-        d["taxonomy"] = list(self.taxonomy)
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+#: The ``taxonomy`` value every config written while it was a setting holds
+#: by default; a run directory that records it still loads.
+_LEGACY_TAXONOMY = [c.value for c in TAXONOMY]
+
+
+def _check_json_type(name: str, hint: Any, value: Any) -> None:
+    """An int field takes an integer, a float field a finite number (not
+    ``NaN`` or ``Infinity``, which Python's JSON reader accepts), and
+    ``expert_profiles`` a list or null; a boolean is none of these."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        ok, want = number and isinstance(value, int), "an integer"
+    elif hint is float:
+        ok, want = number and (isinstance(value, int) or math.isfinite(value)), "a finite number"
+    else:
+        ok, want = value is None or isinstance(value, list), "a list or null"
+    if not ok:
+        raise ConfigError(f"config key {name!r} must be {want}, got {value!r}")
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    kwargs = dict(data)
+    if "taxonomy" in kwargs and kwargs.pop("taxonomy") != _LEGACY_TAXONOMY:
+        raise ConfigError(
+            f"taxonomy is not a setting: expert profiles cover all {len(TAXONOMY)} categories, "
+            "and a recorded taxonomy must list them all in order"
+        )
+    hints = get_type_hints(RunConfig)
+    unknown = set(kwargs) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if "taxonomy" in kwargs:
-        kwargs["taxonomy"] = tuple(kwargs["taxonomy"])
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    for name, value in kwargs.items():
+        _check_json_type(name, hints[name], value)
+    return RunConfig(**kwargs).validate()
 
 
 def load_config(path: str | Path) -> RunConfig:

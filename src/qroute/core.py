@@ -33,6 +33,14 @@ class TaskCategory(str, Enum):
 #: Canonical ordering of the nine editing-task categories.
 TAXONOMY: tuple[TaskCategory, ...] = tuple(TaskCategory)
 
+#: Spatial-configuration categories: rubric dimension two scores them, and a
+#: generated prompt's forced constraints come from them. ``generate_prompt``
+#: indexes the tuple, so its order is part of the prompt stream.
+SPATIAL_CATEGORIES: tuple[TaskCategory, ...] = (
+    TaskCategory.SPATIAL_REARRANGE,
+    TaskCategory.OBJECT_RESIZING,
+)
+
 #: Categories whose successful application deletes content instead of adding it.
 REMOVAL_CATEGORIES: frozenset[TaskCategory] = frozenset({TaskCategory.REMOVE_OBJECT})
 

@@ -9,6 +9,9 @@ Which experts are legal depends only on whether the canvas is blank, so
 the environment builds its two legal masks once, when it is made: a step
 checks its action against one and logs its tuple, and ``legal_actions``
 hands out a copy.
+
+The step budget and the step penalty have no defaults here: a run's world
+is built by ``RunConfig.environment``, which owns them.
 """
 
 from __future__ import annotations
@@ -26,16 +29,8 @@ from .experts import ExpertRegistry
 from .logs import StepRecord
 from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
 
-T_MAX_DEFAULT = 6
-STEP_PENALTY_DEFAULT = 0.05
 
-
-def shape_reward(
-    raw: float,
-    t: int,
-    step_penalty: float = STEP_PENALTY_DEFAULT,
-    t_max: int = T_MAX_DEFAULT,
-) -> float:
+def shape_reward(raw: float, t: int, step_penalty: float, t_max: int) -> float:
     """Normalize a raw critic score and charge the pipeline-length penalty."""
     if not 0.0 <= raw <= 10.0:
         raise DomainError(f"raw score out of [0, 10]: {raw}")
@@ -73,12 +68,7 @@ def _mask(n_actions: int, legal: frozenset[int]) -> tuple[np.ndarray, tuple[bool
 class Environment:
     """Binds a registry and the reflection loop into one symbolic MDP."""
 
-    def __init__(
-        self,
-        registry: ExpertRegistry,
-        t_max: int = T_MAX_DEFAULT,
-        step_penalty: float = STEP_PENALTY_DEFAULT,
-    ):
+    def __init__(self, registry: ExpertRegistry, t_max: int, step_penalty: float):
         if t_max < 1:
             raise DomainError("t_max must be >= 1")
         self.registry = registry

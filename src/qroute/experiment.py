@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .environment import Environment
 from .evaluate import PolicyEval, baseline_single_expert, evaluate, paired_returns
 from .policies import GreedyPolicy, OraclePolicy, RandomPolicy
 from .simworld import generate_corpus
@@ -68,8 +67,7 @@ def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
     policy, every single-expert baseline, random and the oracle, all paired
     on the same per-prompt seeds."""
     result = train(config)
-    registry = config.build_registry()
-    env = Environment(registry, t_max=config.t_max, step_penalty=config.step_penalty)
+    env = config.environment()
 
     heldout = generate_corpus(
         config.seed + HELDOUT_SEED_OFFSET,
@@ -81,9 +79,9 @@ def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
     es = config.seed + 1
 
     trained = evaluate(env, GreedyPolicy(result.net), heldout, 1, es, name="trained_greedy")
-    baselines = [baseline_single_expert(env, spec.index, heldout, 1, es) for spec in registry.list()]
+    baselines = [baseline_single_expert(env, spec.index, heldout, 1, es) for spec in env.registry.list()]
     rand = evaluate(env, RandomPolicy(), heldout, 1, es, name="random")
-    oracle = evaluate(env, OraclePolicy(registry), heldout, 1, es, name="oracle")
+    oracle = evaluate(env, OraclePolicy(env.registry), heldout, 1, es, name="oracle")
     return SeedOutcome(
         seed=config.seed,
         train_result=result,

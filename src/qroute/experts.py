@@ -22,8 +22,6 @@ import numpy as np
 from .core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory, clamp_score
 from .errors import DuplicateIndex, IneligibleExpert
 
-N_EXPERTS = 12
-
 
 class Modality(str, Enum):
     T2I = "t2i"

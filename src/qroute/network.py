@@ -182,7 +182,7 @@ class QNetwork:
                 delta = (delta @ self.weights[i].T) * (activations[i] > 0)
         return out
 
-    def check_finite(self, rows: np.ndarray | slice | None = None) -> None:
+    def check_finite(self, rows: np.ndarray | None = None) -> None:
         """Raise ``NumericalError`` on a non-finite parameter.
 
         ``rows``, as ``AdamState.step`` returns it, limits the check to the
@@ -243,12 +243,12 @@ class AdamState:
         _assign(self._v, value)
         self._live = None
 
-    def step(self, net: QNetwork, grads: list[RowGrad | np.ndarray], lr: float) -> np.ndarray | slice:
+    def step(self, net: QNetwork, grads: list[RowGrad | np.ndarray], lr: float) -> np.ndarray:
         """One Adam step of ``net``'s parameters, given ``W1``'s gradient as
         a ``RowGrad`` and every other as an array, in parameters() order.
 
-        Returns the rows of ``W1`` the step wrote (its live rows; a slice
-        when every row is live), for ``QNetwork.check_finite``.
+        Returns the rows of ``W1`` the step wrote (its live rows), for
+        ``QNetwork.check_finite``.
         """
         if net.flat.shape != self._m_flat.shape or len(grads) != len(self._m):
             raise ValueError("parameter/gradient count mismatch")
@@ -267,8 +267,6 @@ class AdamState:
         given = live[rows]
         g_upd = np.zeros((len(upd), p.shape[1]), dtype=p.dtype)
         g_upd[np.searchsorted(upd, rows[given])] = values[given]
-        if len(upd) == len(live):
-            upd = slice(None)  # every row live: update views in place
         p_u, m_u, v_u = p[upd], m[upd], v[upd]
         _adam_update(p_u, g_upd, m_u, v_u, lr, b1t, b2t)
         p[upd], m[upd], v[upd] = p_u, m_u, v_u

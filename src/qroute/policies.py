@@ -47,7 +47,9 @@ StepHook = Callable[[EnvState, int, float, EnvState, np.ndarray], bool]
 def _check_width(net: QNetwork) -> None:
     # the compact input carries no width, so the forward pass cannot check it
     if net.n_inputs != EMBED_DIM:
-        raise ValueError(f"expected a network of input width {EMBED_DIM}, got {net.n_inputs}")
+        raise DomainError(
+            f"expected a network of input width {EMBED_DIM}, got one that reads {net.n_inputs}-wide states"
+        )
 
 
 @dataclass

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    SPATIAL_CATEGORIES,
     TAXONOMY,
     Atom,
     AtomicCommand,
@@ -33,11 +34,6 @@ from .core import (
     satisfied_atoms,
 )
 from .errors import DomainError
-
-#: Rubric dimension two (spatial configuration) covers arrangement and sizing.
-SPATIAL_CATEGORIES: frozenset[TaskCategory] = frozenset(
-    {TaskCategory.SPATIAL_REARRANGE, TaskCategory.OBJECT_RESIZING}
-)
 
 MAX_ATTEMPTS = 3
 

@@ -13,23 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Atom, CanvasState, Prompt, TaskCategory, command_text, satisfied_atoms
+from .core import SPATIAL_CATEGORIES, Atom, CanvasState, Prompt, TaskCategory, command_text, satisfied_atoms
 from .errors import DomainError
 from .experts import ExpertRegistry
 
 _C = TaskCategory
 
 #: Content categories a sampled atom may use. Spatial-configuration
-#: categories enter through the forced constraint below; removal never
-#: appears in a generated prompt.
+#: categories (``core.SPATIAL_CATEGORIES``) enter through the forced
+#: constraints of ``generate_prompt``; removal never appears in a generated
+#: prompt.
 GENERATABLE: tuple[TaskCategory, ...] = (
     _C.ADD_TEXT,
     _C.LIGHTING_CHANGE,
     _C.COLOR_CHANGE,
 )
-
-#: Spatial-configuration constraints; hard prompts pin exactly one.
-SPATIAL_GATES: tuple[TaskCategory, ...] = (_C.SPATIAL_REARRANGE, _C.OBJECT_RESIZING)
 
 KEY_POOLS: dict[TaskCategory, tuple[str, ...]] = {
     _C.ADD_OBJECT: ("boats", "dogs", "lanterns", "bottles", "players", "clouds", "mugs", "spears", "chairs", "kites"),
@@ -77,9 +75,9 @@ def generate_prompt(
     # longest ones, so the step budget stays contested to the very end
     forced: list[TaskCategory] = []
     if difficulty >= 5:
-        forced = list(SPATIAL_GATES)
+        forced = list(SPATIAL_CATEGORIES)
     elif difficulty >= 2:
-        forced = [SPATIAL_GATES[int(rng.integers(0, len(SPATIAL_GATES)))]]
+        forced = [SPATIAL_CATEGORIES[int(rng.integers(0, len(SPATIAL_CATEGORIES)))]]
 
     # spread atoms over as many distinct categories as the atom budget
     # allows, so the residual ledger is about as deep as the step budget

@@ -20,7 +20,6 @@ from .agent import ReplayBuffer, Transition, epsilon_at, select_action, train_ba
 from .checkpoint import save_checkpoint
 from .config import RunConfig
 from .embedder import EMBED_DIM, embed
-from .environment import Environment
 from .logs import EpisodeRecord, write_episode_log, write_lines
 from .policies import run_episode
 from .network import AdamState, QNetwork
@@ -72,8 +71,7 @@ def _child_seed(base: int, tag: int) -> np.random.Generator:
 
 def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResult:
     config.validate()
-    registry = config.build_registry()
-    env = Environment(registry, t_max=config.t_max, step_penalty=config.step_penalty)
+    env = config.environment()
 
     corpus = generate_corpus(
         config.seed,
@@ -82,7 +80,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         config.difficulty_max,
     )
 
-    net = QNetwork(layer_sizes=(EMBED_DIM, 64, 64, len(registry)), seed=config.seed)
+    net = QNetwork(layer_sizes=(EMBED_DIM, 64, 64, env.n_actions), seed=config.seed)
     target = net.copy()  # frozen copy to bootstrap against, refreshed every sync interval
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from qroute.agent import Batch, States
+from qroute.agent import Batch, States, epsilon_at
+from qroute.config import RunConfig
 from qroute.core import Atom, CanvasState, Prompt, TaskCategory
-from qroute.environment import Environment
 from qroute.experts import default_registry
 from qroute.network import RowGrad
+
+#: The default run's settings, for the functions that take them.
+DEFAULTS = RunConfig()
 
 
 @pytest.fixture(scope="session")
@@ -14,8 +17,13 @@ def registry():
 
 
 @pytest.fixture()
-def env(registry):
-    return Environment(registry)
+def env():
+    return DEFAULTS.environment()
+
+
+def default_epsilon(step, horizon):
+    """``epsilon_at`` on the default run's exploration schedule."""
+    return epsilon_at(step, horizon, DEFAULTS.epsilon_initial, DEFAULTS.epsilon_final, DEFAULTS.exploration_fraction)
 
 
 def make_prompt(atoms, style=None, editing=False, pid=1):

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from qroute.agent import ReplayBuffer, Transition, epsilon_at
+from qroute.agent import ReplayBuffer, Transition
 from qroute.config import RunConfig
-from qroute.environment import Environment, shape_reward
+from qroute.environment import shape_reward
 from qroute.errors import BufferTooSmall
 from qroute.network import QNetwork
 from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
@@ -22,7 +22,7 @@ from qroute.simworld import generate_corpus
 from qroute.stats import win_rate, wilcoxon_signed_rank
 from qroute.train import train
 
-from conftest import batch_of, scatter
+from conftest import DEFAULTS, batch_of, default_epsilon, scatter
 
 
 class Criterion:
@@ -58,7 +58,7 @@ def random_trace():
     """One shared random-policy trace: at least 10,000 steps spanning at
     least 1,000 episodes on the default world across every difficulty."""
     cfg = RunConfig()
-    world = Environment(cfg.build_registry())
+    world = cfg.environment()
     prompts = generate_corpus(101, 400, 1, 6)
     episodes = []
     steps = 0
@@ -76,7 +76,7 @@ def test_criterion_1_reward_shaping_exactness(random_trace):
     t0 = time.perf_counter()
     for raw in range(11):
         for t in range(1, 7):
-            assert abs(shape_reward(float(raw), t) - (raw / 10 - 0.05 * t)) <= 1e-12
+            assert abs(shape_reward(float(raw), t, DEFAULTS.step_penalty, DEFAULTS.t_max) - (raw / 10 - 0.05 * t)) <= 1e-12
     steps = 0
     for rec in random_trace:
         for s in rec.steps:
@@ -203,7 +203,7 @@ def test_criterion_5_schedule_and_buffer():
     horizon = 1000
     for step in range(0, horizon):
         expected = 0.1 if step >= 500 else 1.0 + (0.1 - 1.0) * step / 500
-        assert epsilon_at(step, horizon) == pytest.approx(expected, abs=1e-12)
+        assert default_epsilon(step, horizon) == pytest.approx(expected, abs=1e-12)
     buf = ReplayBuffer(capacity=500, min_size=50)
     for i in range(49):
         buf.push(_tr(i))

@@ -4,7 +4,6 @@ import pytest
 from qroute.agent import (
     ReplayBuffer,
     Transition,
-    epsilon_at,
     select_action,
     td_targets,
     train_batch,
@@ -12,7 +11,7 @@ from qroute.agent import (
 from qroute.errors import BufferTooSmall, DomainError, EmptyMask
 from qroute.network import AdamState, QNetwork
 
-from conftest import batch_of
+from conftest import DEFAULTS, batch_of, default_epsilon
 
 
 def tr(i, done=False, r=0.1, mask=(True,) * 3, n=8):
@@ -23,23 +22,23 @@ def tr(i, done=False, r=0.1, mask=(True,) * 3, n=8):
 
 
 def test_epsilon_schedule_anchors():
-    assert epsilon_at(0, 1000) == pytest.approx(1.0)
-    assert epsilon_at(500, 1000) == pytest.approx(0.1)
-    assert epsilon_at(250, 1000) == pytest.approx(0.55)
-    assert epsilon_at(999, 1000) == pytest.approx(0.1)
+    assert default_epsilon(0, 1000) == pytest.approx(1.0)
+    assert default_epsilon(500, 1000) == pytest.approx(0.1)
+    assert default_epsilon(250, 1000) == pytest.approx(0.55)
+    assert default_epsilon(999, 1000) == pytest.approx(0.1)
 
 
 def test_epsilon_closed_form_grid():
     horizon = 2000
     for step in range(0, horizon, 2):
         expected = 0.1 if step >= 1000 else 1.0 - 0.9 * step / 1000
-        assert epsilon_at(step, horizon) == pytest.approx(expected, abs=1e-12)
+        assert default_epsilon(step, horizon) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("step,horizon", [(-1, 100), (0, 0), (5, -2)])
 def test_epsilon_domain(step, horizon):
     with pytest.raises(DomainError):
-        epsilon_at(step, horizon)
+        default_epsilon(step, horizon)
 
 
 def test_select_greedy_argmax():
@@ -188,7 +187,7 @@ def test_sync_copies_and_freezes():
     before = [p.copy() for p in target.parameters()]
     y1 = td_targets(batch, target, 0.99)
     for _ in range(10):
-        train_batch(net, target, batch, adam, lr=1e-3)
+        train_batch(net, target, batch, adam, lr=1e-3, gamma=DEFAULTS.gamma)
     y2 = td_targets(batch, target, 0.99)
     for p, b in zip(target.parameters(), before):
         assert np.array_equal(p, b)
@@ -206,7 +205,7 @@ def test_training_loop_determinism():
         for i in range(120):
             buf.push(tr(i, done=(i % 3 == 0), r=float(i % 5) / 5))
             if len(buf) >= 4:
-                losses.append(train_batch(net, target, buf.sample(8, rng), adam, lr=5e-4))
+                losses.append(train_batch(net, target, buf.sample(8, rng), adam, lr=5e-4, gamma=DEFAULTS.gamma))
             if i % 25 == 0:
                 target = net.copy()
         return losses
@@ -222,7 +221,7 @@ def test_train_batch_returns_pre_step_loss():
     q = net.forward(np.stack([t.s for t in transitions]))
     expected = float(np.mean((q[np.arange(8), [t.a for t in transitions]] - 0.9) ** 2))
     batch = batch_of(transitions)
-    loss = train_batch(net, target, batch, adam, lr=5e-4)
+    loss = train_batch(net, target, batch, adam, lr=5e-4, gamma=DEFAULTS.gamma)
     assert loss == pytest.approx(expected)
 
 

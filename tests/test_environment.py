@@ -9,19 +9,20 @@ from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 
-from conftest import atom, make_prompt
+from conftest import DEFAULTS, atom, make_prompt
 
 
 def test_shape_reward_examples():
-    assert shape_reward(10, 1) == pytest.approx(0.95)
-    assert shape_reward(5, 2) == pytest.approx(0.40)
-    assert shape_reward(0, 6) == pytest.approx(-0.30)
+    penalty, t_max = DEFAULTS.step_penalty, DEFAULTS.t_max
+    assert shape_reward(10, 1, penalty, t_max) == pytest.approx(0.95)
+    assert shape_reward(5, 2, penalty, t_max) == pytest.approx(0.40)
+    assert shape_reward(0, 6, penalty, t_max) == pytest.approx(-0.30)
 
 
 @pytest.mark.parametrize("raw,t", [(-0.1, 1), (10.1, 1), (5, 0), (5, 7)])
 def test_shape_reward_domain(raw, t):
     with pytest.raises(DomainError):
-        shape_reward(raw, t)
+        shape_reward(raw, t, DEFAULTS.step_penalty, DEFAULTS.t_max)
 
 
 def test_reset_text_prompt_starts_blank(env):

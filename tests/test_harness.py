@@ -10,7 +10,6 @@ from qroute.checkpoint import MAGIC, save_checkpoint
 from qroute.cli import main as cli_main
 from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
-from qroute.environment import Environment
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
@@ -81,6 +80,13 @@ def test_config_profiles_must_cover_taxonomy():
     profiles = uniform_profiles()
     del profiles[0]["means"]["add_text"]
     with pytest.raises(ConfigError):
+        config_from_dict({"expert_profiles": profiles})
+
+
+def test_config_profile_means_must_be_an_object():
+    profiles = uniform_profiles()
+    profiles[0]["means"] = [8.0]
+    with pytest.raises(ConfigError, match="bad expert profile entry"):
         config_from_dict({"expert_profiles": profiles})
 
 
@@ -182,7 +188,7 @@ def test_evaluate_empty_prompt_set(env):
 
 def test_hand_computable_report_with_deterministic_profiles():
     cfg = config_from_dict({"expert_profiles": uniform_profiles(mean=8.0, sigma=0.0, failure=0.0)})
-    env = Environment(cfg.build_registry())
+    env = cfg.environment()
     prompt = make_prompt([atom("add_object", "dog")])
     result = evaluate(env, SingleExpertPolicy(index=0, registry=env.registry), [prompt], 1, seed=0, name="det")
     # one step: everything satisfied, quality exactly 8 -> raw (10+10+8+10)/4 = 9.5
@@ -195,7 +201,7 @@ def test_hand_computable_report_with_deterministic_profiles():
 
 def test_always_failing_expert_scores_zero_oracle():
     cfg = config_from_dict({"expert_profiles": uniform_profiles(mean=8.0, sigma=0.0, failure=1.0)})
-    env = Environment(cfg.build_registry())
+    env = cfg.environment()
     prompts = generate_corpus(9, 10, 1, 6)
     result = baseline_single_expert(env, 7, prompts, 1, seed=0)
     assert result.mean_oracle == 0.0
@@ -301,7 +307,7 @@ def test_train_budget_stop_and_episode_replay():
     # the target network refreshes after exactly the multiples of the 50-step interval
     assert cfg.target_sync_interval == 50
     assert [m.step for m in result.metrics if m.synced] == [50, 100]
-    env = Environment(cfg.build_registry(), t_max=cfg.t_max, step_penalty=cfg.step_penalty)
+    env = cfg.environment()
     for episode in result.episodes:
         _, world = episode_streams(episode.seed)
         state = env.reset(episode.prompt)
@@ -353,6 +359,55 @@ def test_cli_invalid_config_is_validation_error(tmp_path, capsys):
         (tmp_path / "bad.json").write_text(json.dumps(config))
         assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"total_steps": "10"},
+        {"seed": 1.5},
+        {"batch_size": 2.5},
+        {"difficulty_min": "1"},
+        {"gamma": None},
+        {"t_max": True},
+        {"lr": float("nan")},
+        {"step_penalty": float("inf")},
+    ],
+    ids=lambda config: next(iter(config)),
+)
+def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, config):
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(next(iter(config))) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_narrowed_taxonomy_exits_2(tmp_path, capsys):
+    # profiles without lighting_change, behind a taxonomy that leaves it out
+    profiles = uniform_profiles()
+    for entry in profiles:
+        del entry["means"]["lighting_change"], entry["failure"]["lighting_change"]
+    taxonomy = [c.value for c in TaskCategory if c is not _C.LIGHTING_CHANGE]
+    config = {"total_steps": 60, "taxonomy": taxonomy, "expert_profiles": profiles}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_run_dir_with_the_legacy_taxonomy_key_evaluates(tmp_path, capsys):
+    # a summary written while taxonomy was a setting records the full list
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=4, total_steps=60).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    summary["config"]["taxonomy"] = [c.value for c in TaskCategory]
+    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 3, 1, 6))
+    assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts", str(tmp_path / "p.jsonl")]) == 0
+    assert cli_main(["replay", "--episode", str(run_dir / "episodes.jsonl"), "--index", "0"]) == 0
+    assert "replay OK" in capsys.readouterr().out
 
 
 def test_cli_missing_checkpoint_is_validation_error(tmp_path, capsys):

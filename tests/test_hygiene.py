@@ -141,21 +141,59 @@ def test_function_scanner():
     assert sorted(defined_functions(src)) == [("h", 10), ("unused", 8), ("used", 6)]
 
 
-def test_no_unread_functions():
-    """A function or method of the package whose name nothing in the
-    package, scripts, tests or benchmark reads is dead code. Names are
-    matched alone, so a method that shares its name with a read name passes."""
-    read = set().union(
+def names_read_anywhere() -> set[str]:
+    """Every name the package, scripts, tests or benchmark read."""
+    return set().union(
         *(
             names_read(path.read_text(encoding="utf-8"))
             for pattern in ("src/qroute/*.py", "scripts/*.py", "tests/*.py", "perfbench/*.py")
             for path in ROOT.glob(pattern)
         )
     )
-    unread = [
+
+
+def unread_in_package(defined) -> list[str]:
+    """The names ``defined(source)`` lists for a package module that
+    nothing reads, as ``module: name (line n)``."""
+    read = names_read_anywhere()
+    return [
         f"{path.name}: {name} (line {line})"
         for path in sorted((ROOT / "src" / "qroute").glob("*.py"))
-        for name, line in defined_functions(path.read_text(encoding="utf-8"))
+        for name, line in defined(path.read_text(encoding="utf-8"))
         if name not in read
     ]
-    assert unread == []
+
+
+def test_no_unread_functions():
+    """A function or method of the package whose name nothing in the
+    package, scripts, tests or benchmark reads is dead code. Names are
+    matched alone, so a method that shares its name with a read name passes."""
+    assert unread_in_package(defined_functions) == []
+
+
+def module_constants(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every upper-case name a module assigns at its top
+    level."""
+    return [
+        (target.id, node.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    ]
+
+
+def test_constant_scanner():
+    src = (
+        "A = 1\nB: int = 2\n_C = 3\nlower = 4\nD = A\nclass K:\n    E = 5\n"
+        "def f():\n    F = 6\n    return F\n"
+    )
+    assert module_constants(src) == [("A", 1), ("B", 2), ("_C", 3), ("D", 5)]
+    assert {"A"} <= names_read(src) and not {"B", "_C", "D"} & names_read(src)
+
+
+def test_no_unread_constants():
+    """An upper-case module constant of the package that nothing in the
+    package, scripts, tests or benchmark reads, besides its own
+    assignment, is dead code."""
+    assert unread_in_package(module_constants) == []

@@ -7,7 +7,7 @@ from qroute.agent import Transition, select_action, td_targets, train_batch
 from qroute.errors import NumericalError
 from qroute.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, QNetwork, RowGrad
 
-from conftest import all_rows, batch_of, scatter
+from conftest import DEFAULTS, all_rows, batch_of, scatter
 
 
 def naive_forward(net, x):
@@ -229,7 +229,7 @@ def test_non_finite_loss_aborts():
     rng = np.random.default_rng(0)
     tr = make_transition(rng, net, done=True)
     with pytest.raises(NumericalError):
-        train_batch(net, net.copy(), batch_of([tr]), AdamState(net), lr=5e-4)
+        train_batch(net, net.copy(), batch_of([tr]), AdamState(net), lr=5e-4, gamma=DEFAULTS.gamma)
 
 
 @given(

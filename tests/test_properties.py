@@ -1,7 +1,6 @@
 """Cross-module system properties that do not fit a single unit scope."""
 
 from qroute.config import RunConfig
-from qroute.environment import Environment
 from qroute.evaluate import evaluate
 from qroute.policies import GreedyPolicy, RandomPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
@@ -13,7 +12,7 @@ def test_step_penalty_shortens_trained_episodes():
     # binds), so this tendency is visible on the generator's full range
     cfg = RunConfig(seed=1, difficulty_min=1, difficulty_max=6)
     res = train(cfg)
-    env = Environment(cfg.build_registry())
+    env = cfg.environment()
     heldout = generate_corpus(cfg.seed + 971, 150, 1, 6, id_start=10_000)
     greedy = evaluate(env, GreedyPolicy(res.net), heldout, 1, cfg.seed + 1, name="greedy")
     random_ = evaluate(env, RandomPolicy(), heldout, 1, cfg.seed + 1, name="random")

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.core import TAXONOMY, AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
+from qroute.core import SPATIAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
 from qroute.errors import DomainError
 from qroute.reflection import (
-    SPATIAL_CATEGORIES,
     CriticVerdict,
     apply_attempt_policy,
     classify_task,
