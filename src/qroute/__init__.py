@@ -11,7 +11,7 @@ from .agent import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt, TaskCategory
+from .core import Atom, AtomicCommand, CanvasState, Prompt, TaskCategory
 from .embedder import EMBED_DIM, HashingEmbedder, embed, serialize_reflection_state
 from .environment import Environment, EnvState, shape_reward
 from .evaluate import EvalReport, baseline_single_expert, build_report

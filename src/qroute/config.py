@@ -47,8 +47,8 @@ class RunConfig:
             raise ConfigError("total_steps must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if not 0.0 < self.lr <= 1.0:
+            raise ConfigError("lr must be in (0, 1]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.buffer_capacity < 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class TaskCategory(str, Enum):
@@ -100,6 +100,10 @@ def clamp_score(x: float) -> float:
     return min(10.0, max(0.0, x))
 
 
+#: Attempts a command gets; it is abandoned when the last one fails.
+MAX_ATTEMPTS = 3
+
+
 @dataclass(frozen=True)
 class AtomicCommand:
     """A self-contained instruction with a per-command attempt counter."""
@@ -111,8 +115,13 @@ class AtomicCommand:
     attempts: int = 0
 
     def __post_init__(self) -> None:
-        if self.attempts < 0 or self.attempts > 3:
+        if not 0 <= self.attempts <= MAX_ATTEMPTS:
             raise ValueError(f"attempt counter out of range: {self.attempts}")
+
+
+#: The residual-command ledger. Its order is meaningful: the agent's state
+#: serializes the ledger in this order.
+Ledger = tuple[AtomicCommand, ...]
 
 
 _COMMAND_PHRASES: dict[TaskCategory, str] = {
@@ -138,41 +147,6 @@ def command_text(category: TaskCategory) -> str:
     across prompts.
     """
     return _COMMAND_PHRASES[category]
-
-
-@dataclass(frozen=True)
-class CommandSet:
-    """The residual-command ledger. Immutable; mutations return a new set.
-
-    Iteration follows ledger insertion order, which is semantically
-    meaningful (it is embedded into the agent's state).
-    """
-
-    commands: tuple[AtomicCommand, ...] = ()
-
-    def __iter__(self) -> Iterator[AtomicCommand]:
-        return iter(self.commands)
-
-    def __len__(self) -> int:
-        return len(self.commands)
-
-    def __bool__(self) -> bool:
-        return bool(self.commands)
-
-    def is_empty(self) -> bool:
-        return not self.commands
-
-    def get(self, command_id: int) -> Optional[AtomicCommand]:
-        for c in self.commands:
-            if c.id == command_id:
-                return c
-        return None
-
-    def removed(self, command_id: int) -> "CommandSet":
-        return CommandSet(tuple(c for c in self.commands if c.id != command_id))
-
-    def max_id(self) -> int:
-        return max((c.id for c in self.commands), default=-1)
 
 
 @dataclass(frozen=True)

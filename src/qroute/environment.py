@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Atom, AtomicCommand, CanvasState, CommandSet, Prompt
+from .core import Atom, AtomicCommand, CanvasState, Ledger, Prompt
 from .embedder import serialize_reflection_state
 from .errors import DomainError, IneligibleAction, SteppedAfterDone
 from .experts import ExpertRegistry
@@ -44,7 +44,7 @@ class EnvState:
     prompt: Prompt
     canvas: CanvasState
     c_curr: Optional[AtomicCommand]
-    c_rem: CommandSet
+    c_rem: Ledger
     t: int
     done: bool
     next_id: int
@@ -92,7 +92,7 @@ class Environment:
             prompt=prompt,
             canvas=canvas,
             c_curr=seed_cmd,
-            c_rem=CommandSet(),
+            c_rem=(),
             t=0,
             done=False,
             next_id=1,
@@ -127,21 +127,21 @@ class Environment:
             id_start=state.next_id,
             abandoned=state.abandoned_atoms,
         )
-        outcome = apply_attempt_policy(verdict, state.c_curr)
+        ledger, abandoned = apply_attempt_policy(verdict, state.c_curr)
 
         abandoned_atoms = state.abandoned_atoms
-        if outcome.abandoned is not None:
-            abandoned_atoms = abandoned_atoms | outcome.abandoned.payload
+        if abandoned is not None:
+            abandoned_atoms = abandoned_atoms | abandoned.payload
 
-        c_next, c_rem2 = extract_command(outcome.residual)
+        c_next, c_rem2 = extract_command(ledger)
         t2 = state.t + 1
         reward = shape_reward(verdict.raw, t2, self.step_penalty, self.t_max)
 
-        drained = c_next is None and c_rem2.is_empty()
+        drained = c_next is None and not c_rem2
         done = drained or t2 >= self.t_max
         reason = "drained" if drained else ("budget" if done else None)
 
-        next_id = max(state.next_id, outcome.residual.max_id() + 1)
+        next_id = max(state.next_id, max((c.id for c in ledger), default=-1) + 1)
         state2 = EnvState(
             prompt=state.prompt,
             canvas=canvas2,
@@ -163,7 +163,7 @@ class Environment:
             mask=mask,
             command_id=state.c_curr.id,
             attempts=state.c_curr.attempts,
-            abandoned_command=outcome.abandoned.id if outcome.abandoned is not None else None,
+            abandoned_command=abandoned.id if abandoned is not None else None,
             terminal_reason=reason,
         )
         return state2, reward, done, record

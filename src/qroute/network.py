@@ -1,6 +1,7 @@
 """Multi-layer perceptron with hand-rolled backpropagation and Adam.
 
-The production value network is shaped 1536 -> 64 -> 64 -> 12 (rectifier
+The production value network is shaped 1536 -> 64 -> 64 -> 12: the
+embedding width, ``HIDDEN_WIDTHS``, and one output per expert (rectifier
 hidden layers, linear output). Everything here is plain numpy so a single
 forward/backward pair can be checked against finite differences and the
 whole training loop stays bit-reproducible. Parameters default to float32
@@ -27,7 +28,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-LAYER_SIZES_DEFAULT: tuple[int, ...] = (1536, 64, 64, 12)
+#: Widths of the production network's hidden layers.
+HIDDEN_WIDTHS: tuple[int, ...] = (64, 64)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -72,7 +74,7 @@ class QNetwork:
 
     def __init__(
         self,
-        layer_sizes: Sequence[int] = LAYER_SIZES_DEFAULT,
+        layer_sizes: Sequence[int],
         seed: int = 0,
         dtype: type = np.float32,
     ):

@@ -9,6 +9,10 @@ then decides the fate of the command that was just executed: completed
 commands disappear, failed ones requeue with an incremented attempt
 counter, and a command failing its third attempt is abandoned for good.
 
+The residual ledger is a plain tuple of commands (``Ledger``). The next
+command taken from it is the one with the fewest attempts, then the lowest
+id.
+
 The critic finds the prompt's met atoms once per call (``satisfied_atoms``);
 the subscores, the completion flag and the decomposition all read that set,
 and the decomposition groups the unmet atoms by intersecting them with the
@@ -17,16 +21,16 @@ prompt's per-category atom sets (``Prompt.by_category``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
+    MAX_ATTEMPTS,
     SPATIAL_CATEGORIES,
     TAXONOMY,
     Atom,
     AtomicCommand,
     CanvasState,
-    CommandSet,
+    Ledger,
     Prompt,
     TaskCategory,
     clamp_score,
@@ -35,26 +39,20 @@ from .core import (
 )
 from .errors import DomainError
 
-MAX_ATTEMPTS = 3
 
+class CriticVerdict(NamedTuple):
+    """One step's score: ``raw`` is the mean of the four subscores."""
 
-@dataclass(frozen=True)
-class CriticVerdict:
     raw: float
     subscores: tuple[float, float, float, float]
     completed: bool
-    residual: CommandSet
-
-    def __post_init__(self) -> None:
-        expected = sum(self.subscores) / 4.0
-        if abs(self.raw - expected) > 1e-9:
-            raise ValueError("raw must be the mean of the four subscores")
+    residual: Ledger
 
 
 def critic_score(
     curr: CanvasState,
     c_curr: AtomicCommand,
-    c_rem: CommandSet,
+    c_rem: Ledger,
     prompt: Prompt,
     quality: float,
     id_start: int,
@@ -109,11 +107,11 @@ def critic_score(
 
 def _decompose(
     met: frozenset[Atom],
-    c_rem: CommandSet,
+    c_rem: Ledger,
     prompt: Prompt,
     abandoned: frozenset[Atom],
     id_start: int,
-) -> CommandSet:
+) -> Ledger:
     """Group the prompt atoms that are neither met nor abandoned per
     category into residual commands.
 
@@ -159,20 +157,14 @@ def _decompose(
             )
             next_id += 1
 
-    return CommandSet(tuple(commands))
+    return tuple(commands)
 
 
-@dataclass(frozen=True)
-class AttemptOutcome:
-    """Result of the attempt policy: the updated ledger, plus the executed
-    command when it was permanently abandoned."""
-
-    residual: CommandSet
-    abandoned: Optional[AtomicCommand] = None
-
-
-def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> AttemptOutcome:
+def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> tuple[Ledger, Optional[AtomicCommand]]:
     """Decide the executed command's fate inside the fresh residual ledger.
+
+    Returns the updated ledger, and the executed command when it was
+    permanently abandoned (else ``None``).
 
     A completed command is simply gone (its atoms are satisfied, so the
     decomposition no longer lists them). An incomplete single-category
@@ -184,11 +176,11 @@ def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> Attem
     """
     residual = verdict.residual
     if verdict.completed:
-        return AttemptOutcome(residual=residual)
+        return residual, None
 
     categories = {a.category for a in c_curr.payload}
     if len(categories) != 1:
-        return AttemptOutcome(residual=residual)
+        return residual, None
     category = next(iter(categories))
 
     slot = next((c for c in residual if c.category is category), None)
@@ -204,17 +196,16 @@ def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> Attem
         attempts=attempts,
     )
     if attempts < MAX_ATTEMPTS:
-        out = tuple(retried if c.id == slot.id else c for c in residual)
-        return AttemptOutcome(residual=CommandSet(out))
-    return AttemptOutcome(residual=residual.removed(slot.id), abandoned=retried)
+        return tuple(retried if c.id == slot.id else c for c in residual), None
+    return tuple(c for c in residual if c.id != slot.id), retried
 
 
-def extract_command(c_rem: CommandSet) -> tuple[Optional[AtomicCommand], CommandSet]:
-    """Pick the next command: fewest attempts first, then earliest id."""
-    if c_rem.is_empty():
+def extract_command(c_rem: Ledger) -> tuple[Optional[AtomicCommand], Ledger]:
+    """Pick the next command: fewest attempts first, then lowest id."""
+    if not c_rem:
         return None, c_rem
     chosen = min(c_rem, key=lambda c: (c.attempts, c.id))
-    return chosen, c_rem.removed(chosen.id)
+    return chosen, tuple(c for c in c_rem if c.id != chosen.id)
 
 
 def classify_task(payload: frozenset[Atom]) -> TaskCategory:

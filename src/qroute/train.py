@@ -22,7 +22,7 @@ from .config import RunConfig
 from .embedder import EMBED_DIM, embed
 from .logs import EpisodeRecord, write_episode_log, write_lines
 from .policies import run_episode
-from .network import AdamState, QNetwork
+from .network import HIDDEN_WIDTHS, AdamState, QNetwork
 from .simworld import generate_corpus
 
 CHECKPOINT_NAME = "checkpoint.ckpt"
@@ -80,7 +80,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         config.difficulty_max,
     )
 
-    net = QNetwork(layer_sizes=(EMBED_DIM, 64, 64, env.n_actions), seed=config.seed)
+    net = QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, env.n_actions), seed=config.seed)
     target = net.copy()  # frozen copy to bootstrap against, refreshed every sync interval
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)

@@ -14,9 +14,10 @@ import pytest
 
 from qroute.agent import ReplayBuffer, Transition
 from qroute.config import RunConfig
+from qroute.embedder import EMBED_DIM
 from qroute.environment import shape_reward
 from qroute.errors import BufferTooSmall
-from qroute.network import QNetwork
+from qroute.network import HIDDEN_WIDTHS, QNetwork
 from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 from qroute.stats import win_rate, wilcoxon_signed_rank
@@ -91,7 +92,7 @@ def test_criterion_1_reward_shaping_exactness(random_trace):
 def test_criterion_2_masking_soundness(env):
     c = Criterion(2, "zero illegal actions across 10,000 steps")
     prompts = generate_corpus(103, 300, 1, 6)
-    net = QNetwork(seed=0)
+    net = QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, env.n_actions), seed=0)
     policies = [RandomPolicy(), GreedyPolicy(net), EpsilonGreedyPolicy(net, 0.3)]
     steps = 0
     i = 0

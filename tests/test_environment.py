@@ -30,7 +30,7 @@ def test_reset_text_prompt_starts_blank(env):
     state = env.reset(prompt)
     assert state.canvas.is_blank
     assert state.c_curr is not None and state.c_curr.payload == prompt.atoms
-    assert state.c_rem.is_empty()
+    assert state.c_rem == ()
     assert state.t == 0 and not state.done
     mask = env.legal_actions(state)
     assert set(np.flatnonzero(mask)) == {0, 1, 2, 3, 4, 5, 6}

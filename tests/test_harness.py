@@ -361,6 +361,18 @@ def test_cli_invalid_config_is_validation_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("lr", [1e3, 1e300])
+def test_cli_learning_rate_above_one_exits_2(tmp_path, capsys, lr):
+    # without the bound, 1e3 overflows Adam's float32 second moments and
+    # still exits 0, and 1e300 makes the parameters non-finite (exit 3)
+    (tmp_path / "bad.json").write_text(json.dumps({"lr": lr, "total_steps": 200}))
+    assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lr must be in (0, 1]" in err
+    assert not (tmp_path / "x").exists()
+    assert config_from_dict({"lr": 1.0}).lr == 1.0
+
+
 @pytest.mark.parametrize(
     "config",
     [

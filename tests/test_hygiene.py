@@ -197,3 +197,20 @@ def test_no_unread_constants():
     package, scripts, tests or benchmark reads, besides its own
     assignment, is dead code."""
     assert unread_in_package(module_constants) == []
+
+
+def defined_classes(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every class a module defines."""
+    return [(node.name, node.lineno) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+
+
+def test_class_scanner():
+    src = "class A:\n    class B:\n        pass\nclass C(A):\n    pass\ndef f():\n    class D:\n        pass\n"
+    assert sorted(defined_classes(src)) == [("A", 1), ("B", 2), ("C", 4), ("D", 7)]
+    assert {"A"} <= names_read(src) and not {"B", "C", "D"} & names_read(src)
+
+
+def test_no_unread_classes():
+    """A class of the package that nothing in the package, scripts, tests or
+    benchmark reads is dead code."""
+    assert unread_in_package(defined_classes) == []

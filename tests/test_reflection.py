@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.core import SPATIAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, CommandSet, TaskCategory, command_text
+from qroute.core import SPATIAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, TaskCategory, command_text
 from qroute.errors import DomainError
 from qroute.reflection import (
     CriticVerdict,
@@ -35,6 +35,11 @@ def canvas_with(*atoms_, style=None):
     return CanvasState.symbolic(frozenset(atoms_), style=style)
 
 
+def by_id(ledger, command_id):
+    """The ledger's command with ``command_id``, or ``None``."""
+    return next((c for c in ledger if c.id == command_id), None)
+
+
 def rubric_oracle(prompt, canvas, quality):
     """Independent rubric scorer used to cross-check critic_score."""
     sat = [a for a in prompt.atoms if a in canvas.atoms]
@@ -52,10 +57,10 @@ def test_full_satisfaction_scores_ten():
     a1, a2 = atom("add_object", "dog"), atom("add_text", "sign")
     prompt = make_prompt([a1, a2])
     c = cmd("add_object", [a1, a2])
-    verdict = critic_score(canvas_with(a1, a2), c, CommandSet(), prompt, 10.0, id_start=1)
+    verdict = critic_score(canvas_with(a1, a2), c, (), prompt, 10.0, id_start=1)
     assert verdict.raw == pytest.approx(10.0)
     assert verdict.completed
-    assert verdict.residual.is_empty()
+    assert verdict.residual == ()
 
 
 def test_half_content_rubric_case():
@@ -63,7 +68,7 @@ def test_half_content_rubric_case():
     prompt = make_prompt(atoms)
     c = cmd("add_object", atoms)
     verdict = critic_score(
-        canvas_with(atoms[0], atoms[1]), c, CommandSet(), prompt, 8.0, id_start=1
+        canvas_with(atoms[0], atoms[1]), c, (), prompt, 8.0, id_start=1
     )
     assert verdict.subscores == pytest.approx((5.0, 10.0, 8.0, 10.0))
     assert verdict.raw == pytest.approx(8.25)
@@ -112,7 +117,7 @@ def reference_verdict(curr, c_curr, c_rem, prompt, quality, id_start, abandoned)
         raw=sum(subscores) / 4.0,
         subscores=subscores,
         completed=all(satisfied_one_by_one(a, curr) for a in c_curr.payload),
-        residual=CommandSet(tuple(commands)),
+        residual=tuple(commands),
     )
 
 
@@ -129,9 +134,9 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
         for style in (None, "noir", "popart"):
             canvas = CanvasState.symbolic(sat, style=style)
             for quality in (0.0, 4.5, 10.0):
-                verdict = critic_score(canvas, c, CommandSet(), prompt, quality, id_start=1)
+                verdict = critic_score(canvas, c, (), prompt, quality, id_start=1)
                 assert verdict.raw == pytest.approx(rubric_oracle(prompt, canvas, quality))
-                assert verdict == reference_verdict(canvas, c, CommandSet(), prompt, quality, 1, frozenset())
+                assert verdict == reference_verdict(canvas, c, (), prompt, quality, 1, frozenset())
 
     # the whole verdict, exactly, with a removal atom, two atoms of one
     # category, blank canvases, abandoned atoms, stale ledger entries and
@@ -154,11 +159,11 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
         cmd("add_object", []),
     ]
     ledgers = [
-        CommandSet(),
-        CommandSet((
+        (),
+        (
             cmd("add_text", [atoms[2]], attempts=2, cid=4),
             cmd("spatial_rearrange", [atoms[1]], cid=6, text="old wording"),
-        )),
+        ),
     ]
     abandons = [frozenset(), frozenset({atoms[2], atoms[4]})]
     canvases = [CanvasState.blank()]
@@ -177,22 +182,17 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
 def test_style_mismatch_zeroes_style_dimension():
     a = atom("add_object", "dog")
     prompt = make_prompt([a], style="noir")
-    verdict = critic_score(canvas_with(a, style="popart"), cmd("add_object", [a]), CommandSet(), prompt, 10.0, id_start=1)
+    verdict = critic_score(canvas_with(a, style="popart"), cmd("add_object", [a]), (), prompt, 10.0, id_start=1)
     assert verdict.subscores[3] == 0.0
-
-
-def test_verdict_mean_invariant_enforced():
-    with pytest.raises(ValueError):
-        CriticVerdict(raw=9.0, subscores=(1.0, 1.0, 1.0, 1.0), completed=False, residual=CommandSet())
 
 
 def test_raw_is_ten_only_at_perfect_subscores():
     a = atom("add_object", "dog")
     prompt = make_prompt([a], style="noir")
     c = cmd("add_object", [a])
-    perfect = critic_score(canvas_with(a, style="noir"), c, CommandSet(), prompt, 10.0, id_start=1)
+    perfect = critic_score(canvas_with(a, style="noir"), c, (), prompt, 10.0, id_start=1)
     assert perfect.raw == 10.0 and all(s == 10.0 for s in perfect.subscores)
-    near = critic_score(canvas_with(a, style="noir"), c, CommandSet(), prompt, 9.999, id_start=1)
+    near = critic_score(canvas_with(a, style="noir"), c, (), prompt, 9.999, id_start=1)
     assert near.raw < 10.0
 
 
@@ -200,7 +200,7 @@ def test_decomposition_groups_per_category_with_fresh_ids():
     a1, a2, a3 = atom("add_text", "t1"), atom("add_text", "t2"), atom("color_change", "c1")
     prompt = make_prompt([a1, a2, a3])
     c = cmd("add_object", [], cid=0)
-    verdict = critic_score(CanvasState.symbolic(), c, CommandSet(), prompt, 5.0, id_start=7)
+    verdict = critic_score(CanvasState.symbolic(), c, (), prompt, 5.0, id_start=7)
     cats = {r.category: r for r in verdict.residual}
     assert set(cats) == {_C.ADD_TEXT, _C.COLOR_CHANGE}
     assert cats[_C.ADD_TEXT].payload == frozenset({a1, a2})
@@ -210,7 +210,7 @@ def test_decomposition_groups_per_category_with_fresh_ids():
 def test_decomposition_preserves_existing_ids_and_attempts():
     a1, a2 = atom("add_text", "t1"), atom("color_change", "c1")
     prompt = make_prompt([a1, a2])
-    existing = CommandSet((cmd("add_text", [a1], attempts=2, cid=5),))
+    existing = (cmd("add_text", [a1], attempts=2, cid=5),)
     verdict = critic_score(
         CanvasState.symbolic(), cmd("add_object", [], cid=0), existing, prompt, 5.0, id_start=9
     )
@@ -224,14 +224,14 @@ def test_decomposition_excludes_abandoned_atoms():
     a1, a2 = atom("add_text", "t1"), atom("color_change", "c1")
     prompt = make_prompt([a1, a2])
     verdict = critic_score(
-        CanvasState.symbolic(), cmd("add_object", [], cid=0), CommandSet(), prompt, 5.0, id_start=1,
+        CanvasState.symbolic(), cmd("add_object", [], cid=0), (), prompt, 5.0, id_start=1,
         abandoned=frozenset({a1}),
     )
     assert {r.category for r in verdict.residual} == {_C.COLOR_CHANGE}
 
 
 def drain_ids(commands):
-    ledger = CommandSet(tuple(commands))
+    ledger = tuple(commands)
     order = []
     while True:
         chosen, ledger = extract_command(ledger)
@@ -243,17 +243,17 @@ def drain_ids(commands):
 def test_extract_priority_and_tiebreak():
     a = cmd("add_text", cid=1, attempts=0)
     b = cmd("color_change", cid=2, attempts=1)
-    chosen, rest = extract_command(CommandSet((b, a)))
+    chosen, rest = extract_command((b, a))
     assert chosen.id == 1
     assert [c.id for c in rest] == [2]
-    chosen, _ = extract_command(CommandSet((cmd("add_text", cid=4, attempts=1), cmd("color_change", cid=3, attempts=1))))
+    chosen, _ = extract_command((cmd("add_text", cid=4, attempts=1), cmd("color_change", cid=3, attempts=1)))
     assert chosen.id == 3
 
 
 def test_extract_empty():
-    chosen, rest = extract_command(CommandSet())
+    chosen, rest = extract_command(())
     assert chosen is None
-    assert rest.is_empty()
+    assert rest == ()
 
 
 @given(st.permutations(list(range(6))))
@@ -265,7 +265,7 @@ def test_extract_drain_is_permutation_stable(order):
     assert drain_ids(commands) == drain_ids(shuffled)
 
 
-def completed_verdict(residual=CommandSet()):
+def completed_verdict(residual=()):
     return CriticVerdict(raw=10.0, subscores=(10.0,) * 4, completed=True, residual=residual)
 
 
@@ -275,42 +275,42 @@ def failed_verdict(residual):
 
 def test_attempt_policy_completed_command_gone():
     c = cmd("add_text", [atom("add_text", "x")], attempts=1, cid=3)
-    out = apply_attempt_policy(completed_verdict(), c)
-    assert out.residual.get(3) is None
-    assert out.abandoned is None
+    ledger, abandoned = apply_attempt_policy(completed_verdict(), c)
+    assert by_id(ledger, 3) is None
+    assert abandoned is None
 
 
 def test_attempt_policy_requeues_with_increment():
     a = atom("add_text", "x")
     c = cmd("add_text", [a], attempts=1, cid=3)
-    residual = CommandSet((cmd("add_text", [a], cid=9),))  # fresh slot from decomposition
-    out = apply_attempt_policy(failed_verdict(residual), c)
-    requeued = out.residual.get(3)
+    residual = (cmd("add_text", [a], cid=9),)  # fresh slot from decomposition
+    ledger, abandoned = apply_attempt_policy(failed_verdict(residual), c)
+    requeued = by_id(ledger, 3)
     assert requeued is not None
     assert requeued.attempts == 2
-    assert out.residual.get(9) is None
-    assert out.abandoned is None
+    assert by_id(ledger, 9) is None
+    assert abandoned is None
 
 
 def test_attempt_policy_drops_after_third_attempt():
     a = atom("add_text", "x")
     c = cmd("add_text", [a], attempts=2, cid=3)
-    residual = CommandSet((cmd("add_text", [a], cid=9),))
-    out = apply_attempt_policy(failed_verdict(residual), c)
-    assert out.residual.is_empty()
-    assert out.abandoned is not None
-    assert out.abandoned.attempts == 3
-    assert a in out.abandoned.payload
+    residual = (cmd("add_text", [a], cid=9),)
+    ledger, abandoned = apply_attempt_policy(failed_verdict(residual), c)
+    assert ledger == ()
+    assert abandoned is not None
+    assert abandoned.attempts == 3
+    assert a in abandoned.payload
 
 
 def test_attempt_policy_multi_category_monolith_superseded():
     a1, a2 = atom("add_text", "x"), atom("color_change", "y")
     monolith = AtomicCommand(id=0, text="whole prompt", category=_C.ADD_TEXT, payload=frozenset({a1, a2}))
-    residual = CommandSet((cmd("add_text", [a1], cid=1), cmd("color_change", [a2], cid=2)))
-    out = apply_attempt_policy(failed_verdict(residual), monolith)
-    assert out.residual.get(0) is None
-    assert {c.id for c in out.residual} == {1, 2}
-    assert out.abandoned is None
+    residual = (cmd("add_text", [a1], cid=1), cmd("color_change", [a2], cid=2))
+    ledger, abandoned = apply_attempt_policy(failed_verdict(residual), monolith)
+    assert by_id(ledger, 0) is None
+    assert {c.id for c in ledger} == {1, 2}
+    assert abandoned is None
 
 
 @pytest.mark.parametrize(
