@@ -110,19 +110,19 @@ class QNetwork:
         return list(self._params)
 
     @classmethod
-    def from_parameters(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "QNetwork":
-        """A network holding copies of the given arrays in a new buffer, with
-        no initialization drawn; the layer sizes and dtype are read off them."""
+    def from_flat(cls, layer_sizes: Sequence[int], flat: np.ndarray) -> "QNetwork":
+        """A network over ``flat`` itself (not a copy), cut into the
+        parameters of ``layer_sizes``, with no initialization drawn; the
+        dtype is ``flat``'s."""
+        layer_sizes = tuple(int(n) for n in layer_sizes)
+        if flat.shape != (sum(math.prod(shape) for shape in param_shapes(layer_sizes)),):
+            raise ValueError(f"a flat buffer of shape {flat.shape} does not fit layer sizes {list(layer_sizes)}")
         net = cls.__new__(cls)
-        layer_sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
-        params = [p.reshape(-1) for pair in zip(weights, biases) for p in pair]
-        net._bind(layer_sizes, np.concatenate(params))
+        net._bind(layer_sizes, flat)
         return net
 
     def copy(self) -> "QNetwork":
-        net = QNetwork.__new__(QNetwork)
-        net._bind(self.layer_sizes, self.flat.copy())
-        return net
+        return QNetwork.from_flat(self.layer_sizes, self.flat.copy())
 
     def forward(self, x: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """Q-values for a single state (in,) or a batch (B, in); see
@@ -203,7 +203,7 @@ class QNetwork:
 class AdamState:
     """First/second moment accumulators in the layout of a network's flat
     parameter buffer; ``m`` and ``v`` read as lists of views in
-    ``parameters()`` order, and assigning them copies the values in.
+    ``parameters()`` order and cannot be assigned.
 
     A step makes two updates. The tail after ``W1`` is updated densely in
     place. ``W1``'s update is row-sparse and exact: the hashed state vector
@@ -214,7 +214,8 @@ class AdamState:
     those. A live row stays live, so its moments keep decaying exactly as
     in the dense update (unlike lazy or sparse Adam variants, which skip
     that decay). Its gradient arrives as a ``RowGrad``, so the rows a step
-    does not give read as zero without being built.
+    does not give read as zero without being built. The moments start at
+    +0.0 and only a step writes them, so no row starts live.
     """
 
     def __init__(self, net: QNetwork):
@@ -222,28 +223,16 @@ class AdamState:
         self._v_flat = np.zeros_like(net.flat)
         self._m = _views(self._m_flat, net.layer_sizes)
         self._v = _views(self._v_flat, net.layer_sizes)
-        self._live: np.ndarray | None = None
+        self._live = np.zeros(net.n_inputs, dtype=bool)
         self.t = 0
 
-    # Assigning m or v (as a checkpoint load does) rebuilds W1's live mask
-    # from the moments on the next step.
     @property
     def m(self) -> list[np.ndarray]:
         return list(self._m)
 
-    @m.setter
-    def m(self, value: Sequence[np.ndarray]) -> None:
-        _assign(self._m, value)
-        self._live = None
-
     @property
     def v(self) -> list[np.ndarray]:
         return list(self._v)
-
-    @v.setter
-    def v(self, value: Sequence[np.ndarray]) -> None:
-        _assign(self._v, value)
-        self._live = None
 
     def step(self, net: QNetwork, grads: list[RowGrad | np.ndarray], lr: float) -> np.ndarray:
         """One Adam step of ``net``'s parameters, given ``W1``'s gradient as
@@ -254,8 +243,6 @@ class AdamState:
         """
         if net.flat.shape != self._m_flat.shape or len(grads) != len(self._m):
             raise ValueError("parameter/gradient count mismatch")
-        if self._live is None:
-            self._live = _moment_rows(self._m[0], self._v[0])
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
@@ -279,19 +266,6 @@ class AdamState:
         g_tail = np.concatenate([g.reshape(-1) for g in grads[1:]]).astype(p.dtype, copy=False)
         _adam_update(net.flat[tail], g_tail, self._m_flat[tail], self._v_flat[tail], lr, b1t, b2t)
         return upd
-
-
-def _assign(views: list[np.ndarray], value: Sequence[np.ndarray]) -> None:
-    for view, arr in zip(views, value, strict=True):
-        if np.shape(arr) != view.shape:
-            raise ValueError(f"moment shape {np.shape(arr)} does not match parameter shape {view.shape}")
-        view[...] = arr
-
-
-def _moment_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows whose moments are not all +0.0: the only rows a step with a zero
-    gradient can change (a dense step turns a -0.0 moment into +0.0)."""
-    return (np.signbit(m) | (m != 0) | (v != 0)).any(axis=1)
 
 
 def _adam_update(

@@ -45,7 +45,6 @@ class StepMetric:
 class TrainResult:
     config: RunConfig
     net: QNetwork
-    adam: AdamState
     episodes: list[EpisodeRecord]
     metrics: list[StepMetric]
     out_dir: Optional[Path] = None
@@ -147,7 +146,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
             run_episode(env, explore, prompt, ep_seed, episode_id=len(episodes), on_step=learn)
         )
 
-    result = TrainResult(config=config, net=net, adam=adam, episodes=episodes, metrics=metrics)
+    result = TrainResult(config=config, net=net, episodes=episodes, metrics=metrics)
     if out_dir is not None:
         result.out_dir = write_artifacts(result, Path(out_dir), global_step)
     return result
@@ -155,7 +154,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
 
 def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, result.adam, step)
+    save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, step)
     write_episode_log(out_dir / EPISODES_NAME, result.episodes)
     metric_lines = [
         json.dumps(vars(m), sort_keys=True, separators=(",", ":")) for m in result.metrics

@@ -13,7 +13,7 @@ from qroute.core import TaskCategory
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
-from qroute.network import AdamState, QNetwork
+from qroute.network import QNetwork
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 from qroute.stats import wilcoxon_signed_rank, win_rate
@@ -285,7 +285,7 @@ def test_train_zero_budget(tmp_path):
     assert (tmp_path / "run/episodes.jsonl").read_text() == ""
     from qroute.checkpoint import load_checkpoint
 
-    net, adam, step = load_checkpoint(tmp_path / "run/checkpoint.ckpt")
+    net, step, _ = load_checkpoint(tmp_path / "run/checkpoint.ckpt")
     assert step == 0
     fresh = RunConfig(seed=0).build_registry()
     assert net.layer_sizes == (1536, 64, 64, len(fresh))
@@ -487,15 +487,23 @@ def crc_sealed(body):
 
 def test_cli_crafted_checkpoints_exit_2(tmp_path, capsys):
     write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 2, 1, 2))
-    header = MAGIC + struct.pack("<HQ", 1, 0)
-    # CRC-valid, one layer size: no network to build
-    (tmp_path / "one_layer.ckpt").write_bytes(crc_sealed(header + struct.pack("<HI", 1, 12)))
-    # a 4000x4000 header with no body: refused before any array is built
-    (tmp_path / "no_body.ckpt").write_bytes(crc_sealed(header + struct.pack("<HII", 2, 4000, 4000)))
+    cases = []
+    for version in (1, 2):
+        header = MAGIC + struct.pack("<HQ", version, 0)
+        # CRC-valid, one layer size: no network to build
+        (tmp_path / f"one_layer_v{version}.ckpt").write_bytes(crc_sealed(header + struct.pack("<HI", 1, 12)))
+        # a 4000x4000 header with no body: refused before any array is built
+        (tmp_path / f"no_body_v{version}.ckpt").write_bytes(crc_sealed(header + struct.pack("<HII", 2, 4000, 4000)))
+        cases += [(f"one_layer_v{version}", "layer sizes"), (f"no_body_v{version}", "layer sizes")]
     # well formed, but reads 8-wide states
     net = QNetwork((8, 12), seed=0)
-    save_checkpoint(tmp_path / "narrow.ckpt", net, AdamState(net), step=0)
-    for name, says in (("one_layer", "layer sizes"), ("no_body", "layer sizes"), ("narrow", "8-wide")):
+    save_checkpoint(tmp_path / "narrow.ckpt", net, step=0)
+    # CRC-valid and of the production shape, but every parameter is NaN
+    net = QNetwork((1536, 64, 64, 12), seed=0)
+    net.flat[:] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", net, step=0)
+    cases += [("narrow", "8-wide"), ("nan", "non-finite")]
+    for name, says in cases:
         rc = cli_main(["eval", "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--prompts", str(tmp_path / "p.jsonl")])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and says in err, (name, err)
