@@ -15,7 +15,7 @@ from .core import Atom, AtomicCommand, CanvasState, Prompt, TaskCategory
 from .embedder import EMBED_DIM, HashingEmbedder, embed, serialize_reflection_state
 from .environment import Environment, EnvState, shape_reward
 from .evaluate import EvalReport, baseline_single_expert, build_report
-from .experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile, default_registry
+from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
 from .network import AdamState, QNetwork
 from .reflection import (
     CriticVerdict,

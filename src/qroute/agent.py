@@ -155,6 +155,11 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._len
 
+    @property
+    def ready(self) -> bool:
+        """Whether it holds the warmup size, below which sampling is refused."""
+        return self._len >= self.min_size
+
     def push(self, transition: Transition) -> None:
         slot = self._cursor
         self._cursor = (slot + 1) % self.capacity
@@ -174,7 +179,7 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement; refused below the warmup size."""
-        if self._len < self.min_size:
+        if not self.ready:
             raise BufferTooSmall(
                 f"buffer holds {self._len} transitions, learning starts at {self.min_size}"
             )

@@ -1,9 +1,11 @@
 """Run configuration: one dataclass, JSON round-trip, strict validation.
 
 ``RunConfig`` is the one place a run's settings and their defaults are
-written, and ``RunConfig.environment`` the one place a config becomes a
-world. ``config_from_dict`` is the JSON boundary: it checks each value's
-JSON type before the config validates its range.
+written, ``RunConfig.build_registry`` the one place expert profiles become
+a registry (a config's own, or the stock ``DEFAULT_EXPERT_PROFILES`` when
+it gives none), and ``RunConfig.environment`` the one place a config
+becomes a world. ``config_from_dict`` is the JSON boundary: it checks each
+value's JSON type before the config validates its range.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any, Optional, get_type_hints
 from .core import TAXONOMY, TaskCategory
 from .environment import Environment
 from .errors import ConfigError
-from .experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile, default_registry
+from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
 
 
 @dataclass
@@ -75,39 +77,37 @@ class RunConfig:
         return self
 
     def build_registry(self) -> ExpertRegistry:
-        if self.expert_profiles is None:
-            registry = default_registry()
-        else:
-            specs = []
-            for entry in self.expert_profiles:
-                try:
-                    means = {TaskCategory(k): float(v) for k, v in entry["means"].items()}
-                    failure = entry.get("failure")
-                    if failure is not None:
-                        failure = {TaskCategory(k): float(v) for k, v in failure.items()}
-                    profile = SkillProfile(
-                        means=means, sigma=float(entry.get("sigma", 0.5)), failure=failure
+        """The registry of ``expert_profiles``, or of the stock lineup
+        ``DEFAULT_EXPERT_PROFILES`` when it is ``None``: every entry goes
+        through one parser and the same checks."""
+        entries = DEFAULT_EXPERT_PROFILES if self.expert_profiles is None else self.expert_profiles
+        specs = []
+        for entry in entries:
+            try:
+                means = {TaskCategory(k): float(v) for k, v in entry["means"].items()}
+                failure = entry.get("failure")
+                if failure is not None:
+                    failure = {TaskCategory(k): float(v) for k, v in failure.items()}
+                sigma = float(entry.get("sigma", SkillProfile.sigma))
+                specs.append(
+                    ExpertSpec(
+                        index=int(entry["index"]),
+                        name=str(entry["name"]),
+                        modality=Modality(entry["modality"]),
+                        profile=SkillProfile(means=means, sigma=sigma, failure=failure),
                     )
-                    specs.append(
-                        ExpertSpec(
-                            index=int(entry["index"]),
-                            name=str(entry["name"]),
-                            modality=Modality(entry["modality"]),
-                            profile=profile,
-                        )
-                    )
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad expert profile entry: {exc}") from exc
-            indices = sorted(spec.index for spec in specs)
-            if indices != list(range(len(specs))):
-                raise ConfigError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
-            if {spec.modality for spec in specs} != set(Modality):
-                raise ConfigError("expert profiles need at least one t2i and one i2i expert")
-            registry = ExpertRegistry(specs)
-        for spec in registry.list():
-            if not spec.profile.covers(TAXONOMY):
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad expert profile entry: {exc}") from exc
+        indices = sorted(spec.index for spec in specs)
+        if indices != list(range(len(specs))):
+            raise ConfigError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
+        if {spec.modality for spec in specs} != set(Modality):
+            raise ConfigError("expert profiles need at least one t2i and one i2i expert")
+        for spec in specs:
+            if not spec.profile.covers():
                 raise ConfigError(f"expert {spec.index} profile does not cover the taxonomy")
-        return registry
+        return ExpertRegistry(specs)
 
     def environment(self) -> Environment:
         """The world this config describes: its registry, step budget and

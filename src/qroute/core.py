@@ -7,7 +7,8 @@ style tag; experts mutate that set, the critic reads it.
 ``satisfied_atoms`` is the one rule for which constraints a canvas meets.
 It works on whole sets: frozenset operations reuse the hashes the sets
 store, where a per-atom check would hash each atom again through the
-dataclass's Python ``__hash__``.
+dataclass's Python ``__hash__``. ``child_stream`` is the one constructor
+of a seeded random stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 
 class TaskCategory(str, Enum):
@@ -93,6 +96,12 @@ def satisfied_atoms(atoms: frozenset[Atom], canvas: CanvasState) -> frozenset[At
         return frozenset()
     removals = frozenset(a for a in atoms if a.category in REMOVAL_CATEGORIES)
     return (atoms & canvas.atoms) ^ removals
+
+
+def child_stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator on ``SeedSequence(seed, spawn_key=key)``: the child
+    stream named ``key`` of ``seed``, independent of its siblings."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def clamp_score(x: float) -> float:

@@ -4,22 +4,24 @@ The registry is fully synthetic: each expert carries a per-category
 skill profile (mean quality, noise, failure probability) and mutates the
 symbolic canvas accordingly.
 
-Canonical ordering: indices 0..6 are text-to-image, indices 7..11 are
-image-to-image. Eligibility is purely modal: T2I experts act on a blank
-canvas, I2I experts on anything that already has an image. A call's
-quality is clamped to the rubric's [0, 10] scale by ``core.clamp_score``,
-the clamp the critic applies too.
+The stock lineup, ``DEFAULT_EXPERT_PROFILES``, is data in the format of a
+config's ``expert_profiles``: ``RunConfig.build_registry`` is the one place
+a registry is built, from a config's entries or from these. Its indices
+0..6 are text-to-image, 7..11 image-to-image. Eligibility is purely
+modal: T2I experts act on a blank canvas, I2I experts on anything that
+already has an image. A call's quality is clamped to the rubric's [0, 10]
+scale by ``core.clamp_score``, the clamp the critic applies too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory, clamp_score
+from .core import REMOVAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, TaskCategory, clamp_score
 from .errors import DuplicateIndex, IneligibleExpert
 
 
@@ -60,8 +62,9 @@ class SkillProfile:
             return self.failure[category]
         return (10.0 - self.means[category]) / 20.0
 
-    def covers(self, taxonomy: tuple[TaskCategory, ...]) -> bool:
-        return all(cat in self.means for cat in taxonomy)
+    def covers(self) -> bool:
+        """Whether it gives a mean for every category of the taxonomy."""
+        return all(cat in self.means for cat in TAXONOMY)
 
 
 @dataclass(frozen=True)
@@ -157,65 +160,38 @@ class ExpertRegistry:
         return canvas, quality
 
 
-# Default synthetic registry. Names mirror a 7 + 5 production lineup; the
-# skill layout makes every editing expert the front-runner for at least one
-# category, so no single expert dominates the taxonomy.
+# The stock lineup, as a config's ``expert_profiles`` value. Names mirror a
+# 7 + 5 production lineup; the skill layout makes every editing expert the
+# front-runner for at least one category, so no single expert dominates the
+# taxonomy. The paired frontier experts share a display name across
+# modalities, which is how ``counterpart`` pairs them.
 
-def _flat(score: float) -> dict[TaskCategory, float]:
-    return {c: score for c in TaskCategory}
-
-
-def _peaked(base: float, **peaks: float) -> dict[TaskCategory, float]:
-    means = _flat(base)
-    for name, score in peaks.items():
-        means[TaskCategory(name)] = score
-    return means
+def _flat(score: float) -> dict[str, float]:
+    return {c.value: score for c in TaskCategory}
 
 
-DEFAULT_SKILL_TABLE: dict[str, dict[TaskCategory, float]] = {
+def _peaked(base: float, **peaks: float) -> dict[str, float]:
+    return {**_flat(base), **peaks}
+
+
+DEFAULT_EXPERT_PROFILES: tuple[dict[str, Any], ...] = (
     # text-to-image block (indices 0..6): single-shot openers. Long
     # compositional prompts overwhelm every one of them about equally,
     # which hands the interesting decisions to the editing block and keeps
     # paired policy comparisons tight (identical opener draws cancel
     # exactly when the means agree).
-    "sdxl": _flat(3.3),
-    "pixart-alpha": _flat(3.3),
-    "sd35-large": _flat(3.3),
-    "dalle3": _flat(3.3),
-    "gpt-image-1": _flat(3.3),
-    "flux1-dev": _flat(3.3),
-    "gemini-flash": _flat(3.3),
+    {"index": 0, "name": "sdxl", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 1, "name": "pixart-alpha", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 2, "name": "sd35-large", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 3, "name": "dalle3", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 4, "name": "gpt-image-1", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 5, "name": "flux1-dev", "modality": "t2i", "means": _flat(3.3)},
+    {"index": 6, "name": "gemini-flash", "modality": "t2i", "means": _flat(3.3)},
     # image-to-image block (indices 7..11): pronounced per-category peaks;
     # off-specialty work is poor, which is what makes routing matter
-    "instruct-pix2pix": _peaked(2.0, style_transfer=7.8),
-    "magicbrush": _peaked(2.2, remove_object=7.9, color_change=7.7),
-    "flux-kontext": _peaked(2.2, object_resizing=7.67, lighting_change=7.67),
-    "gpt-image-1-edit": _peaked(2.4, add_object=8.0, add_text=8.25),
-    "gemini-flash-edit": _peaked(2.4, background_replacement=7.67, spatial_rearrange=7.6),
-}
-
-_DEFAULT_ORDER: list[tuple[str, Modality]] = [
-    ("sdxl", Modality.T2I),
-    ("pixart-alpha", Modality.T2I),
-    ("sd35-large", Modality.T2I),
-    ("dalle3", Modality.T2I),
-    ("gpt-image-1", Modality.T2I),
-    ("flux1-dev", Modality.T2I),
-    ("gemini-flash", Modality.T2I),
-    ("instruct-pix2pix", Modality.I2I),
-    ("magicbrush", Modality.I2I),
-    ("flux-kontext", Modality.I2I),
-    ("gpt-image-1-edit", Modality.I2I),
-    ("gemini-flash-edit", Modality.I2I),
-]
-
-
-def default_registry() -> ExpertRegistry:
-    """The stock 12-expert synthetic registry (7 T2I + 5 I2I)."""
-    specs = []
-    for index, (name, modality) in enumerate(_DEFAULT_ORDER):
-        profile = SkillProfile(means=dict(DEFAULT_SKILL_TABLE[name]))
-        # the paired frontier experts share a display name across modalities
-        display = name.removesuffix("-edit")
-        specs.append(ExpertSpec(index=index, name=display, modality=modality, profile=profile))
-    return ExpertRegistry(specs)
+    {"index": 7, "name": "instruct-pix2pix", "modality": "i2i", "means": _peaked(2.0, style_transfer=7.8)},
+    {"index": 8, "name": "magicbrush", "modality": "i2i", "means": _peaked(2.2, remove_object=7.9, color_change=7.7)},
+    {"index": 9, "name": "flux-kontext", "modality": "i2i", "means": _peaked(2.2, object_resizing=7.67, lighting_change=7.67)},
+    {"index": 10, "name": "gpt-image-1", "modality": "i2i", "means": _peaked(2.4, add_object=8.0, add_text=8.25)},
+    {"index": 11, "name": "gemini-flash", "modality": "i2i", "means": _peaked(2.4, background_replacement=7.67, spatial_rearrange=7.6)},
+)

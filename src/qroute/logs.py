@@ -1,7 +1,9 @@
 """Episode logs and prompt files: newline-delimited JSON. An episode log
 holds one step per line, followed by an episode summary line; a prompt
 file holds one prompt per line. Writing is canonical (sorted keys, no
-whitespace) so identical runs produce identical bytes."""
+whitespace) so identical runs produce identical bytes. Reading refuses an
+episode line whose return or length contradicts its step lines: the return
+must be ``reward_sum`` of the step rewards, the length their count."""
 
 from __future__ import annotations
 
@@ -42,6 +44,15 @@ class EpisodeRecord:
     truncated_by: Optional[str] = None  # None | "budget" | "policy"
 
 
+def reward_sum(steps: Iterable[StepRecord]) -> float:
+    """An episode's return: its step rewards added left to right from 0.0
+    (``sum`` would not do: from Python 3.12 it compensates rounding)."""
+    total = 0.0
+    for s in steps:
+        total += s.reward
+    return total
+
+
 def _prompt_payload(p: Prompt) -> dict:
     return {
         "id": p.id,
@@ -65,7 +76,8 @@ def _prompt_from_payload(data: dict) -> Prompt:
     )
 
 
-def _dump(obj: dict) -> str:
+def canonical_json(obj: dict) -> str:
+    """One record as a log line: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -75,7 +87,7 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
 
 
 def write_prompts(path: str | Path, prompts: Iterable[Prompt]) -> None:
-    write_lines(path, [_dump(_prompt_payload(p)) for p in prompts])
+    write_lines(path, [canonical_json(_prompt_payload(p)) for p in prompts])
 
 
 def read_prompts(path: str | Path) -> list[Prompt]:
@@ -100,10 +112,10 @@ def read_prompts(path: str | Path) -> list[Prompt]:
 
 def episode_lines(episode: EpisodeRecord) -> list[str]:
     lines = [
-        _dump({"kind": "step", "episode": episode.episode_id, **vars(s)}) for s in episode.steps
+        canonical_json({"kind": "step", "episode": episode.episode_id, **vars(s)}) for s in episode.steps
     ]
     lines.append(
-        _dump(
+        canonical_json(
             {
                 "kind": "episode",
                 "episode": episode.episode_id,
@@ -157,18 +169,21 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
                     )
                 )
             elif kind == "episode":
-                episodes.append(
-                    EpisodeRecord(
-                        episode_id=int(data["episode"]),
-                        seed=int(data["seed"]),
-                        prompt=_prompt_from_payload(data["prompt"]),
-                        steps=tuple(pending),
-                        episode_return=float(data["return"]),
-                        length=int(data["length"]),
-                        final_oracle_fraction=float(data["oracle"]),
-                        truncated_by=data.get("truncated_by"),
-                    )
+                episode = EpisodeRecord(
+                    episode_id=int(data["episode"]),
+                    seed=int(data["seed"]),
+                    prompt=_prompt_from_payload(data["prompt"]),
+                    steps=tuple(pending),
+                    episode_return=float(data["return"]),
+                    length=int(data["length"]),
+                    final_oracle_fraction=float(data["oracle"]),
+                    truncated_by=data.get("truncated_by"),
                 )
+                if episode.length != len(pending):
+                    raise LogParseError(lineno, f"length {episode.length} but {len(pending)} step lines")
+                if episode.episode_return != (total := reward_sum(pending)):
+                    raise LogParseError(lineno, f"return {episode.episode_return!r} but steps sum to {total!r}")
+                episodes.append(episode)
                 pending = []
             else:
                 raise LogParseError(lineno, f"unknown record kind {kind!r}")

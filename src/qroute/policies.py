@@ -20,12 +20,12 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .agent import select_action
-from .core import Prompt
+from .core import Prompt, child_stream
 from .embedder import EMBED_DIM, embed
 from .environment import Environment, EnvState
 from .errors import DomainError
 from .experts import ExpertRegistry, Modality
-from .logs import EpisodeRecord, StepRecord
+from .logs import EpisodeRecord, StepRecord, reward_sum
 from .network import QNetwork
 from .simworld import best_legal_expert, oracle_fraction
 
@@ -134,8 +134,8 @@ class SingleExpertPolicy:
 
 
 class LazyGenerator:
-    """A ``numpy.random.Generator`` on ``SeedSequence(seed, spawn_key)``,
-    made on its first draw: most policies never draw from their stream.
+    """The generator ``core.child_stream(seed, *spawn_key)``, made on its
+    first draw: most policies never draw from their stream.
     Every attribute of the generator is forwarded, so a policy draws from it
     as from the generator itself (though it is not an instance of one)."""
 
@@ -152,7 +152,7 @@ class LazyGenerator:
             # a draw, and looking it up on the generator would recurse
             raise AttributeError(name)
         if self._rng is None:
-            self._rng = np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._spawn_key))
+            self._rng = child_stream(self._seed, *self._spawn_key)
         return getattr(self._rng, name)
 
 
@@ -166,8 +166,7 @@ def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
-    world = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    return LazyGenerator(seed, (0,)), world
+    return LazyGenerator(seed, (0,)), child_stream(seed, 1)
 
 
 def run_episode(
@@ -187,7 +186,6 @@ def run_episode(
     state = env.reset(prompt)
     mask = env.legal_actions(state)
     steps: list[StepRecord] = []
-    total = 0.0
     truncated_by: Optional[str] = None
     while not state.done:
         action = policy(state, mask, policy_rng)
@@ -197,7 +195,6 @@ def run_episode(
         action = int(action)
         state2, reward, _, record = env.step(state, action, rng)
         next_mask = env.legal_actions(state2)
-        total += reward
         steps.append(record)
         keep_going = on_step is None or on_step(state, action, reward, state2, next_mask)
         state, mask = state2, next_mask
@@ -209,7 +206,7 @@ def run_episode(
         seed=seed,
         prompt=prompt,
         steps=tuple(steps),
-        episode_return=total,
+        episode_return=reward_sum(steps),
         length=len(steps),
         final_oracle_fraction=oracle_fraction(state.canvas, prompt),
         truncated_by=truncated_by,

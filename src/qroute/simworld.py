@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SPATIAL_CATEGORIES, Atom, CanvasState, Prompt, TaskCategory, command_text, satisfied_atoms
+from .core import SPATIAL_CATEGORIES, Atom, CanvasState, Prompt, TaskCategory, child_stream, command_text, satisfied_atoms
 from .errors import DomainError
 from .experts import ExpertRegistry
 
@@ -132,7 +132,7 @@ def generate_corpus(
     """Reproducible prompt corpus with difficulties drawn uniformly."""
     if difficulty_min > difficulty_max:
         raise DomainError("difficulty_min must be <= difficulty_max")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
+    rng = child_stream(seed, 77)
     prompts = []
     for i in range(count):
         d = int(rng.integers(difficulty_min, difficulty_max + 1))

@@ -19,8 +19,9 @@ import numpy as np
 from .agent import ReplayBuffer, Transition, epsilon_at, select_action, train_batch
 from .checkpoint import save_checkpoint
 from .config import RunConfig
+from .core import child_stream
 from .embedder import EMBED_DIM, embed
-from .logs import EpisodeRecord, write_episode_log, write_lines
+from .logs import EpisodeRecord, canonical_json, write_episode_log, write_lines
 from .policies import run_episode
 from .network import HIDDEN_WIDTHS, AdamState, QNetwork
 from .simworld import generate_corpus
@@ -64,10 +65,6 @@ class TrainResult:
         return np.cumsum(r) / np.arange(1, r.size + 1)
 
 
-def _child_seed(base: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=(tag,)))
-
-
 def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResult:
     config.validate()
     env = config.environment()
@@ -84,10 +81,10 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)
 
-    prompt_rng = _child_seed(config.seed, 1)  # prompt sampling, with replacement
-    explore_rng = _child_seed(config.seed, 2)  # epsilon-greedy draws
-    sample_rng = _child_seed(config.seed, 3)  # replay minibatch draws
-    seed_rng = _child_seed(config.seed, 4)  # per-episode world seeds
+    prompt_rng = child_stream(config.seed, 1)  # prompt sampling, with replacement
+    explore_rng = child_stream(config.seed, 2)  # epsilon-greedy draws
+    sample_rng = child_stream(config.seed, 3)  # replay minibatch draws
+    seed_rng = child_stream(config.seed, 4)  # per-episode world seeds
 
     episodes: list[EpisodeRecord] = []
     metrics: list[StepMetric] = []
@@ -121,7 +118,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         )
         global_step += 1
         loss: Optional[float] = None
-        if len(buffer) >= config.learning_starts:
+        if buffer.ready:
             batch = buffer.sample(config.batch_size, sample_rng)
             loss = train_batch(net, target, batch, adam, config.lr, config.gamma)
         synced = global_step % config.target_sync_interval == 0
@@ -156,10 +153,7 @@ def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, step)
     write_episode_log(out_dir / EPISODES_NAME, result.episodes)
-    metric_lines = [
-        json.dumps(vars(m), sort_keys=True, separators=(",", ":")) for m in result.metrics
-    ]
-    write_lines(out_dir / METRICS_NAME, metric_lines)
+    write_lines(out_dir / METRICS_NAME, [canonical_json(vars(m)) for m in result.metrics])
     losses = result.losses
     summary = {
         "total_steps": step,

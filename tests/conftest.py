@@ -4,7 +4,6 @@ import pytest
 from qroute.agent import Batch, States, epsilon_at
 from qroute.config import RunConfig
 from qroute.core import Atom, CanvasState, Prompt, TaskCategory
-from qroute.experts import default_registry
 from qroute.network import RowGrad
 
 #: The default run's settings, for the functions that take them.
@@ -13,7 +12,7 @@ DEFAULTS = RunConfig()
 
 @pytest.fixture(scope="session")
 def registry():
-    return default_registry()
+    return DEFAULTS.build_registry()
 
 
 @pytest.fixture()

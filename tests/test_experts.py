@@ -118,14 +118,14 @@ def test_invoke_reproducible(registry):
     assert a[1] == b[1]
 
 
-def test_default_registry_shape(registry):
+def test_stock_registry_shape(registry):
     specs = registry.list()
     assert len(specs) == 12
     assert [s.modality for s in specs[:7]] == [Modality.T2I] * 7
     assert [s.modality for s in specs[7:]] == [Modality.I2I] * 5
     for s in specs:
         assert s.profile is not None
-        assert s.profile.covers(tuple(TaskCategory))
+        assert s.profile.covers()
 
 
 def test_register_duplicate_index():

@@ -12,6 +12,7 @@ from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
+from qroute.experts import DEFAULT_EXPERT_PROFILES
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
 from qroute.network import QNetwork
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
@@ -108,6 +109,19 @@ def profile(index, modality):
 def test_config_expert_indices_and_modalities(experts):
     with pytest.raises(ConfigError):
         config_from_dict({"expert_profiles": [profile(i, m) for i, m in experts]})
+
+
+def test_stock_lineup_is_a_config_value():
+    # a config that spells out the stock lineup builds the default world and trains like it
+    spelled_out = config_from_dict({"expert_profiles": json.loads(json.dumps(list(DEFAULT_EXPERT_PROFILES)))})
+    stock = RunConfig().build_registry().list()
+    assert len(stock) == 12
+    # spec by spec: index, name, modality and the profile's means, sigma and failure
+    assert spelled_out.build_registry().list() == stock
+    steps = {"seed": 3, "total_steps": 120}
+    a = train(RunConfig(**steps)).net.flat.tobytes()
+    b = train(replace(spelled_out, **steps)).net.flat.tobytes()
+    assert a == b
 
 
 # ---------------------------------------------------------------- logs
@@ -567,13 +581,25 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     prompts = generate_corpus(6, 10, 1, 6)
     oracle = [run_episode(env, OraclePolicy(env.registry), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
     rand = [run_episode(env, RandomPolicy(), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
-    logs = {name: tmp_path / f"{name}.jsonl" for name in ("a", "b", "shuffled", "unmatched", "twice", "nan")}
+    names = ("a", "b", "shuffled", "unmatched", "twice", "nan", "return", "length", "inf")
+    logs = {name: tmp_path / f"{name}.jsonl" for name in names}
     write_episode_log(logs["a"], oracle)
     write_episode_log(logs["b"], rand)
     write_episode_log(logs["shuffled"], rand[::-1])
     write_episode_log(logs["unmatched"], [replace(rand[0], seed=99), *rand[1:]])
     write_episode_log(logs["twice"], [*rand, rand[0]])
     write_episode_log(logs["nan"], [replace(rand[0], episode_return=float("nan")), *rand[1:]])
+    # an episode line that contradicts its step lines does not read
+    write_episode_log(logs["return"], [replace(rand[0], episode_return=rand[0].episode_return + 5.0), *rand[1:]])
+    write_episode_log(logs["length"], [replace(rand[0], length=rand[0].length + 1), *rand[1:]])
+    with pytest.raises(LogParseError, match="but steps sum to"):
+        read_episode_log(logs["return"])
+    with pytest.raises(LogParseError, match="step lines"):
+        read_episode_log(logs["length"])
+    # one that agrees with an infinite step reward reads, and the test refuses it
+    inf_steps = (replace(rand[0].steps[0], reward=float("inf")), *rand[0].steps[1:])
+    write_episode_log(logs["inf"], [replace(rand[0], steps=inf_steps, episode_return=float("inf")), *rand[1:]])
+    assert read_episode_log(logs["inf"])[0].episode_return == float("inf")
 
     def wilcoxon(b):
         code = cli_main(["stats", "wilcoxon", "--a", str(logs["a"]), "--b", str(logs[b])])
@@ -583,7 +609,7 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     assert code == 0 and "W=" in out.out and "p=" in out.out
     # episodes pair by (prompt id, seed), not by position in the log
     assert wilcoxon("shuffled") == (0, out)
-    for bad in ("unmatched", "twice", "nan"):
+    for bad in ("unmatched", "twice", "nan", "return", "length", "inf"):
         code, out = wilcoxon(bad)
         assert code == 2 and out.err.startswith("error: ")
 
