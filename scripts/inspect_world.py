@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Print the synthetic world's skill landscape and observed per-expert scores.
 
-Two tables: the configured per-category means (who is best at what), and
-the critic scores each expert actually earned during a short training run
-broken down by task category. The second table is the empirical mirror of
-the first and shows why a single fixed expert cannot win everywhere.
+Three tables: the configured per-category means (who is best at what);
+the critic's raw rubric score per (category, expert) over one training
+run; and that score per expert across all steps. The observed tables do
+not mirror the configured means. The rubric's content subscore counts
+every prompt atom the canvas meets, and a generator's single success meets
+many atoms at once, so the text-to-image experts (configured mean 3.30
+everywhere) average 5.92-6.99 (seed 0, 1000 steps), above every editing
+specialist (4.73-6.08).
 """
 
 import argparse

@@ -10,6 +10,7 @@ the loss-decile convergence diagnostics.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,8 @@ def main() -> int:
             "pooled_wilcoxon": {"W": result.pooled_wilcoxon_w, "p": result.pooled_wilcoxon_p},
             "pooled_baseline": result.pooled_baseline_name,
             "routing_accuracy": result.routing_accuracy,
-            "loss_decile_ratios": result.loss_decile_ratios,
+            # a ratio is NaN when a seed logged too few losses; JSON has no NaN
+            "loss_decile_ratios": [r if math.isfinite(r) else None for r in result.loss_decile_ratios],
             "per_seed": [
                 {
                     "seed": oc.seed,

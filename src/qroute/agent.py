@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BufferTooSmall, DomainError, EmptyMask, NumericalError
+from .errors import DomainError, NumericalError
 from .network import AdamState, QNetwork
 
 
@@ -180,7 +180,7 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement; refused below the warmup size."""
         if not self.ready:
-            raise BufferTooSmall(
+            raise DomainError(
                 f"buffer holds {self._len} transitions, learning starts at {self.min_size}"
             )
         idx = rng.integers(0, self._len, size=batch_size)
@@ -234,7 +234,7 @@ def select_action(
     ``QNetwork.forward_cached``)."""
     legal = np.flatnonzero(np.asarray(mask, dtype=bool))
     if legal.size == 0:
-        raise EmptyMask("no legal action to select from")
+        raise DomainError("no legal action to select from")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(legal[rng.integers(0, legal.size)])
     q = np.asarray(net.forward(s, cols), dtype=np.float64)

@@ -1,8 +1,10 @@
 """Command line entry points.
 
-Exit codes: 0 success, 2 bad input (arguments, config, a missing,
-unreadable or damaged file, episodes that do not pair), 3 runtime abort
-(numerical failure, replay mismatch).
+Exit codes: 0 success, 2 bad input, 3 runtime abort. The error's type
+decides: a ``DomainError`` (arguments, config, a damaged file, a logged
+action that is illegal, episodes that do not pair) or an ``OSError`` (a
+missing or unreadable file) exits 2; any other ``QRouteError`` (numerical
+failure) and a replay mismatch exit 3.
 
 ``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
 world the run was trained in: the config ``train`` recorded in the
@@ -25,16 +27,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, config_from_dict, load_config
-from .errors import (
-    AllZeroDifferences,
-    ConfigError,
-    CorruptChecksum,
-    DomainError,
-    LogParseError,
-    NumericalError,
-    QRouteError,
-    VersionMismatch,
-)
+from .errors import ConfigError, DomainError, QRouteError
 from .evaluate import (
     EvalReport,
     baseline_single_expert,
@@ -52,10 +45,6 @@ from .train import SUMMARY_NAME, train
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-#: Errors that blame the input, not the run; they exit 2.
-BAD_INPUT = (ConfigError, DomainError, LogParseError, AllZeroDifferences,
-             CorruptChecksum, VersionMismatch, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,8 +200,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_prompts(args) -> int:
-    if not 1 <= args.difficulty_min <= args.difficulty_max <= 6:
-        raise ConfigError("difficulty bounds must satisfy 1 <= min <= max <= 6")
     prompts = generate_corpus(args.seed, args.count, args.difficulty_min, args.difficulty_max)
     write_prompts(args.out, prompts)
     print(f"wrote {len(prompts)} prompts to {args.out}")
@@ -226,10 +213,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except BAD_INPUT as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, QRouteError) as exc:
+    except QRouteError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

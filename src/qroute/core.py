@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DomainError
+
 
 class TaskCategory(str, Enum):
     ADD_OBJECT = "add_object"
@@ -101,6 +103,8 @@ def satisfied_atoms(atoms: frozenset[Atom], canvas: CanvasState) -> frozenset[At
 def child_stream(seed: int, *key: int) -> np.random.Generator:
     """The generator on ``SeedSequence(seed, spawn_key=key)``: the child
     stream named ``key`` of ``seed``, independent of its siblings."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0: {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Atom, AtomicCommand, CanvasState, Ledger, Prompt
 from .embedder import serialize_reflection_state
-from .errors import DomainError, IneligibleAction, SteppedAfterDone
+from .errors import DomainError
 from .experts import ExpertRegistry
 from .logs import StepRecord
 from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
@@ -111,11 +111,11 @@ class Environment:
     ) -> tuple[EnvState, float, bool, StepRecord]:
         """Apply one expert call; the record is the step's episode-log entry."""
         if state.done:
-            raise SteppedAfterDone("episode already finished")
+            raise DomainError("episode already finished")
         assert state.c_curr is not None
         mask = self._masks[state.canvas.is_blank][1]
         if not (0 <= action < self.n_actions) or not mask[action]:
-            raise IneligibleAction(f"action {action} illegal on {state.canvas.kind.value} canvas")
+            raise DomainError(f"action {action} illegal on {state.canvas.kind.value} canvas")
 
         canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, rng)
         verdict = critic_score(

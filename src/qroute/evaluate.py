@@ -111,12 +111,9 @@ def summarize_policy(
     per_expert = {
         i: float(raw_sum[i] / raw_count[i]) for i in range(n_experts) if raw_count[i]
     }
-    if episodes:
-        mean_ret, se_ret = mean_stderr([ep.episode_return for ep in episodes])
-        mean_oracle = float(np.mean([ep.final_oracle_fraction for ep in episodes]))
-        mean_len = float(np.mean([ep.length for ep in episodes]))
-    else:
-        mean_ret = se_ret = mean_oracle = mean_len = 0.0
+    mean_ret, se_ret = mean_stderr([ep.episode_return for ep in episodes])
+    mean_oracle = float(np.mean([ep.final_oracle_fraction for ep in episodes]))
+    mean_len = float(np.mean([ep.length for ep in episodes]))
     return PolicyEval(
         name=name,
         episodes=episodes,
@@ -138,8 +135,10 @@ def evaluate(
     seed: int = 0,
     name: str = "policy",
 ) -> PolicyEval:
-    """Greedy rollouts over a prompt set; empty prompt sets yield an empty
-    (zeroed) evaluation rather than an error."""
+    """Greedy rollouts over a prompt set; an empty prompt set is refused,
+    since there is nothing to score."""
+    if not prompts:
+        raise DomainError("no prompts to evaluate")
     if episodes_per_prompt < 1:
         raise DomainError(f"episodes per prompt must be >= 1: {episodes_per_prompt}")
     episodes: list[EpisodeRecord] = []

@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .core import REMOVAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, TaskCategory, clamp_score
-from .errors import DuplicateIndex, IneligibleExpert
+from .errors import DomainError
 
 
 class Modality(str, Enum):
@@ -82,7 +82,7 @@ class ExpertRegistry:
         self._specs: dict[int, ExpertSpec] = {}
         for spec in specs:
             if spec.index in self._specs:
-                raise DuplicateIndex(f"expert index {spec.index} already registered")
+                raise DomainError(f"expert index {spec.index} already registered")
             self._specs[spec.index] = spec
         self._by_modality: dict[Modality, frozenset[int]] = {
             m: frozenset(i for i, s in self._specs.items() if s.modality is m) for m in Modality
@@ -130,7 +130,7 @@ class ExpertRegistry:
         fails to satisfy anything.
         """
         if index not in self.eligible(canvas):
-            raise IneligibleExpert(
+            raise DomainError(
                 f"expert {index} not eligible on {canvas.kind.value} canvas"
             )
         profile = self._specs[index].profile

@@ -218,6 +218,8 @@ def episode_seed(base_seed: int, prompt_id: int, repeat: int) -> int:
     """Stable per-(prompt, repeat) seed so paired policies share randomness.
     Memoized: every policy of a comparison asks for the same keys (a
     held-out evaluation has 100)."""
+    if base_seed < 0:
+        raise DomainError(f"seed must be >= 0: {base_seed}")
     if repeat < 0:
         raise DomainError("repeat must be >= 0")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(prompt_id, repeat))

@@ -130,8 +130,10 @@ def generate_corpus(
     editing_prob: float = 0.0,
 ) -> list[Prompt]:
     """Reproducible prompt corpus with difficulties drawn uniformly."""
-    if difficulty_min > difficulty_max:
-        raise DomainError("difficulty_min must be <= difficulty_max")
+    if count < 1:
+        raise DomainError(f"prompt count must be >= 1: {count}")
+    if not 1 <= difficulty_min <= difficulty_max <= 6:
+        raise DomainError("difficulty bounds must satisfy 1 <= min <= max <= 6")
     rng = child_stream(seed, 77)
     prompts = []
     for i in range(count):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroDifferences, DomainError, EmptyList
+from .errors import AllZeroDifferences, DomainError
 
 EXACT_CUTOFF = 25
 
@@ -101,7 +101,7 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
 def win_rate(outcomes: Sequence[bool]) -> tuple[float, float]:
     """Fraction of wins with its binomial standard error."""
     if len(outcomes) == 0:
-        raise EmptyList("win rate over an empty outcome list")
+        raise DomainError("win rate over an empty outcome list")
     n = len(outcomes)
     rate = sum(1 for o in outcomes if o) / n
     stderr = math.sqrt(rate * (1.0 - rate) / n)

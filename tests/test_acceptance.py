@@ -16,7 +16,7 @@ from qroute.agent import ReplayBuffer, Transition
 from qroute.config import RunConfig
 from qroute.embedder import EMBED_DIM
 from qroute.environment import shape_reward
-from qroute.errors import BufferTooSmall
+from qroute.errors import DomainError
 from qroute.network import HIDDEN_WIDTHS, QNetwork
 from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
@@ -208,7 +208,7 @@ def test_criterion_5_schedule_and_buffer():
     buf = ReplayBuffer(capacity=500, min_size=50)
     for i in range(49):
         buf.push(_tr(i))
-    with pytest.raises(BufferTooSmall):
+    with pytest.raises(DomainError, match="buffer holds 49 transitions, learning starts at 50"):
         buf.sample(16, np.random.default_rng(0))
     for i in range(49, 700):
         buf.push(_tr(i))

@@ -4,8 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from qroute.core import child_stream
 from qroute.environment import shape_reward
-from qroute.errors import DomainError, IneligibleAction, SteppedAfterDone
+from qroute.errors import DomainError
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 
@@ -109,13 +110,20 @@ def test_memoized_episode_seed_equals_the_direct_computation():
                     assert episode_seed(base, prompt_id, repeat) == int(ss.generate_state(1, dtype=np.uint64)[0])
         with pytest.raises(DomainError):
             episode_seed(0, 0, -1)
+        with pytest.raises(DomainError, match="seed must be >= 0: -1"):
+            episode_seed(-1, 0, 0)
+
+
+def test_negative_seed_makes_no_stream():
+    with pytest.raises(DomainError, match="seed must be >= 0: -2"):
+        child_stream(-2, 1)
 
 
 def test_illegal_action_rejected(env):
     state = env.reset(make_prompt([atom("add_object", "dog")]))
-    with pytest.raises(IneligibleAction):
+    with pytest.raises(DomainError, match="action 7 illegal on blank canvas"):
         env.step(state, 7, np.random.default_rng(0))
-    with pytest.raises(IneligibleAction):
+    with pytest.raises(DomainError, match="action 99 illegal on blank canvas"):
         env.step(state, 99, np.random.default_rng(0))
 
 
@@ -126,7 +134,7 @@ def test_step_after_done_rejected(env):
         mask = env.legal_actions(state)
         state, _, _, _ = env.step(state, int(np.flatnonzero(mask)[0]), rng)
     assert not env.legal_actions(state).any()
-    with pytest.raises(SteppedAfterDone):
+    with pytest.raises(DomainError, match="episode already finished"):
         env.step(state, 7, np.random.default_rng(0))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qroute.core import AtomicCommand, CanvasState, TaskCategory
-from qroute.errors import DuplicateIndex, IneligibleExpert
+from qroute.errors import DomainError
 from qroute.experts import (
     ExpertRegistry,
     ExpertSpec,
@@ -103,9 +103,9 @@ def test_style_payload_sets_canvas_style():
 
 def test_invoke_requires_eligibility():
     reg = two_expert_registry()
-    with pytest.raises(IneligibleExpert):
+    with pytest.raises(DomainError, match="expert 1 not eligible on blank canvas"):
         reg.invoke(1, command("add_object"), CanvasState.blank(), np.random.default_rng(0))
-    with pytest.raises(IneligibleExpert):
+    with pytest.raises(DomainError, match="expert 0 not eligible on symbolic canvas"):
         reg.invoke(0, command("add_object"), CanvasState.symbolic(), np.random.default_rng(0))
 
 
@@ -130,7 +130,7 @@ def test_stock_registry_shape(registry):
 
 def test_register_duplicate_index():
     gen = ExpertSpec(0, "gen", Modality.T2I, profile=flat_profile(8.0))
-    with pytest.raises(DuplicateIndex):
+    with pytest.raises(DomainError, match="expert index 0 already registered"):
         ExpertRegistry([gen, ExpertSpec(0, "again", Modality.T2I, profile=flat_profile(5.0))])
 
 

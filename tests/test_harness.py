@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qroute import cli, errors
 from qroute.checkpoint import MAGIC, save_checkpoint
 from qroute.cli import main as cli_main
 from qroute.config import RunConfig, config_from_dict, load_config
@@ -194,10 +195,8 @@ def test_oracle_policy_routes_by_category(env):
 
 
 def test_evaluate_empty_prompt_set(env):
-    result = evaluate(env, RandomPolicy(), [], episodes_per_prompt=1, seed=0, name="empty")
-    assert result.episodes == []
-    assert result.mean_return == 0.0
-    assert result.routing_accuracy is None
+    with pytest.raises(DomainError, match="no prompts to evaluate"):
+        evaluate(env, RandomPolicy(), [], episodes_per_prompt=1, seed=0, name="empty")
 
 
 def test_hand_computable_report_with_deterministic_profiles():
@@ -521,6 +520,73 @@ def test_cli_crafted_checkpoints_exit_2(tmp_path, capsys):
         rc = cli_main(["eval", "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--prompts", str(tmp_path / "p.jsonl")])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and says in err, (name, err)
+
+
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.QRouteError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_the_error_type(tmp_path, capsys, monkeypatch, cls):
+    def fail(*_):
+        raise cls(4, "boom") if cls is LogParseError else cls("boom")
+
+    monkeypatch.setattr(cli, "generate_corpus", fail)
+    rc = cli_main(["prompts", "--count", "3", "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == (2 if issubclass(cls, DomainError) else 3)
+    assert err.startswith("error: " if rc == 2 else "runtime abort: ") and err.count("\n") == 1
+
+
+def assert_refused(rc, capsys, says):
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and says in err, (rc, err)
+
+
+@pytest.mark.parametrize("expert", [9, 99])
+def test_cli_replay_of_an_illegal_logged_expert_exits_2(tmp_path, capsys, env, expert):
+    log = tmp_path / "episodes.jsonl"
+    write_episode_log(log, [run_episode(env, RandomPolicy(), make_prompt([atom("add_object", "dog")]), seed=5)])
+    lines = log.read_text().splitlines()
+    step = json.loads(lines[0])
+    # the first step of a text-to-image prompt: expert 9 edits, 99 does not exist
+    assert step["t"] == 1 and not step["mask"][9]
+    log.write_text("\n".join([json.dumps({**step, "expert": expert}), *lines[1:]]) + "\n")
+    assert_refused(cli_main(["replay", "--episode", str(log), "--index", "0"]), capsys, f"action {expert} illegal")
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 2, 1, 6))
+    save_checkpoint(tmp_path / "net.ckpt", QNetwork((1536, 64, 64, 12), seed=0), step=0)
+    prompts = ["--prompts", str(tmp_path / "p.jsonl")]
+    for args in (
+        ["prompts", "--count", "3", "--out", str(tmp_path / "q.jsonl")],
+        ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), *prompts],
+        ["baseline", "--expert", "0", *prompts],
+    ):
+        assert_refused(cli_main([*args, "--seed", "-1"]), capsys, "seed must be >= 0: -1")
+    assert not (tmp_path / "q.jsonl").exists()
+
+
+def test_cli_empty_prompt_file_exits_2(tmp_path, capsys):
+    (tmp_path / "empty.jsonl").write_text("")
+    save_checkpoint(tmp_path / "net.ckpt", QNetwork((1536, 64, 64, 12), seed=0), step=0)
+    prompts = ["--prompts", str(tmp_path / "empty.jsonl")]
+    for args in (
+        ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), *prompts, "--baselines"],
+        ["baseline", "--expert", "0", *prompts],
+    ):
+        assert_refused(cli_main(args), capsys, "no prompts to evaluate")
+
+
+def test_cli_prompts_out_of_bounds_exit_2(tmp_path, capsys):
+    out = tmp_path / "p.jsonl"
+    for bounds, says in (
+        (["--count", "0"], "prompt count must be >= 1: 0"),
+        (["--count", "-3"], "prompt count must be >= 1: -3"),
+        (["--count", "3", "--difficulty-min", "0"], "1 <= min <= max <= 6"),
+    ):
+        assert_refused(cli_main(["prompts", *bounds, "--out", str(out)]), capsys, says)
+    assert not out.exists()
 
 
 def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):

@@ -29,6 +29,10 @@ def test_inspect_world_prints_its_three_tables():
     assert lines[-1].split()[:3] == ["11", "gemini-flash", "i2i"]
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_learning_experiment_writes_its_summary(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"total_steps": 60}))
@@ -39,7 +43,7 @@ def test_learning_experiment_writes_its_summary(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("seeds beating best single expert: ")
     assert f"summary written to {out}" in proc.stdout
-    summary = json.loads(out.read_text())
+    summary = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert set(summary) == {
         "seeds", "seeds_beating_best_baseline", "pooled_wilcoxon", "pooled_baseline",
         "routing_accuracy", "loss_decile_ratios", "per_seed",

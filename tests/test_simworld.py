@@ -145,3 +145,9 @@ def test_prompt_file_parse_error(tmp_path):
 def test_corpus_difficulty_bounds():
     with pytest.raises(DomainError):
         generate_corpus(0, 5, 4, 2)
+    for low, high in ((0, 3), (2, 7)):
+        with pytest.raises(DomainError, match="1 <= min <= max <= 6"):
+            generate_corpus(0, 5, low, high)
+    for count in (0, -3):
+        with pytest.raises(DomainError, match="prompt count must be >= 1"):
+            generate_corpus(0, count)

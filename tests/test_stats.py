@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qroute.errors import AllZeroDifferences, DomainError, EmptyList
+from qroute.errors import AllZeroDifferences, DomainError
 from qroute.stats import mean_stderr, wilcoxon_signed_rank, win_rate
 
 
@@ -128,7 +128,7 @@ def test_win_rate_anchor_values():
 def test_win_rate_degenerate_and_empty():
     assert win_rate([False] * 12) == (0.0, 0.0)
     assert win_rate([True] * 12) == (1.0, 0.0)
-    with pytest.raises(EmptyList):
+    with pytest.raises(DomainError, match="win rate over an empty outcome list"):
         win_rate([])
 
 
