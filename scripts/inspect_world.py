@@ -17,6 +17,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from qroute.cli import run_guarded
 from qroute.config import RunConfig
 from qroute.core import TaskCategory
 from qroute.simworld import best_expert
@@ -29,7 +30,7 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     args = parser.parse_args()
 
-    cfg = RunConfig(seed=args.seed, total_steps=args.steps)
+    cfg = RunConfig(seed=args.seed, total_steps=args.steps).validate()
     registry = cfg.build_registry()
 
     specs = registry.list()
@@ -70,4 +71,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_guarded(main))

@@ -14,6 +14,7 @@ import math
 import sys
 from pathlib import Path
 
+from qroute.cli import run_guarded
 from qroute.config import RunConfig, load_config
 from qroute.experiment import render_experiment, run_learning_experiment
 
@@ -57,4 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_guarded(main))

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 bad input, 3 runtime abort. The error's type
 decides: a ``DomainError`` (arguments, config, a damaged file, a logged
 action that is illegal, episodes that do not pair) or an ``OSError`` (a
 missing or unreadable file) exits 2; any other ``QRouteError`` (numerical
-failure) and a replay mismatch exit 3.
+failure) and a replay mismatch exit 3. ``run_guarded`` applies that rule,
+for the CLI and for the scripts alike.
 
 ``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
 world the run was trained in: the config ``train`` recorded in the
@@ -24,6 +25,7 @@ import json
 import sys
 from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, config_from_dict, load_config
@@ -206,19 +208,26 @@ def _cmd_prompts(args) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def run_guarded(run: Callable[[], int]) -> int:
+    """``run()``'s exit code, or the one its error decides: a
+    ``DomainError`` or ``OSError`` prints one ``error:`` line and gives 2,
+    any other ``QRouteError`` one ``runtime abort:`` line and gives 3."""
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.run(args)
+        return run()
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QRouteError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    return run_guarded(lambda: args.run(args))
 
 
 if __name__ == "__main__":

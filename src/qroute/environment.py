@@ -1,9 +1,11 @@
 """Episode MDP: reset, masked step, reward shaping, termination.
 
-One step = select expert, invoke it on the current command, score through
-the critic, update the residual ledger via the attempt policy, extract the
-next command, shape the reward. Episodes end when the ledger drains or the
-step budget runs out; done is absorbing.
+One step = select expert, invoke it on the current command, score the
+result (the critic only scores), let the attempt policy settle the executed
+command (gone, requeued at the back of the ledger, or abandoned) and
+rebuild the ledger, extract the next command, shape the reward. Episodes
+end when the ledger drains or the step budget runs out; done is absorbing.
+A state holds only what the next step reads.
 
 Which experts are legal depends only on whether the canvas is blank, so
 the environment builds its two legal masks once, when it is made: a step
@@ -47,8 +49,7 @@ class EnvState:
     c_rem: Ledger
     t: int
     done: bool
-    next_id: int
-    abandoned_atoms: frozenset[Atom] = frozenset()
+    abandoned_atoms: frozenset[Atom]
 
     @cached_property
     def serialized(self) -> str:
@@ -95,7 +96,6 @@ class Environment:
             c_rem=(),
             t=0,
             done=False,
-            next_id=1,
             abandoned_atoms=frozenset(),
         )
 
@@ -118,16 +118,10 @@ class Environment:
             raise DomainError(f"action {action} illegal on {state.canvas.kind.value} canvas")
 
         canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, rng)
-        verdict = critic_score(
-            canvas2,
-            state.c_curr,
-            state.c_rem,
-            state.prompt,
-            quality,
-            id_start=state.next_id,
-            abandoned=state.abandoned_atoms,
+        verdict = critic_score(canvas2, state.c_curr, state.prompt, quality)
+        ledger, abandoned = apply_attempt_policy(
+            verdict, state.c_curr, state.c_rem, state.prompt, state.abandoned_atoms
         )
-        ledger, abandoned = apply_attempt_policy(verdict, state.c_curr)
 
         abandoned_atoms = state.abandoned_atoms
         if abandoned is not None:
@@ -141,7 +135,6 @@ class Environment:
         done = drained or t2 >= self.t_max
         reason = "drained" if drained else ("budget" if done else None)
 
-        next_id = max(state.next_id, max((c.id for c in ledger), default=-1) + 1)
         state2 = EnvState(
             prompt=state.prompt,
             canvas=canvas2,
@@ -149,7 +142,6 @@ class Environment:
             c_rem=c_rem2,
             t=t2,
             done=done,
-            next_id=next_id,
             abandoned_atoms=abandoned_atoms,
         )
         record = StepRecord(

@@ -65,10 +65,11 @@ def _loss_decile_ratio(result: TrainResult) -> float:
 def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
     """Train one seed, then roll each held-out prompt once under the trained
     policy, every single-expert baseline, random and the oracle, all paired
-    on the same per-prompt seeds."""
-    result = train(config)
-    env = config.environment()
+    on the same per-prompt seeds.
 
+    The held-out prompts are drawn before training, so a prompt count the
+    corpus refuses costs no training run; their stream is independent of
+    the training streams, so the order changes no number."""
     heldout = generate_corpus(
         config.seed + HELDOUT_SEED_OFFSET,
         eval_prompt_count,
@@ -76,6 +77,8 @@ def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
         config.difficulty_max,
         id_start=10_000,
     )
+    result = train(config)
+    env = config.environment()
     es = config.seed + 1
 
     trained = evaluate(env, GreedyPolicy(result.net), heldout, 1, es, name="trained_greedy")
@@ -98,7 +101,9 @@ def run_learning_experiment(
     eval_prompt_count: int = 100,
 ) -> ExperimentResult:
     base = base_config if base_config is not None else RunConfig()
-    outcomes = [run_seed(replace(base, seed=seed), eval_prompt_count) for seed in seeds]
+    # every seed's config is checked before the first one trains
+    configs = [replace(base, seed=seed).validate() for seed in seeds]
+    outcomes = [run_seed(config, eval_prompt_count) for config in configs]
 
     # pooled comparison target: the baseline with the best pooled mean return
     pooled_means: dict[str, list[float]] = {}

@@ -3,24 +3,24 @@ policy, and next-command extraction.
 
 After every expert call the critic scores the step on a four-dimension
 rubric (content accuracy, spatial configuration, visual quality, style
-consistency) and rebuilds the residual ledger by grouping the prompt's
-still-unsatisfied atoms into one command per category. The attempt policy
-then decides the fate of the command that was just executed: completed
-commands disappear, failed ones requeue with an incremented attempt
-counter, and a command failing its third attempt is abandoned for good.
+consistency); it only scores. The attempt policy owns the residual ledger
+(a plain tuple of commands, ``Ledger``): a completed command disappears, a
+failed one goes to the back of the ledger with one more attempt, and one
+failing its third attempt is abandoned for good. Then the prompt's open
+atoms are grouped into one command per category; a command keeps its id
+while its category stays open, so in a rollout only the split of the first
+whole-prompt command creates new ones. The next command taken from the
+ledger is the one with the fewest attempts, then the lowest id.
 
-The residual ledger is a plain tuple of commands (``Ledger``). The next
-command taken from it is the one with the fewest attempts, then the lowest
-id.
-
-The critic finds the prompt's met atoms once per call (``satisfied_atoms``);
-the subscores, the completion flag and the decomposition all read that set,
-and the decomposition groups the unmet atoms by intersecting them with the
-prompt's per-category atom sets (``Prompt.by_category``).
+The critic finds the prompt's met atoms once per call (``satisfied_atoms``)
+and hands them on in its verdict: the subscores, the completion flag and the
+decomposition all read that set, and the decomposition intersects the open
+atoms with the prompt's per-category atom sets (``Prompt.by_category``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -41,24 +41,17 @@ from .errors import DomainError
 
 
 class CriticVerdict(NamedTuple):
-    """One step's score: ``raw`` is the mean of the four subscores."""
+    """One step's score: ``raw`` is the mean of the four subscores and
+    ``met`` the prompt atoms the canvas meets."""
 
     raw: float
     subscores: tuple[float, float, float, float]
     completed: bool
-    residual: Ledger
+    met: frozenset[Atom]
 
 
-def critic_score(
-    curr: CanvasState,
-    c_curr: AtomicCommand,
-    c_rem: Ledger,
-    prompt: Prompt,
-    quality: float,
-    id_start: int,
-    abandoned: frozenset[Atom] = frozenset(),
-) -> CriticVerdict:
-    """Score one step and rebuild the residual ledger.
+def critic_score(curr: CanvasState, c_curr: AtomicCommand, prompt: Prompt, quality: float) -> CriticVerdict:
+    """Score one step.
 
     Subscores: content accuracy is the satisfied fraction of all prompt
     atoms; spatial configuration the satisfied fraction of spatial-category
@@ -66,18 +59,12 @@ def critic_score(
     the expert's own quality through; style consistency is all-or-nothing
     against the prompt's style tag.
 
-    The residual ledger covers every unsatisfied, non-abandoned prompt
-    atom, one command per category. Commands already present in ``c_rem``
-    keep their id and attempt counter (payload refreshed); new categories
-    get fresh ids starting at ``id_start`` in taxonomy order.
-
-    The prompt's met atoms are found once, and every subscore, the
-    completion flag and the decomposition read them. A payload atom outside
-    the prompt (only a hand-built command has one) is checked on its own.
+    The prompt's met atoms are found once, and every subscore and the
+    completion flag read them. A payload atom outside the prompt (only a
+    hand-built command has one) is checked on its own.
     """
     met = satisfied_atoms(prompt.atoms, curr)
-    n_total = len(prompt.atoms)
-    content = 10.0 * len(met) / n_total if n_total else 10.0
+    content = 10.0 * len(met) / len(prompt.atoms)
 
     spatial_parts = [part for cat, part in prompt.by_category.items() if cat in SPATIAL_CATEGORIES]
     if spatial_parts:
@@ -100,104 +87,79 @@ def critic_score(
 
     outside = c_curr.payload - prompt.atoms
     completed = c_curr.payload <= (met | satisfied_atoms(outside, curr) if outside else met)
-
-    residual = _decompose(met, c_rem, prompt, abandoned, id_start)
-    return CriticVerdict(raw=raw, subscores=subscores, completed=completed, residual=residual)
+    return CriticVerdict(raw=raw, subscores=subscores, completed=completed, met=met)
 
 
 def _decompose(
     met: frozenset[Atom],
-    c_rem: Ledger,
+    ledger: Ledger,
     prompt: Prompt,
     abandoned: frozenset[Atom],
-    id_start: int,
+    top_id: int,
 ) -> Ledger:
     """Group the prompt atoms that are neither met nor abandoned per
     category into residual commands.
 
-    Atom iteration order never reaches the output: payloads are sets and
-    new commands are created in taxonomy order.
+    A command of ``ledger`` whose category is still open keeps its id,
+    attempt counter and position, with its payload refreshed; one whose
+    category closed is gone, as is a second command of a category. Each
+    open category without a command becomes a new one, in taxonomy order,
+    numbered after ``top_id``, the highest live id. Payloads are sets, so
+    atom iteration order never reaches the output.
     """
     unmet = prompt.atoms - met - abandoned
-    open_atoms: dict[TaskCategory, frozenset[Atom]] = {}
-    if unmet:
-        for cat, part in prompt.by_category.items():
-            group = part & unmet
-            if group:
-                open_atoms[cat] = group
+    open_atoms = {cat: part & unmet for cat, part in prompt.by_category.items() if not part.isdisjoint(unmet)}
 
-    next_id = id_start
+    # an entry whose text and payload are already current is kept as it is
     commands: list[AtomicCommand] = []
-    claimed: set[TaskCategory] = set()
-
-    # existing ledger entries keep identity and position; an entry whose
-    # text and payload are already current is kept as it is
-    for cmd in c_rem:
-        if cmd.category in open_atoms and cmd.category not in claimed:
-            text, payload = command_text(cmd.category), open_atoms[cmd.category]
+    for cmd in ledger:
+        payload = open_atoms.pop(cmd.category, None)
+        if payload is not None:
+            text = command_text(cmd.category)
             if cmd.text != text or cmd.payload != payload:
                 cmd = AtomicCommand(
                     id=cmd.id, text=text, category=cmd.category, payload=payload, attempts=cmd.attempts
                 )
             commands.append(cmd)
-            claimed.add(cmd.category)
 
-    # leftover categories become new commands, in taxonomy order (the
-    # order of ``by_category``)
-    for cat, payload in open_atoms.items():
-        if cat not in claimed:
-            commands.append(
-                AtomicCommand(
-                    id=next_id,
-                    text=command_text(cat),
-                    category=cat,
-                    payload=payload,
-                    attempts=0,
-                )
-            )
-            next_id += 1
-
+    # the categories left over are in taxonomy order (that of ``by_category``)
+    for new_id, (cat, payload) in enumerate(open_atoms.items(), start=top_id + 1):
+        commands.append(AtomicCommand(id=new_id, text=command_text(cat), category=cat, payload=payload))
     return tuple(commands)
 
 
-def apply_attempt_policy(verdict: CriticVerdict, c_curr: AtomicCommand) -> tuple[Ledger, Optional[AtomicCommand]]:
-    """Decide the executed command's fate inside the fresh residual ledger.
+def apply_attempt_policy(
+    verdict: CriticVerdict,
+    c_curr: AtomicCommand,
+    c_rem: Ledger,
+    prompt: Prompt,
+    abandoned: frozenset[Atom],
+) -> tuple[Ledger, Optional[AtomicCommand]]:
+    """Settle the executed command's fate and rebuild the residual ledger.
 
-    Returns the updated ledger, and the executed command when it was
-    permanently abandoned (else ``None``).
+    Returns the new ledger, and the executed command when it was abandoned
+    (else ``None``), with the atoms given up as its payload.
 
-    A completed command is simply gone (its atoms are satisfied, so the
-    decomposition no longer lists them). An incomplete single-category
-    command reclaims its slot in the ledger with an incremented attempt
-    counter, unless this was its third attempt, in which case it is
-    dropped and its atoms are abandoned. An incomplete multi-category
-    command (only the initial whole-prompt command qualifies) is
-    superseded by its per-category decomposition and never requeued.
+    A completed command is simply gone. An incomplete single-category
+    command goes to the back of the ledger with one more attempt, unless
+    this was its third: then it is dropped, and the open atoms of its
+    category are abandoned. An incomplete multi-category command (only the
+    initial whole-prompt command qualifies) gives way to its split.
     """
-    residual = verdict.residual
-    if verdict.completed:
-        return residual, None
-
+    top_id = max(c.id for c in (c_curr, *c_rem))
     categories = {a.category for a in c_curr.payload}
-    if len(categories) != 1:
-        return residual, None
-    category = next(iter(categories))
+    if verdict.completed or len(categories) != 1:
+        return _decompose(verdict.met, c_rem, prompt, abandoned, top_id), None
 
-    slot = next((c for c in residual if c.category is category), None)
-    # an unmet atom of the command is a prompt atom not yet abandoned, so
-    # the decomposition always gives its category a slot
-    assert slot is not None
-    attempts = min(c_curr.attempts + 1, MAX_ATTEMPTS)
-    retried = AtomicCommand(
-        id=c_curr.id,
-        text=slot.text,
-        category=category,
-        payload=slot.payload,
-        attempts=attempts,
-    )
+    attempts = c_curr.attempts + 1
     if attempts < MAX_ATTEMPTS:
-        return tuple(retried if c.id == slot.id else c for c in residual), None
-    return tuple(c for c in residual if c.id != slot.id), retried
+        requeued = replace(c_curr, attempts=attempts)
+        return _decompose(verdict.met, (*c_rem, requeued), prompt, abandoned, top_id), None
+
+    (category,) = categories
+    lost = prompt.by_category.get(category, frozenset()) - verdict.met - abandoned
+    dropped = replace(c_curr, payload=lost, attempts=attempts)
+    return _decompose(verdict.met, c_rem, prompt, abandoned | lost, top_id), dropped
 
 
 def extract_command(c_rem: Ledger) -> tuple[Optional[AtomicCommand], Ledger]:

@@ -124,8 +124,8 @@ def generate_prompt(
 def generate_corpus(
     seed: int,
     count: int,
-    difficulty_min: int = 1,
-    difficulty_max: int = 6,
+    difficulty_min: int,
+    difficulty_max: int,
     id_start: int = 0,
     editing_prob: float = 0.0,
 ) -> list[Prompt]:

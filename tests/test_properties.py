@@ -1,10 +1,13 @@
 """Cross-module system properties that do not fit a single unit scope."""
 
 from qroute.config import RunConfig
+from qroute.core import satisfied_atoms
 from qroute.evaluate import evaluate
 from qroute.policies import GreedyPolicy, RandomPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 from qroute.train import train
+
+from test_rollout_pin import pinned_prompts
 
 
 def test_step_penalty_shortens_trained_episodes():
@@ -21,24 +24,32 @@ def test_step_penalty_shortens_trained_episodes():
 
 def test_decomposition_soundness_along_episodes(env):
     # at every step, each prompt atom is satisfied, pending in exactly one
-    # ledger entry (or the current command), or permanently abandoned
-    prompts = generate_corpus(55, 60, 1, 6)
+    # ledger entry (or the current command), or permanently abandoned; the
+    # live command ids are distinct, and after the first step (which splits
+    # the whole-prompt command) no id appears that was not live before, so
+    # the ledger never needs a counter for fresh ids. The pinned prompts
+    # add editing prompts whose input image already holds an atom to remove.
+    prompts = generate_corpus(55, 60, 1, 6) + pinned_prompts()
     for i, p in enumerate(prompts):
         rec = run_episode(env, RandomPolicy(), p, seed=900 + i)
         _, rng = episode_streams(rec.seed)
         state = env.reset(p)
+        live = {state.c_curr.id}
         for logged in rec.steps:
             state, _, _, _ = env.step(state, logged.expert, rng)
             pending = [c.payload for c in state.c_rem]
+            ids = [c.id for c in state.c_rem]
             if state.c_curr is not None:
                 pending.append(state.c_curr.payload)
+                ids.append(state.c_curr.id)
+            assert len(set(ids)) == len(ids), f"duplicate command ids {ids}"
+            if state.t > 1:
+                assert set(ids) <= live, f"new ids {set(ids) - live} at t={state.t}"
+            live = set(ids)
+            met = satisfied_atoms(p.atoms, state.canvas)
             for atom_ in p.atoms:
-                satisfied = atom_ in state.canvas.atoms
                 holders = sum(1 for payload in pending if atom_ in payload)
-                abandoned = atom_ in state.abandoned_atoms
-                if satisfied:
-                    assert holders == 0
-                elif abandoned:
+                if atom_ in met or atom_ in state.abandoned_atoms:
                     assert holders == 0
                 else:
                     assert holders == 1, f"atom {atom_} held by {holders} commands"

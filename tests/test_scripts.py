@@ -1,11 +1,18 @@
 """Smoke runs of the two experiment scripts, each in a fresh interpreter,
-on budgets small enough to finish in about a second."""
+on budgets small enough to finish in about a second, and their refusals of
+bad input."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from qroute import experiment
+from qroute.config import RunConfig
+from qroute.errors import DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,3 +61,31 @@ def test_learning_experiment_writes_its_summary(tmp_path):
     assert set(summary["per_seed"][0]) == {
         "seed", "trained_return", "best_baseline", "best_baseline_return", "oracle_return", "random_return",
     }
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        ("run_learning_experiment.py", ["--seeds", "-1"], "seed must be >= 0"),
+        ("run_learning_experiment.py", ["--seeds", "1", "-1"], "seed must be >= 0"),
+        ("run_learning_experiment.py", ["--prompts", "0"], "prompt count must be >= 1: 0"),
+        ("inspect_world.py", ["--steps", "-5"], "total_steps must be >= 0"),
+    ],
+)
+def test_scripts_refuse_bad_input_with_exit_2(name, args, message):
+    # the CLI's exit rule: one error line, exit 2, no traceback
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stdout == ""
+
+
+def test_bad_experiment_input_is_refused_before_any_training(monkeypatch):
+    def no_training(config, out_dir=None):
+        raise AssertionError(f"trained seed {config.seed} before refusing the input")
+
+    monkeypatch.setattr(experiment, "train", no_training)
+    with pytest.raises(DomainError, match="prompt count must be >= 1"):
+        experiment.run_seed(RunConfig(seed=1), eval_prompt_count=0)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        experiment.run_learning_experiment(RunConfig(), seeds=[1, -1])

@@ -150,4 +150,4 @@ def test_corpus_difficulty_bounds():
             generate_corpus(0, 5, low, high)
     for count in (0, -3):
         with pytest.raises(DomainError, match="prompt count must be >= 1"):
-            generate_corpus(0, count)
+            generate_corpus(0, count, 1, 6)
