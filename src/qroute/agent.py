@@ -8,6 +8,31 @@ so a sampled batch is a few gathers: its states come out compact, ``x``
 holding only the union of the batch's nonzero columns ``cols``, which is
 what the network's first layer multiplies.
 
+The table also keeps each state's Q-values under the target network. The
+target is frozen between syncs and a default run's replay holds about 70
+distinct states (at most 90 in seeds 1, 2, 3 and 12), so a state's row is
+computed once per sync, or once after it is first stored, and a batch
+carries its successors' rows, ``q2``, instead of running the target
+network over them at every step. The rows equal what a forward pass over
+the sampled successors gives, bit for bit, because of how OpenBLAS rounds
+these products. Measured on the production network (1536 -> 64 -> 64 ->
+12, float32) on a 2-core x86-64 host with OpenBLAS through numpy 2.4:
+
+- a one-row product rounds differently from a batched one (50 of 50 rows
+  differed);
+- in a product of 2 to 16 rows, a row's bits did not depend on the other
+  rows or on its position, up to a column union of about 800; in products
+  of 32 or 64 rows they did not up to about 440 columns, and at about 500
+  columns or more nearly every row diverged. The batches of default runs
+  (seeds 1 and 12) have unions of at most 84 columns;
+- with fewer than 8 outputs (4 excepted; 1 to 13 tried), a row's bits can
+  depend on the row count of the product, though not on its position.
+
+So the table computes its rows in forward passes of exactly the sampled
+batch's row count, padding the last one with repeats. Another BLAS, or a
+network shape outside these measurements, may give targets that differ
+from a per-batch forward pass in the last bits; runs stay deterministic.
+
 The learner's settings (discount, learning rate, buffer sizes, exploration
 schedule) have no defaults here: ``RunConfig`` owns them, and ``train``
 passes them in.
@@ -45,12 +70,14 @@ class States(NamedTuple):
 
 @dataclass(frozen=True)
 class Batch:
-    """Transitions as arrays, one row per transition."""
+    """Transitions as arrays, one row per transition. A successor state is
+    given by its target Q-values ``q2`` (float64), all the Bellman target
+    reads of it."""
 
     s: States
     a: np.ndarray
     r: np.ndarray
-    s2: States
+    q2: np.ndarray
     done: np.ndarray
     next_mask: np.ndarray
 
@@ -61,13 +88,16 @@ class Batch:
 class _StateTable:
     """The distinct states a replay buffer refers to, each stored once as
     its nonzero columns and their values, padded to the widest state with
-    column -1 and value 0.
+    column -1 and value 0, beside its Q-values under the target network.
 
     A row is keyed on the identity of the pushed vector and holds a
     reference to it, so the key cannot be reused while the row lives; the
     vectors must not change after they are pushed (the embedder's are
     read-only). Rows are counted by the ring slots that refer to them and
     freed at zero.
+
+    A row's Q-values are stale from the moment its state is stored and
+    whenever the target changes; ``refresh`` recomputes the stale ones.
     """
 
     def __init__(self, rows: int):
@@ -77,6 +107,9 @@ class _StateTable:
         self._free = list(range(rows - 1, -1, -1))
         self._cols = np.full((rows, 0), -1, dtype=np.intp)
         self._vals = np.zeros((rows, 0), dtype=np.float64)
+        self.q = np.zeros((rows, 0), dtype=np.float64)  # target Q-values, sized by the first refresh
+        self._stale: set[int] = set()
+        self._chunk = 0  # the row count of the products that computed the Q-values
         # a column's position in the batch being gathered, zero between
         # gathers; the last entry stands for the padding column -1
         self._pos = np.zeros(1, dtype=np.intp)
@@ -102,6 +135,7 @@ class _StateTable:
             self._vals[row, width:] = 0.0
             self.vectors[row] = vector
             self._row_of[id(vector)] = row
+            self._stale.add(row)
         self._refs[row] += 1
         return row
 
@@ -110,7 +144,32 @@ class _StateTable:
         if not self._refs[row]:
             del self._row_of[id(self.vectors[row])]
             self.vectors[row] = None
+            self._stale.discard(row)
             self._free.append(row)
+
+    def invalidate(self) -> None:
+        """Mark every row's Q-values stale."""
+        self._stale = set(self._row_of.values())
+
+    def refresh(self, target: QNetwork, chunk: int) -> None:
+        """Compute the stale rows' Q-values under ``target`` in forward
+        passes of exactly ``chunk`` rows, the last one padded by repeating
+        its rows. A row's bits can depend on the row count of the product
+        but not on the other rows in it (see the module docstring), so each
+        row reads as it would in a sampled batch of ``chunk``. A new
+        ``chunk`` makes every row stale."""
+        if chunk != self._chunk:
+            self._chunk = chunk
+            self.invalidate()
+        if not self._stale:
+            return
+        if self.q.shape[1] != target.n_actions:
+            self.q = np.zeros((len(self.vectors), target.n_actions), dtype=np.float64)
+        stale = np.array(sorted(self._stale), dtype=np.intp)
+        self._stale.clear()
+        for start in range(0, len(stale), chunk):
+            rows = np.resize(stale[start : start + chunk], chunk)
+            self.q[rows] = target.forward(*self.gather(rows))
 
     def gather(self, rows: np.ndarray) -> States:
         """The states of ``rows`` in compact form. ``cols``, the union of
@@ -134,7 +193,10 @@ class ReplayBuffer:
 
     Each slot holds an action, reward, done flag and successor mask in
     preallocated arrays, and its two states as rows of a state table, so
-    the table holds at most 2 * capacity rows.
+    the table holds at most 2 * capacity rows. The table also keeps each
+    state's Q-values under the target network given to ``set_target``, so
+    a sample reads a successor's as one row instead of running the target
+    network over it.
     """
 
     def __init__(self, capacity: int, min_size: int):
@@ -151,6 +213,7 @@ class ReplayBuffer:
         self._r = np.zeros(capacity, dtype=np.float64)
         self._done = np.zeros(capacity, dtype=bool)
         self._next_mask: np.ndarray | None = None  # (capacity, actions), sized by the first push
+        self._target: QNetwork | None = None
 
     def __len__(self) -> int:
         return self._len
@@ -159,6 +222,13 @@ class ReplayBuffer:
     def ready(self) -> bool:
         """Whether it holds the warmup size, below which sampling is refused."""
         return self._len >= self.min_size
+
+    def set_target(self, target: QNetwork) -> None:
+        """Bootstrap from ``target`` from now on. It must not change while
+        it is the target: each stored state's Q-values are computed from it
+        once."""
+        self._target = target
+        self._states.invalidate()
 
     def push(self, transition: Transition) -> None:
         slot = self._cursor
@@ -178,17 +248,24 @@ class ReplayBuffer:
         self._next_mask[slot] = transition.next_mask
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        """Uniform sampling with replacement; refused below the warmup size."""
+        """Uniform sampling with replacement; refused below the warmup size
+        or without a target. The stale target Q-values are computed first,
+        in forward passes of ``batch_size`` states."""
         if not self.ready:
             raise DomainError(
                 f"buffer holds {self._len} transitions, learning starts at {self.min_size}"
             )
+        if batch_size < 1:
+            raise DomainError(f"batch size must be >= 1: {batch_size}")
+        if self._target is None:
+            raise DomainError("no target network to bootstrap from: call set_target first")
+        self._states.refresh(self._target, batch_size)
         idx = rng.integers(0, self._len, size=batch_size)
         return Batch(
             s=self._states.gather(self._s.take(idx)),
             a=self._a.take(idx),
             r=self._r.take(idx),
-            s2=self._states.gather(self._s2.take(idx)),
+            q2=self._states.q.take(self._s2.take(idx), axis=0),
             done=self._done.take(idx),
             next_mask=self._next_mask.take(idx, axis=0),
         )
@@ -243,8 +320,9 @@ def select_action(
     return int(np.argmax(masked))
 
 
-def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
-    """One-step Bellman targets; terminal transitions use the bare reward.
+def td_targets(batch: Batch, gamma: float) -> np.ndarray:
+    """One-step Bellman targets from the batch's target Q-values; terminal
+    transitions use the bare reward.
 
     The successor-state maximum ranges over that state's own legal actions
     so the bootstrap never leans on an expert the agent could not pick; a
@@ -253,16 +331,13 @@ def td_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     if not len(batch):
         raise DomainError("batch must be non-empty")
     legal = batch.next_mask
-    q2 = np.asarray(target_net.forward(batch.s2.x, batch.s2.cols), dtype=np.float64)
-    bootstrap = np.where(legal.any(axis=1), np.where(legal, q2, -np.inf).max(axis=1), 0.0)
+    bootstrap = np.where(legal.any(axis=1), np.where(legal, batch.q2, -np.inf).max(axis=1), 0.0)
     return np.where(batch.done, batch.r, batch.r + gamma * bootstrap)
 
 
-def train_batch(
-    net: QNetwork, target_net: QNetwork, batch: Batch, adam: AdamState, lr: float, gamma: float
-) -> float:
+def train_batch(net: QNetwork, batch: Batch, adam: AdamState, lr: float, gamma: float) -> float:
     """One Adam step on the mean squared TD error; returns the pre-step loss."""
-    y = td_targets(batch, target_net, gamma)
+    y = td_targets(batch, gamma)
     q, cache = net.forward_cached(batch.s.x, batch.s.cols)
     rows = np.arange(len(y))
     err = q[rows, batch.a].astype(np.float64) - y

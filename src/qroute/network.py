@@ -9,14 +9,16 @@ so checkpoints round-trip exactly; tests instantiate float64 copies when
 they need headroom for numerical differentiation.
 
 All parameters live in one flat buffer, in ``parameters()`` order
-(``W1, b1, W2, b2, ...``); the weights and biases are views of it, and the
-Adam moments share its layout. The input is a feature-hashed state with
-about ten nonzeros of 1536, so the first layer multiplies only the batch's
-nonzero input columns, its weight gradient covers only those rows (a
-``RowGrad``), and Adam and the finiteness check touch only the rows of
-``W1`` a step can change. Everything after ``W1`` (about 5k values) is one
-contiguous tail that Adam updates in a single call. The products stay small
-enough that BLAS runs them on one thread.
+(``W1, b1, W2, b2, ...``); the weights and biases are views of it. The input
+is a feature-hashed state with about ten nonzeros of 1536, so the first
+layer multiplies only the batch's nonzero input columns, and its weight
+gradient covers only those rows (a ``RowGrad``). Adam's moments are kept
+only where a step can change anything: one contiguous block holding the
+tail after ``W1`` (about 5k values), then the rows of ``W1`` that have ever
+had a gradient, in the order they first had one (about 100 rows of 64 in a
+default run). A step is one update over that block, and the finiteness
+check reads only the rows of ``W1`` it wrote and the tail. The products
+stay small enough that BLAS runs them on one thread.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class QNetwork:
         whole buffer is checked.
         """
         w1 = self.weights[0]
-        parts = [self.flat] if rows is None else [w1[rows], self.flat[w1.size :]]
+        parts = [self.flat] if rows is None else [w1.take(rows, axis=0), self.flat[w1.size :]]
         for part in parts:
             if not np.isfinite(part).all():
                 raise NumericalError(
@@ -201,38 +203,55 @@ class QNetwork:
 
 
 class AdamState:
-    """First/second moment accumulators in the layout of a network's flat
-    parameter buffer; ``m`` and ``v`` read as lists of views in
-    ``parameters()`` order and cannot be assigned.
+    """First/second moment accumulators for a network's parameters; ``m``
+    and ``v`` read as lists of arrays in ``parameters()`` order (copies, in
+    the parameters' layout) and cannot be assigned.
 
-    A step makes two updates. The tail after ``W1`` is updated densely in
-    place. ``W1``'s update is row-sparse and exact: the hashed state vector
-    has about ten nonzeros, so most of its rows never see a nonzero
-    gradient; such a row has m = v = g = 0, and the dense update there is
-    lr * 0 / (0 + eps) = 0. ``W1`` therefore keeps a "live" mask of the
-    rows that ever had a nonzero (or NaN) gradient and runs Adam only on
-    those. A live row stays live, so its moments keep decaying exactly as
-    in the dense update (unlike lazy or sparse Adam variants, which skip
-    that decay). Its gradient arrives as a ``RowGrad``, so the rows a step
-    does not give read as zero without being built. The moments start at
-    +0.0 and only a step writes them, so no row starts live.
+    A step is one dense Adam update over one contiguous block, exact against
+    dense Adam over every parameter. The block is the tail after ``W1``
+    followed by ``W1``'s live rows: the hashed state vector has about ten
+    nonzeros, so most rows of ``W1`` never see a nonzero gradient; such a
+    row has m = v = g = 0, and the dense update there is
+    lr * 0 / (0 + eps) = 0. A row becomes live at its first nonzero (or NaN)
+    gradient and stays live, so its moments keep decaying exactly as in the
+    dense update (unlike lazy or sparse Adam variants, which skip that
+    decay). The moment buffers hold only that block: the tail, then the live
+    rows in the order they became live, each appended when it does. The
+    parameters keep their own layout, so a step gathers the block's
+    parameters, updates them and scatters them back. ``W1``'s gradient
+    arrives as a ``RowGrad``, so the rows a step does not give read as zero
+    without being built. The moments start at +0.0 and only a step writes
+    them, so no row starts live.
     """
 
     def __init__(self, net: QNetwork):
-        self._m_flat = np.zeros_like(net.flat)
-        self._v_flat = np.zeros_like(net.flat)
-        self._m = _views(self._m_flat, net.layer_sizes)
-        self._v = _views(self._v_flat, net.layer_sizes)
-        self._live = np.zeros(net.n_inputs, dtype=bool)
+        w1 = net.weights[0]
+        self._layer_sizes = net.layer_sizes
+        self._size = net.flat.size
+        self._tail = net.flat.size - w1.size
+        self._m = np.zeros(self._tail, dtype=net.dtype)
+        self._v = np.zeros(self._tail, dtype=net.dtype)
+        #: ``W1``'s live rows, in the order they became live
+        self.live_rows = np.zeros(0, dtype=np.intp)
+        self._slot = np.full(w1.shape[0], -1, dtype=np.intp)  # a row's place in live_rows
         self.t = 0
 
     @property
     def m(self) -> list[np.ndarray]:
-        return list(self._m)
+        return self._unpack(self._m)
 
     @property
     def v(self) -> list[np.ndarray]:
-        return list(self._v)
+        return self._unpack(self._v)
+
+    def _unpack(self, block: np.ndarray) -> list[np.ndarray]:
+        """A moment block in the layout of the parameters, zero in the rows
+        of ``W1`` that are not live."""
+        flat = np.zeros(self._size, dtype=block.dtype)
+        w1 = _views(flat, self._layer_sizes)[0]
+        flat[w1.size :] = block[: self._tail]
+        w1[self.live_rows] = block[self._tail :].reshape(-1, w1.shape[1])
+        return _views(flat, self._layer_sizes)
 
     def step(self, net: QNetwork, grads: list[RowGrad | np.ndarray], lr: float) -> np.ndarray:
         """One Adam step of ``net``'s parameters, given ``W1``'s gradient as
@@ -241,41 +260,63 @@ class AdamState:
         Returns the rows of ``W1`` the step wrote (its live rows), for
         ``QNetwork.check_finite``.
         """
-        if net.flat.shape != self._m_flat.shape or len(grads) != len(self._m):
+        p = net.weights[0]
+        if net.flat.size != self._size or len(grads) != 2 * len(net.weights):
             raise ValueError("parameter/gradient count mismatch")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
 
-        p, m, v, live = net.weights[0], self._m[0], self._v[0], self._live
+        width, tail, slot = p.shape[1], self._tail, self._slot
         rows, values = grads[0].rows, grads[0].values.astype(p.dtype, copy=False)
-        live[rows] |= values.any(axis=1)
-        upd = np.flatnonzero(live)
-        # the live rows' gradient: zero but where ``rows`` gives a value
-        # (a given row that is not live holds only zeros; it changes nothing)
-        given = live[rows]
-        g_upd = np.zeros((len(upd), p.shape[1]), dtype=p.dtype)
-        g_upd[np.searchsorted(upd, rows[given])] = values[given]
-        p_u, m_u, v_u = p[upd], m[upd], v[upd]
-        _adam_update(p_u, g_upd, m_u, v_u, lr, b1t, b2t)
-        p[upd], m[upd], v[upd] = p_u, m_u, v_u
+        at = slot[rows]
+        fresh = at < 0
+        if fresh.any():
+            new = rows[fresh][values[fresh].any(axis=1)]
+            slot[new] = np.arange(len(self.live_rows), len(self.live_rows) + len(new))
+            self.live_rows = np.concatenate([self.live_rows, new])
+            grow = np.zeros(len(new) * width, dtype=p.dtype)
+            self._m = np.concatenate([self._m, grow])
+            self._v = np.concatenate([self._v, grow])
+            # a given row that is still not live holds only zeros; it changes nothing
+            at = slot[rows]
+            given = at >= 0
+            at, values = at[given], values[given]
+        live = self.live_rows
 
-        # the tail: a zero gradient on zero moments leaves a value unchanged,
-        # so updating every element equals updating only the touched ones
-        tail = slice(p.size, None)
-        g_tail = np.concatenate([g.reshape(-1) for g in grads[1:]]).astype(p.dtype, copy=False)
-        _adam_update(net.flat[tail], g_tail, self._m_flat[tail], self._v_flat[tail], lr, b1t, b2t)
-        return upd
+        # the block's gradient: the tail's, then the live rows', zero but
+        # where ``rows`` gives a value
+        g = np.zeros(self._m.size, dtype=p.dtype)
+        np.concatenate([gi.reshape(-1) for gi in grads[1:]], out=g[:tail])
+        g[tail:].reshape(-1, width)[at] = values
+
+        block = np.empty_like(g)
+        block[:tail] = net.flat[p.size :]
+        np.take(p, live, axis=0, out=block[tail:].reshape(-1, width), mode="clip")
+        _adam_update(block, g, self._m, self._v, lr, b1t, b2t)
+        net.flat[p.size :] = block[:tail]
+        p[live] = block[tail:].reshape(-1, width)
+        return live
 
 
 def _adam_update(
     p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, b1t: float, b2t: float
 ) -> None:
-    """One in-place Adam update of ``p``, ``m`` and ``v`` given gradient ``g``."""
+    """One in-place Adam update of ``p``, ``m`` and ``v`` given gradient ``g``,
+    all of one dtype; ``g`` is used as scratch space. The arithmetic is
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
+    ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, operation for operation."""
+    step = np.multiply(g, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += step
+    np.square(g, out=g)
+    g *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * np.square(g)
-    m_hat = m / b1t
-    v_hat = v / b2t
-    p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype, copy=False)
+    v += g
+    np.divide(m, b1t, out=step)
+    step *= lr
+    np.divide(v, b2t, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    step /= g
+    np.subtract(p, step, out=p)

@@ -77,9 +77,9 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
     )
 
     net = QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, env.n_actions), seed=config.seed)
-    target = net.copy()  # frozen copy to bootstrap against, refreshed every sync interval
     adam = AdamState(net)
     buffer = ReplayBuffer(capacity=config.buffer_capacity, min_size=config.learning_starts)
+    buffer.set_target(net.copy())  # a frozen copy to bootstrap against, refreshed every sync interval
 
     prompt_rng = child_stream(config.seed, 1)  # prompt sampling, with replacement
     explore_rng = child_stream(config.seed, 2)  # epsilon-greedy draws
@@ -105,7 +105,7 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         return select_action(net, x, mask, epsilon, explore_rng, cols)
 
     def learn(state, action, reward, state2, next_mask) -> bool:
-        nonlocal global_step, target
+        nonlocal global_step
         buffer.push(
             Transition(
                 s=embed(state.serialized),
@@ -120,10 +120,10 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
         loss: Optional[float] = None
         if buffer.ready:
             batch = buffer.sample(config.batch_size, sample_rng)
-            loss = train_batch(net, target, batch, adam, config.lr, config.gamma)
+            loss = train_batch(net, batch, adam, config.lr, config.gamma)
         synced = global_step % config.target_sync_interval == 0
         if synced:
-            target = net.copy()
+            buffer.set_target(net.copy())
         metrics.append(
             StepMetric(
                 step=global_step,

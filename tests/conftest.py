@@ -60,13 +60,15 @@ def compact(x):
     return States(x[:, cols], cols)
 
 
-def batch_of(transitions):
-    """A list of transitions as the ``Batch`` ``ReplayBuffer.sample`` gives."""
+def batch_of(transitions, target):
+    """A list of transitions as the ``Batch`` ``ReplayBuffer.sample`` gives
+    when bootstrapping from ``target``: the successors' target Q-values come
+    from one batched forward pass of the stacked successors."""
     return Batch(
         s=compact(np.stack([t.s for t in transitions])),
         a=np.array([t.a for t in transitions], dtype=np.intp),
         r=np.array([t.r for t in transitions], dtype=np.float64),
-        s2=compact(np.stack([t.s2 for t in transitions])),
+        q2=np.asarray(target.forward(np.stack([t.s2 for t in transitions])), dtype=np.float64),
         done=np.array([t.done for t in transitions], dtype=bool),
         next_mask=np.array([t.next_mask for t in transitions], dtype=bool),
     )

@@ -166,7 +166,7 @@ def test_criterion_4_gradient_correctness():
             )
         from qroute.agent import td_targets
 
-        y = td_targets(batch_of(batch), target, 0.99)
+        y = td_targets(batch_of(batch, target), 0.99)
         s = np.stack([t.s for t in batch])
         a = np.array([t.a for t in batch])
         q, cache = net.forward_cached(s)

@@ -9,7 +9,8 @@ from qroute.agent import (
     train_batch,
 )
 from qroute.errors import DomainError
-from qroute.network import AdamState, QNetwork
+from qroute.embedder import EMBED_DIM
+from qroute.network import HIDDEN_WIDTHS, AdamState, QNetwork
 
 from conftest import DEFAULTS, batch_of, default_epsilon
 
@@ -85,11 +86,11 @@ def test_td_targets_bellman_cases():
     for w in net.weights:
         w[:] = 0
     net.biases[-1][:] = np.array([0.2, 1.0, 0.7])
-    batch = batch_of([tr(1, done=False, r=0.5), tr(2, done=True, r=0.95)])
-    y = td_targets(batch, net, gamma=0.99)
+    batch = batch_of([tr(1, done=False, r=0.5), tr(2, done=True, r=0.95)], net)
+    y = td_targets(batch, gamma=0.99)
     assert y[0] == pytest.approx(0.5 + 0.99 * 1.0)  # 1.49
     assert y[1] == pytest.approx(0.95)
-    y0 = td_targets(batch, net, gamma=0.0)
+    y0 = td_targets(batch, gamma=0.0)
     assert y0 == pytest.approx([0.5, 0.95])
 
 
@@ -98,8 +99,8 @@ def test_td_targets_respect_successor_mask():
     for w in net.weights:
         w[:] = 0
     net.biases[-1][:] = np.array([0.2, 1.0, 0.7])
-    batch = batch_of([tr(3, done=False, r=0.0, mask=(True, False, True))])
-    y = td_targets(batch, net, gamma=1.0)
+    batch = batch_of([tr(3, done=False, r=0.0, mask=(True, False, True))], net)
+    y = td_targets(batch, gamma=1.0)
     assert y[0] == pytest.approx(0.7)  # the global max (1.0) is masked out
 
 
@@ -137,7 +138,7 @@ def test_td_targets_match_per_transition_reference_bit_for_bit(gamma, dtype):
                     next_mask=mask,
                 )
             )
-        got = td_targets(batch_of(batch), net, gamma)
+        got = td_targets(batch_of(batch, net), gamma)
         want = reference_td_targets(batch, net, gamma)
         assert got.dtype == np.float64 and got.shape == (len(batch),)
         assert got.tobytes() == want.tobytes(), trial
@@ -155,6 +156,7 @@ def test_buffer_fifo_eviction():
 
 def test_buffer_refuses_below_learning_starts():
     buf = ReplayBuffer(capacity=500, min_size=50)
+    buf.set_target(QNetwork((8, 4, 4, 3), seed=0))
     for i in range(49):
         buf.push(tr(i))
     with pytest.raises(DomainError, match="buffer holds 49 transitions, learning starts at 50"):
@@ -165,6 +167,7 @@ def test_buffer_refuses_below_learning_starts():
 
 def test_buffer_sampling_uniform_chi_square():
     buf = ReplayBuffer(capacity=10, min_size=1)
+    buf.set_target(QNetwork((8, 4, 4, 3), seed=0))
     for i in range(10):
         buf.push(tr(i, r=float(i)))
     rng = np.random.default_rng(3)
@@ -183,12 +186,13 @@ def test_sync_copies_and_freezes():
     for p, q in zip(net.parameters(), target.parameters()):
         assert np.array_equal(p, q)
     adam = AdamState(net)
-    batch = batch_of([tr(i, done=True, r=0.5) for i in range(4)])
+    transitions = [tr(i, done=True, r=0.5) for i in range(4)]
+    batch = batch_of(transitions, target)
     before = [p.copy() for p in target.parameters()]
-    y1 = td_targets(batch, target, 0.99)
+    y1 = td_targets(batch, 0.99)
     for _ in range(10):
-        train_batch(net, target, batch, adam, lr=1e-3, gamma=DEFAULTS.gamma)
-    y2 = td_targets(batch, target, 0.99)
+        train_batch(net, batch, adam, lr=1e-3, gamma=DEFAULTS.gamma)
+    y2 = td_targets(batch_of(transitions, target), 0.99)
     for p, b in zip(target.parameters(), before):
         assert np.array_equal(p, b)
     assert np.array_equal(y1, y2)  # targets are a pure function of the batch between syncs
@@ -200,14 +204,15 @@ def test_training_loop_determinism():
         target = net.copy()
         adam = AdamState(net)
         buf = ReplayBuffer(capacity=64, min_size=4)
+        buf.set_target(target)
         rng = np.random.default_rng(11)
         losses = []
         for i in range(120):
             buf.push(tr(i, done=(i % 3 == 0), r=float(i % 5) / 5))
             if len(buf) >= 4:
-                losses.append(train_batch(net, target, buf.sample(8, rng), adam, lr=5e-4, gamma=DEFAULTS.gamma))
+                losses.append(train_batch(net, buf.sample(8, rng), adam, lr=5e-4, gamma=DEFAULTS.gamma))
             if i % 25 == 0:
-                target = net.copy()
+                buf.set_target(net.copy())
         return losses
 
     assert run() == run()
@@ -220,8 +225,8 @@ def test_train_batch_returns_pre_step_loss():
     transitions = [tr(i, done=True, r=0.9) for i in range(8)]
     q = net.forward(np.stack([t.s for t in transitions]))
     expected = float(np.mean((q[np.arange(8), [t.a for t in transitions]] - 0.9) ** 2))
-    batch = batch_of(transitions)
-    loss = train_batch(net, target, batch, adam, lr=5e-4, gamma=DEFAULTS.gamma)
+    batch = batch_of(transitions, target)
+    loss = train_batch(net, batch, adam, lr=5e-4, gamma=DEFAULTS.gamma)
     assert loss == pytest.approx(expected)
 
 
@@ -248,6 +253,8 @@ def sparse_tr(rng, n=40, k=4):
 def test_sample_equals_stacking_the_same_draws_bit_for_bit():
     rng = np.random.default_rng(17)
     buf = ReplayBuffer(capacity=30, min_size=1)
+    target = QNetwork((40, *HIDDEN_WIDTHS, 4), seed=2)
+    buf.set_target(target)
     pushed = [sparse_tr(rng) for _ in range(75)]  # wraps the ring twice
     for i, t in enumerate(pushed):
         buf.push(t)
@@ -259,11 +266,10 @@ def test_sample_equals_stacking_the_same_draws_bit_for_bit():
         size = int(rng.integers(1, 20))
         batch = buf.sample(size, np.random.default_rng(trial))
         drawn = [held[int(i)] for i in np.random.default_rng(trial).integers(0, len(buf), size=size)]
-        want = batch_of(drawn)
-        for got_states, want_states in ((batch.s, want.s), (batch.s2, want.s2)):
-            assert got_states.cols.tobytes() == want_states.cols.tobytes()
-            assert got_states.x.tobytes() == np.ascontiguousarray(want_states.x).tobytes()
-        for field in ("a", "r", "done", "next_mask"):
+        want = batch_of(drawn, target)
+        assert batch.s.cols.tobytes() == want.s.cols.tobytes()
+        assert batch.s.x.tobytes() == np.ascontiguousarray(want.s.x).tobytes()
+        for field in ("a", "r", "q2", "done", "next_mask"):
             got, expected = getattr(batch, field), getattr(want, field)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
 
@@ -271,6 +277,7 @@ def test_sample_equals_stacking_the_same_draws_bit_for_bit():
 def test_state_table_holds_at_most_two_rows_per_slot():
     rng = np.random.default_rng(5)
     buf = ReplayBuffer(capacity=10, min_size=1)
+    buf.set_target(QNetwork((8, 4, 4, 1), seed=0))
     most = 0
     for i in range(10_000):
         buf.push(Transition(rng.normal(size=8), 0, 0.0, rng.normal(size=8), False, (True,)))
@@ -290,3 +297,58 @@ def test_snapshot_returns_the_pushed_vectors_in_slot_order():
         assert got.s is want.s and got.s2 is want.s2
         assert (got.a, got.r, got.done) == (want.a, want.r, want.done)
         assert tuple(got.next_mask) == want.next_mask
+
+
+@pytest.mark.parametrize("sizes", [(1,), (16,), (16, 1, 5, 1)])
+def test_sampled_targets_equal_a_fresh_batched_forward_bit_for_bit(sizes, monkeypatch):
+    # episodes over a pool of 60 states through a ring of 12 slots, so the
+    # state table (24 rows) frees rows and reuses them; the target is
+    # refreshed every 40 steps, and after each refresh most steps push one
+    # successor the table does not hold. The batch size cycles through
+    # ``sizes``, one-row samples among batched ones in the last case.
+    rng = np.random.default_rng(29)
+    pool = []
+    for _ in range(60):
+        v = np.zeros(EMBED_DIM)
+        cols = rng.choice(EMBED_DIM, size=int(rng.integers(3, 12)), replace=False)
+        v[cols] = rng.normal(size=cols.size)
+        v.flags.writeable = False
+        pool.append(v)
+    net = QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, 12), seed=8)  # the production shape
+    adam = AdamState(net)
+    buf = ReplayBuffer(capacity=12, min_size=6)
+    buf.set_target(net.copy())
+    products = []  # rows and distinct rows of each forward pass the sample at hand makes
+    forward = QNetwork.forward
+
+    def spy(self, x, cols=None):
+        products.append((len(x), len({row.tobytes() for row in np.asarray(x)})))
+        return forward(self, x, cols)
+
+    lone_rows = 0
+    s = pool[0]
+    for step in range(400):
+        s2 = pool[int(rng.integers(0, len(pool)))]
+        done = bool(rng.random() < 0.2)
+        buf.push(Transition(s, int(rng.integers(0, 12)), float(rng.normal()), s2, done, rng.random(12) < 0.6))
+        s = pool[int(rng.integers(0, len(pool)))] if done else s2
+        if buf.ready:
+            size = sizes[step % len(sizes)]
+            target = buf._target
+            held = buf.snapshot()
+            products.clear()
+            monkeypatch.setattr(QNetwork, "forward", spy)
+            batch = buf.sample(size, np.random.default_rng(step))
+            monkeypatch.setattr(QNetwork, "forward", forward)
+            # the table's products have the row count of a sampled batch
+            assert all(rows == size for rows, _ in products), step
+            lone_rows += (size, 1) in products
+            drawn = [held[int(i)] for i in np.random.default_rng(step).integers(0, len(buf), size=size)]
+            want = batch_of(drawn, target)
+            assert batch.q2.tobytes() == want.q2.tobytes(), step
+            assert td_targets(batch, 0.99).tobytes() == td_targets(want, 0.99).tobytes(), step
+            train_batch(net, batch, adam, lr=1e-2, gamma=0.99)
+        if step % 40 == 38:  # the next sample has one row in the last case
+            buf.set_target(net.copy())
+    # a lone stale row filled a product of its own
+    assert lone_rows > 0

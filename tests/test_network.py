@@ -139,7 +139,7 @@ def test_gradients_match_finite_differences():
         target = QNetwork((8, 4, 4, 3), seed=case + 99, dtype=np.float64)
         randomize_biases(target, rng)
         batch = [make_transition(rng, net) for _ in range(5)]
-        y = td_targets(batch_of(batch), target, 0.99)
+        y = td_targets(batch_of(batch, target), 0.99)
         s = np.stack([t.s for t in batch])
         a = np.array([t.a for t in batch])
         q, cache = net.forward_cached(s)
@@ -180,7 +180,7 @@ def test_zero_gradient_fixed_point_up_to_adam_epsilon_drift():
     q = net.forward(tr.s)
     tr = Transition(tr.s, tr.a, float(q[tr.a]), tr.s2, True, tr.next_mask)  # target == prediction
     before = [p.copy() for p in net.parameters()]
-    loss = train_batch(net, net.copy(), batch_of([tr] * 4), adam, lr=5e-4, gamma=0.99)
+    loss = train_batch(net, batch_of([tr] * 4, net.copy()), adam, lr=5e-4, gamma=0.99)
     assert loss == pytest.approx(0.0, abs=1e-18)
     for p, b in zip(net.parameters(), before):
         assert np.max(np.abs(p - b)) < 1e-8
@@ -193,8 +193,8 @@ def test_single_transition_training_converges_monotonically():
     rng = np.random.default_rng(9)
     tr = make_transition(rng, net, done=True)
     tr = Transition(tr.s, tr.a, 0.5, tr.s2, True, tr.next_mask)
-    batch = batch_of([tr] * 4)
-    losses = [train_batch(net, target, batch, adam, lr=5e-4, gamma=0.99) for _ in range(500)]
+    batch = batch_of([tr] * 4, target)
+    losses = [train_batch(net, batch, adam, lr=5e-4, gamma=0.99) for _ in range(500)]
     floor = 1e-6  # below this Adam's momentum wiggles around exact zero
     settled = next(i for i, v in enumerate(losses) if v < floor)
     assert all(losses[i + 1] <= losses[i] for i in range(settled))
@@ -229,7 +229,7 @@ def test_non_finite_loss_aborts():
     rng = np.random.default_rng(0)
     tr = make_transition(rng, net, done=True)
     with pytest.raises(NumericalError):
-        train_batch(net, net.copy(), batch_of([tr]), AdamState(net), lr=5e-4, gamma=DEFAULTS.gamma)
+        train_batch(net, batch_of([tr], net.copy()), AdamState(net), lr=5e-4, gamma=DEFAULTS.gamma)
 
 
 @given(
@@ -417,3 +417,54 @@ def test_parameters_are_views_of_one_buffer():
         setattr(adam, "m", [np.zeros_like(p) for p in params])
     with pytest.raises(AttributeError):
         setattr(adam, "v", [np.zeros_like(p) for p in params])
+
+
+def test_compact_adam_with_rows_going_live_late_and_out_of_order():
+    # rows 30, 2 and 17 of the first matrix go live at steps 1, 7 and 20;
+    # row 17 is given with zeros before that, and row 30 goes quiet. The
+    # moments hold exactly the tail and the live rows, in the order they
+    # went live, and equal dense Adam's bit for bit
+    net = QNetwork((32, 8, 8, 4), seed=6)
+    ref = net.copy()
+    adam = AdamState(net)
+    ref_m = [np.zeros_like(p) for p in ref.parameters()]
+    ref_v = [np.zeros_like(p) for p in ref.parameters()]
+    rng = np.random.default_rng(13)
+    tail = net.flat.size - net.weights[0].size
+    joins = {1: 30, 7: 2, 20: 17}
+    live: list[int] = []
+    for step in range(1, 31):
+        if step in joins:
+            live.append(joins[step])
+        given = sorted(r for r in live if not (r == 30 and 10 <= step < 15))
+        grads = row_sparse_grads(rng, net.parameters(), [given, None, [1, 5], None, [0, 6], None])
+        if 4 <= step < 20:  # row 17 given, but only zeros
+            rows = np.append(grads[0].rows, 17)
+            grads[0] = RowGrad(rows, np.vstack([grads[0].values, -np.zeros((1, 8), dtype=np.float32)]))
+        written = adam.step(net, grads, lr=1e-2)
+        net.check_finite(written)
+        dense_adam_step(ref.parameters(), reference_grads(rng, ref.parameters(), grads), ref_m, ref_v, step, lr=1e-2)
+        for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
+            assert_bits_equal(a, b)
+        assert adam.live_rows.tolist() == live and sorted(written) == sorted(live)
+        for block, dense in ((adam._m, ref_m), (adam._v, ref_v)):
+            want = np.concatenate([np.concatenate([d.reshape(-1) for d in dense[1:]]), dense[0][live].reshape(-1)])
+            assert block.size == tail + 8 * len(live)
+            assert_bits_equal(block, want)
+    # a NaN in a row no step wrote stays out of the check of a step's rows
+    net.weights[0][25] = np.nan
+    net.check_finite(adam.step(net, zeroed(grads), lr=1e-2))
+    with pytest.raises(NumericalError):
+        net.check_finite()
+    net.weights[0][25] = ref.weights[0][25]
+    dense_adam_step(ref.parameters(), scatter(ref.parameters(), zeroed(grads)), ref_m, ref_v, 31, lr=1e-2)
+    # a NaN gradient on a row never written before poisons it as dense Adam does
+    grads = zeroed(grads)
+    grads[0] = RowGrad(np.array([9, 30]), np.array([[np.nan] + [0.0] * 7, [0.5] * 8], dtype=np.float32))
+    written = adam.step(net, grads, lr=1e-2)
+    dense_adam_step(ref.parameters(), scatter(ref.parameters(), grads), ref_m, ref_v, 32, lr=1e-2)
+    for a, b in zip(net.parameters() + adam.m + adam.v, ref.parameters() + ref_m + ref_v):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert adam.live_rows.tolist() == live + [9] and np.isnan(net.weights[0][9, 0])
+    with pytest.raises(NumericalError):
+        net.check_finite(written)

@@ -13,7 +13,7 @@ import hashlib
 from qroute.core import CanvasState, Prompt
 from qroute.evaluate import baseline_single_expert, evaluate
 from qroute.logs import episode_lines
-from qroute.policies import OraclePolicy, RandomPolicy
+from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_seed, run_episode
 from qroute.simworld import generate_corpus
 
 from conftest import atom
@@ -55,3 +55,31 @@ def test_network_free_rollouts_match_the_pinned_hash(env):
             digest.update(("\n".join(episode_lines(ep)) + "\n").encode("utf-8"))
     assert sum(len(ev.episodes) for ev in evals) == (12 + 2 + 1) * 50
     assert digest.hexdigest() == PINNED_SHA256
+
+
+#: sha256 of the serialized state before every step of the same rollouts,
+#: and after the last one; it sees what the episode logs do not, such as
+#: the order of the residual ledger
+PINNED_STATES_SHA256 = "5975ec56f7d2e53f2bea2e08b7b827aa1f9c4238a83dab6261994c6953b2c691"
+
+
+def test_network_free_rollout_states_match_the_pinned_hash(env):
+    digest = hashlib.sha256()
+    steps = 0
+
+    def record(state, action, reward, state2, next_mask):
+        nonlocal steps
+        steps += 1
+        digest.update((state.serialized + "\n").encode("utf-8"))
+        if state2.done:
+            digest.update((state2.serialized + "\n").encode("utf-8"))
+        return True
+
+    experts = [SingleExpertPolicy(spec.index, env.registry) for spec in env.registry.list()]
+    runs = [(policy, 1) for policy in experts] + [(RandomPolicy(), 2), (OraclePolicy(env.registry), 1)]
+    for policy, seed in runs:
+        for prompt in pinned_prompts():
+            for rep in range(5):
+                run_episode(env, policy, prompt, episode_seed(seed, prompt.id, rep), on_step=record)
+    assert steps > (12 + 2 + 1) * 50 * 5
+    assert digest.hexdigest() == PINNED_STATES_SHA256
