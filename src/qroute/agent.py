@@ -49,8 +49,7 @@ from .errors import DomainError, NumericalError
 from .network import AdamState, QNetwork
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     s: np.ndarray
     a: int
     r: float

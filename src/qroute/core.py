@@ -9,6 +9,12 @@ It works on whole sets: frozenset operations reuse the hashes the sets
 store, where a per-atom check would hash each atom again through the
 dataclass's Python ``__hash__``. ``child_stream`` is the one constructor
 of a seeded random stream.
+
+The values a rollout builds at every step, ``CanvasState`` and
+``AtomicCommand``, are named tuples: building one costs a tuple, and the
+check a type makes runs in its ``__new__`` (``_replace`` goes through it
+too). What a rollout reads of a prompt at every step (its seed command,
+its spatial and removal atoms) is computed once per prompt and kept on it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,40 +70,65 @@ class CanvasKind(str, Enum):
     SYMBOLIC = "symbolic"
 
 
-@dataclass(frozen=True)
-class CanvasState:
+# the members as plain names: reading one off the enum class costs a
+# metaclass lookup, and every step asks whether a canvas is blank
+_BLANK_KIND, _SYMBOLIC_KIND = CanvasKind.BLANK, CanvasKind.SYMBOLIC
+
+
+class _CanvasFields(NamedTuple):
     kind: CanvasKind
     atoms: frozenset[Atom] = frozenset()
     style: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.kind is CanvasKind.BLANK and (self.atoms or self.style):
+
+class CanvasState(_CanvasFields):
+    """An image as its satisfied atoms and style tag; a blank canvas has
+    neither."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: CanvasKind, atoms: frozenset[Atom] = frozenset(), style: Optional[str] = None):
+        if kind is _BLANK_KIND and (atoms or style):
             raise ValueError("a blank canvas carries no atoms or style")
+        return tuple.__new__(cls, (kind, atoms, style))
+
+    @classmethod
+    def _make(cls, iterable) -> "CanvasState":
+        return cls(*iterable)
 
     @property
     def is_blank(self) -> bool:
-        return self.kind is CanvasKind.BLANK
+        return self.kind is _BLANK_KIND
 
     @staticmethod
     def blank() -> "CanvasState":
-        return CanvasState(CanvasKind.BLANK)
+        return _BLANK
 
     @staticmethod
     def symbolic(atoms: frozenset[Atom] = frozenset(), style: Optional[str] = None) -> "CanvasState":
-        return CanvasState(CanvasKind.SYMBOLIC, atoms=frozenset(atoms), style=style)
+        return CanvasState(_SYMBOLIC_KIND, frozenset(atoms), style)
 
 
-def satisfied_atoms(atoms: frozenset[Atom], canvas: CanvasState) -> frozenset[Atom]:
+_BLANK = CanvasState(_BLANK_KIND)
+
+
+def satisfied_atoms(
+    atoms: frozenset[Atom], canvas: CanvasState, removals: Optional[frozenset[Atom]] = None
+) -> frozenset[Atom]:
     """The constraints among ``atoms`` that the canvas meets.
 
     Removal constraints are met by absence; everything else by presence.
-    Blank canvases satisfy nothing. The result is built with set operations
-    on the stored hashes, so no atom is hashed again.
+    Blank canvases satisfy nothing. ``removals``, when given, must be the
+    removal atoms of ``atoms`` (``Prompt.removals`` keeps a prompt's), and
+    saves finding them. The result is built with set operations on the
+    stored hashes, so no atom is hashed again.
     """
-    if canvas.is_blank:
+    if canvas.kind is _BLANK_KIND:
         return frozenset()
-    removals = frozenset(a for a in atoms if a.category in REMOVAL_CATEGORIES)
-    return (atoms & canvas.atoms) ^ removals
+    if removals is None:
+        removals = frozenset(a for a in atoms if a.category in REMOVAL_CATEGORIES)
+    met = atoms & canvas.atoms
+    return met ^ removals if removals else met
 
 
 def child_stream(seed: int, *key: int) -> np.random.Generator:
@@ -117,19 +148,29 @@ def clamp_score(x: float) -> float:
 MAX_ATTEMPTS = 3
 
 
-@dataclass(frozen=True)
-class AtomicCommand:
-    """A self-contained instruction with a per-command attempt counter."""
-
+class _CommandFields(NamedTuple):
     id: int
     text: str
     category: TaskCategory
     payload: frozenset[Atom] = frozenset()
     attempts: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.attempts <= MAX_ATTEMPTS:
-            raise ValueError(f"attempt counter out of range: {self.attempts}")
+
+class AtomicCommand(_CommandFields):
+    """A self-contained instruction with a per-command attempt counter."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: int, text: str, category: TaskCategory, payload: frozenset[Atom] = frozenset(), attempts: int = 0
+    ):
+        if not 0 <= attempts <= MAX_ATTEMPTS:
+            raise ValueError(f"attempt counter out of range: {attempts}")
+        return tuple.__new__(cls, (id, text, category, payload, attempts))
+
+    @classmethod
+    def _make(cls, iterable) -> "AtomicCommand":
+        return cls(*iterable)
 
 
 #: The residual-command ledger. Its order is meaningful: the agent's state
@@ -194,3 +235,23 @@ class Prompt:
         for a in self.atoms:
             groups.setdefault(a.category, set()).add(a)
         return {cat: frozenset(groups[cat]) for cat in TAXONOMY if cat in groups}
+
+    @cached_property
+    def spatial_atoms(self) -> frozenset[Atom]:
+        """The atoms of the spatial-configuration categories, the ones
+        rubric dimension two scores."""
+        return frozenset(a for a in self.atoms if a.category in SPATIAL_CATEGORIES)
+
+    @cached_property
+    def removals(self) -> frozenset[Atom]:
+        """The removal atoms, met by their absence (``satisfied_atoms``);
+        generated prompts have none."""
+        return frozenset(a for a in self.atoms if a.category in REMOVAL_CATEGORIES)
+
+    @cached_property
+    def seed_command(self) -> AtomicCommand:
+        """The whole prompt as one command, the first command of every
+        episode on it (``Environment.reset``)."""
+        from .reflection import classify_task  # the reflection loop builds on this module
+
+        return AtomicCommand(id=0, text=self.text, category=classify_task(self.atoms), payload=self.atoms)

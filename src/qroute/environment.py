@@ -7,10 +7,20 @@ rebuild the ledger, extract the next command, shape the reward. Episodes
 end when the ledger drains or the step budget runs out; done is absorbing.
 A state holds only what the next step reads.
 
+A step builds only plain values: the successor ``EnvState`` is a slotted
+object whose text form ``serialized`` is computed when first read, and the
+step's ``StepRecord`` is a named tuple. ``reset`` reads the prompt's seed
+command, built once per prompt.
+
 Which experts are legal depends only on whether the canvas is blank, so
 the environment builds its two legal masks once, when it is made: a step
 checks its action against one and logs its tuple, and ``legal_actions``
 hands out a copy.
+
+The world's randomness reaches a step as ``rng``: a ``numpy`` Generator, or
+any reader with the same ``random`` and ``normal`` methods, such as the
+pre-drawn table the episode runner passes (``policies.WorldDraws``). Each
+step draws exactly one uniform and then one normal from it.
 
 The step budget and the step penalty have no defaults here: a run's world
 is built by ``RunConfig.environment``, which owns them.
@@ -18,8 +28,6 @@ is built by ``RunConfig.environment``, which owns them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,7 +37,7 @@ from .embedder import serialize_reflection_state
 from .errors import DomainError
 from .experts import ExpertRegistry
 from .logs import StepRecord
-from .reflection import apply_attempt_policy, classify_task, critic_score, extract_command
+from .reflection import apply_attempt_policy, critic_score, extract_command
 
 
 def shape_reward(raw: float, t: int, step_penalty: float, t_max: int) -> float:
@@ -41,20 +49,38 @@ def shape_reward(raw: float, t: int, step_penalty: float, t_max: int) -> float:
     return raw / 10.0 - step_penalty * t
 
 
-@dataclass(frozen=True, eq=False)
 class EnvState:
-    prompt: Prompt
-    canvas: CanvasState
-    c_curr: Optional[AtomicCommand]
-    c_rem: Ledger
-    t: int
-    done: bool
-    abandoned_atoms: frozenset[Atom]
+    """One state of an episode. It compares by identity, and nothing
+    changes it after it is made."""
 
-    @cached_property
+    __slots__ = ("prompt", "canvas", "c_curr", "c_rem", "t", "done", "abandoned_atoms", "_serialized")
+
+    def __init__(
+        self,
+        prompt: Prompt,
+        canvas: CanvasState,
+        c_curr: Optional[AtomicCommand],
+        c_rem: Ledger,
+        t: int,
+        done: bool,
+        abandoned_atoms: frozenset[Atom],
+    ):
+        self.prompt = prompt
+        self.canvas = canvas
+        self.c_curr = c_curr
+        self.c_rem = c_rem
+        self.t = t
+        self.done = done
+        self.abandoned_atoms = abandoned_atoms
+        self._serialized: Optional[str] = None
+
+    @property
     def serialized(self) -> str:
-        cur = self.c_curr.text if self.c_curr is not None else None
-        return serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
+        """The agent's view of the state as text, computed on first read."""
+        if self._serialized is None:
+            cur = self.c_curr.text if self.c_curr is not None else None
+            self._serialized = serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
+        return self._serialized
 
 
 def _mask(n_actions: int, legal: frozenset[int]) -> tuple[np.ndarray, tuple[bool, ...]]:
@@ -86,13 +112,10 @@ class Environment:
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
         canvas = prompt.initial_canvas if prompt.initial_canvas is not None else CanvasState.blank()
-        seed_cmd = AtomicCommand(
-            id=0, text=prompt.text, category=classify_task(prompt.atoms), payload=prompt.atoms
-        )
         return EnvState(
             prompt=prompt,
             canvas=canvas,
-            c_curr=seed_cmd,
+            c_curr=prompt.seed_command,
             c_rem=(),
             t=0,
             done=False,
@@ -109,7 +132,9 @@ class Environment:
     def step(
         self, state: EnvState, action: int, rng: np.random.Generator
     ) -> tuple[EnvState, float, bool, StepRecord]:
-        """Apply one expert call; the record is the step's episode-log entry."""
+        """Apply one expert call; the record is the step's episode-log entry.
+        ``rng`` is the world's stream: a Generator, or a reader of its
+        pre-drawn values (see the module docstring)."""
         if state.done:
             raise DomainError("episode already finished")
         assert state.c_curr is not None

@@ -82,16 +82,21 @@ def routing_stats(
     i2i = registry.indices(Modality.I2I)
     hits = 0
     total = 0
-    best_cache: dict[str, int] = {}
+    # whether a mask is the editing block's, and each category's best
+    # expert, found once each
+    editing: dict[tuple[bool, ...], bool] = {}
+    best: dict[str, int] = {}
     for ep in episodes:
         for s in ep.steps:
-            legal = {i for i, m in enumerate(s.mask) if m}
-            if legal != i2i:
+            is_editing = editing.get(s.mask)
+            if is_editing is None:
+                is_editing = editing[s.mask] = {i for i, m in enumerate(s.mask) if m} == i2i
+            if not is_editing:
                 continue
-            if s.category not in best_cache:
-                best_cache[s.category] = best_expert(registry, TaskCategory(s.category))
+            if s.category not in best:
+                best[s.category] = best_expert(registry, TaskCategory(s.category))
             total += 1
-            if s.expert == best_cache[s.category]:
+            if s.expert == best[s.category]:
                 hits += 1
     return hits, total
 
@@ -100,17 +105,17 @@ def summarize_policy(
     name: str, episodes: list[EpisodeRecord], registry: ExpertRegistry
 ) -> PolicyEval:
     n_experts = len(registry)
-    matrix = np.zeros((len(TAXONOMY), n_experts), dtype=np.int64)
-    raw_sum = np.zeros(n_experts)
-    raw_count = np.zeros(n_experts, dtype=np.int64)
+    # plain Python counters (a float64 sum adds as numpy's would)
+    rows = {name: [0] * n_experts for name in CATEGORY_NAMES}
+    raw_sum = [0.0] * n_experts
+    raw_count = [0] * n_experts
     for ep in episodes:
         for s in ep.steps:
-            matrix[CATEGORY_NAMES.index(s.category), s.expert] += 1
+            rows[s.category][s.expert] += 1
             raw_sum[s.expert] += s.raw
             raw_count[s.expert] += 1
-    per_expert = {
-        i: float(raw_sum[i] / raw_count[i]) for i in range(n_experts) if raw_count[i]
-    }
+    matrix = np.array([rows[name] for name in CATEGORY_NAMES], dtype=np.int64)
+    per_expert = {i: raw_sum[i] / raw_count[i] for i in range(n_experts) if raw_count[i]}
     mean_ret, se_ret = mean_stderr([ep.episode_return for ep in episodes])
     mean_oracle = float(np.mean([ep.final_oracle_fraction for ep in episodes]))
     mean_len = float(np.mean([ep.length for ep in episodes]))

@@ -11,6 +11,12 @@ a registry is built, from a config's entries or from these. Its indices
 modal: T2I experts act on a blank canvas, I2I experts on anything that
 already has an image. A call's quality is clamped to the rubric's [0, 10]
 scale by ``core.clamp_score``, the clamp the critic applies too.
+
+A registry lays its profiles out once, when it is made: for a blank canvas
+and for an existing image, the experts eligible on it, each with its
+(mean, failure probability, sigma) per category. A call looks up its
+expert's table and is refused when there is none, so eligibility costs no
+check of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ import numpy as np
 
 from .core import REMOVAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, TaskCategory, clamp_score
 from .errors import DomainError
+
+
+_STYLE_TRANSFER = TaskCategory.STYLE_TRANSFER  # read once, not off the enum class per atom
 
 
 class Modality(str, Enum):
@@ -62,6 +71,11 @@ class SkillProfile:
             return self.failure[category]
         return (10.0 - self.means[category]) / 20.0
 
+    def table(self) -> dict[TaskCategory, tuple[float, float, float]]:
+        """(mean, failure probability, sigma) of each category it gives a
+        mean for."""
+        return {cat: (self.mean_for(cat), self.failure_for(cat), self.sigma) for cat in self.means}
+
     def covers(self) -> bool:
         """Whether it gives a mean for every category of the taxonomy."""
         return all(cat in self.means for cat in TAXONOMY)
@@ -87,6 +101,12 @@ class ExpertRegistry:
         self._by_modality: dict[Modality, frozenset[int]] = {
             m: frozenset(i for i, s in self._specs.items() if s.modality is m) for m in Modality
         }
+        self._counterparts = {index: self._find_counterpart(index) for index in self._specs}
+        # by whether the canvas is blank: the eligible experts' skill tables
+        self._skills: dict[bool, dict[int, dict[TaskCategory, tuple[float, float, float]]]] = {
+            canvas.is_blank: {i: self._specs[i].profile.table() for i in self.eligible(canvas)}
+            for canvas in (CanvasState.blank(), CanvasState.symbolic())
+        }
 
     def list(self) -> list[ExpertSpec]:
         return [self._specs[i] for i in sorted(self._specs)]
@@ -102,6 +122,9 @@ class ExpertRegistry:
 
     def counterpart(self, index: int) -> Optional[int]:
         """Same-name expert in the other modality block, if registered."""
+        return self._counterparts[index]
+
+    def _find_counterpart(self, index: int) -> Optional[int]:
         me = self._specs[index]
         for i, s in sorted(self._specs.items()):
             if i != index and s.name == me.name and s.modality is not me.modality:
@@ -129,14 +152,12 @@ class ExpertRegistry:
         call always turns a blank canvas into a symbolic one, even when it
         fails to satisfy anything.
         """
-        if index not in self.eligible(canvas):
-            raise DomainError(
-                f"expert {index} not eligible on {canvas.kind.value} canvas"
-            )
-        profile = self._specs[index].profile
-        mean = profile.mean_for(command.category)
+        skills = self._skills[canvas.is_blank].get(index)
+        if skills is None:
+            raise DomainError(f"expert {index} not eligible on {canvas.kind.value} canvas")
+        mean, failure, sigma = skills[command.category]
         # Fixed draw order (uniform, then gaussian) keeps replays bit-exact.
-        success = rng.random() >= profile.failure_for(command.category)
+        success = rng.random() >= failure
         noise = rng.normal()
 
         removal = command.category in REMOVAL_CATEGORIES
@@ -144,17 +165,17 @@ class ExpertRegistry:
             success = False  # removing something that is not there is a no-op
 
         if success:
-            quality = clamp_score(mean + profile.sigma * noise)
+            quality = clamp_score(mean + sigma * noise)
             if removal:
                 atoms = canvas.atoms - command.payload
             else:
                 atoms = canvas.atoms | command.payload
             style = canvas.style
             for a in command.payload:
-                if a.category is TaskCategory.STYLE_TRANSFER:
+                if a.category is _STYLE_TRANSFER:
                     style = a.value
             return CanvasState.symbolic(atoms, style), quality
-        quality = clamp_score(mean / 2.0 + profile.sigma * noise)
+        quality = clamp_score(mean / 2.0 + sigma * noise)
         if canvas.is_blank:
             return CanvasState.symbolic(frozenset(), None), quality
         return canvas, quality

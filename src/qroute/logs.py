@@ -1,23 +1,31 @@
 """Episode logs and prompt files: newline-delimited JSON. An episode log
 holds one step per line, followed by an episode summary line; a prompt
 file holds one prompt per line. Writing is canonical (sorted keys, no
-whitespace) so identical runs produce identical bytes. Reading refuses an
-episode line whose return or length contradicts its step lines: the return
-must be ``reward_sum`` of the step rewards, the length their count."""
+whitespace) so identical runs produce identical bytes.
+
+Reading is strict: each field must have its JSON type (an integer, a
+number, a boolean, a string, or null where the field is optional), so a
+``"false"`` string or a fractional id is refused rather than coerced, and
+a bad line raises ``LogParseError`` with its line number. Reading also
+refuses an episode line whose return or length contradicts its step lines:
+the return must be ``reward_sum`` of the step rewards, the length their
+count.
+
+A ``StepRecord`` is a named tuple, the cheapest record a rollout step can
+build; an ``EpisodeRecord``, one per episode, is a frozen dataclass."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .core import Atom, CanvasState, Prompt, TaskCategory
 from .errors import LogParseError
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     expert: int
     category: str
@@ -32,7 +40,7 @@ class StepRecord:
     terminal_reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     episode_id: int
     seed: int
@@ -63,16 +71,48 @@ def _prompt_payload(p: Prompt) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list", dict: "an object"
+}
+
+
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it has the JSON type ``kind`` (a number for ``float``,
+    returned as a float; a boolean is no number), else ValueError."""
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ValueError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _field(data: dict, key: str, kind: type) -> Any:
+    return _typed(data[key], kind, repr(key))
+
+
+def _optional(data: dict, key: str, kind: type) -> Any:
+    """``data[key]`` of type ``kind``, or None when it is null or absent."""
+    value = data.get(key)
+    return None if value is None else _typed(value, kind, repr(key))
+
+
+def _typed_list(data: dict, key: str, kind: type) -> tuple:
+    return tuple(_typed(x, kind, f"an entry of {key!r}") for x in _field(data, key, list))
+
+
 def _prompt_from_payload(data: dict) -> Prompt:
-    atoms = frozenset(
-        Atom(category=TaskCategory(c), key=k, value=v) for c, k, v in data["atoms"]
-    )
+    atoms = []
+    for entry in _field(data, "atoms", list):
+        category, key, value = (_typed(x, str, "an atom field") for x in _typed(entry, list, "an atom"))
+        atoms.append(Atom(category=TaskCategory(category), key=key, value=value))
     return Prompt(
-        id=int(data["id"]),
-        text=str(data["text"]),
-        atoms=atoms,
-        style_tag=data.get("style"),
-        initial_canvas=CanvasState.symbolic() if data.get("editing") else None,
+        id=_field(data, "id", int),
+        text=_field(data, "text", str),
+        atoms=frozenset(atoms),
+        style_tag=_optional(data, "style", str),
+        initial_canvas=CanvasState.symbolic() if _optional(data, "editing", bool) else None,
     )
 
 
@@ -112,7 +152,7 @@ def read_prompts(path: str | Path) -> list[Prompt]:
 
 def episode_lines(episode: EpisodeRecord) -> list[str]:
     lines = [
-        canonical_json({"kind": "step", "episode": episode.episode_id, **vars(s)}) for s in episode.steps
+        canonical_json({"kind": "step", "episode": episode.episode_id, **s._asdict()}) for s in episode.steps
     ]
     lines.append(
         canonical_json(
@@ -152,32 +192,35 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
         try:
             kind = data["kind"]
             if kind == "step":
+                subscores = _typed_list(data, "subscores", float)
+                if len(subscores) != 4:
+                    raise ValueError(f"'subscores' must hold 4 numbers, got {len(subscores)}")
                 pending.append(
                     StepRecord(
-                        t=int(data["t"]),
-                        expert=int(data["expert"]),
-                        category=str(data["category"]),
-                        raw=float(data["raw"]),
-                        subscores=tuple(float(x) for x in data["subscores"]),
-                        reward=float(data["reward"]),
-                        completed=bool(data["completed"]),
-                        mask=tuple(bool(b) for b in data["mask"]),
-                        command_id=int(data["command_id"]),
-                        attempts=int(data["attempts"]),
-                        abandoned_command=data.get("abandoned_command"),
-                        terminal_reason=data.get("terminal_reason"),
+                        t=_field(data, "t", int),
+                        expert=_field(data, "expert", int),
+                        category=_field(data, "category", str),
+                        raw=_field(data, "raw", float),
+                        subscores=subscores,
+                        reward=_field(data, "reward", float),
+                        completed=_field(data, "completed", bool),
+                        mask=_typed_list(data, "mask", bool),
+                        command_id=_field(data, "command_id", int),
+                        attempts=_field(data, "attempts", int),
+                        abandoned_command=_optional(data, "abandoned_command", int),
+                        terminal_reason=_optional(data, "terminal_reason", str),
                     )
                 )
             elif kind == "episode":
                 episode = EpisodeRecord(
-                    episode_id=int(data["episode"]),
-                    seed=int(data["seed"]),
-                    prompt=_prompt_from_payload(data["prompt"]),
+                    episode_id=_field(data, "episode", int),
+                    seed=_field(data, "seed", int),
+                    prompt=_prompt_from_payload(_field(data, "prompt", dict)),
                     steps=tuple(pending),
-                    episode_return=float(data["return"]),
-                    length=int(data["length"]),
-                    final_oracle_fraction=float(data["oracle"]),
-                    truncated_by=data.get("truncated_by"),
+                    episode_return=_field(data, "return", float),
+                    length=_field(data, "length", int),
+                    final_oracle_fraction=_field(data, "oracle", float),
+                    truncated_by=_optional(data, "truncated_by", str),
                 )
                 if episode.length != len(pending):
                     raise LogParseError(lineno, f"length {episode.length} but {len(pending)} step lines")

@@ -5,11 +5,20 @@ ground-truth routing oracle, and forced single-expert baselines.
 An episode draws from two streams of its seed: the world's, which every
 expert call draws from, and the policy's, which only the random and the
 exploring policies draw from and which is therefore made on its first draw.
-``episode_seed`` is memoized, since a paired comparison rolls every policy
-over the same episode seeds.
+
+An expert call draws exactly one uniform and then one normal from the
+world's stream, whatever the policy, so step k of any episode reads the
+k-th (uniform, normal) pair of that stream. ``run_episode`` therefore
+reads the world from a table of the first ``t_max`` pairs, drawn once per
+seed (``world_draws``) and read in order by a ``WorldDraws``; a table is
+the same draws the Generator of ``episode_streams`` gives. A paired
+comparison rolls every policy over the same episode seeds, so the tables
+and ``episode_seed`` are memoized, in bounded memos that hold numbers only.
 
 The network policies score the memoized compact form of the state's
-embedding, so their one-row forward pass skips the 1536-column scan."""
+embedding, so their one-row forward pass skips the 1536-column scan. The
+greedy policy acts with a frozen copy of its network and memoizes its
+action per (state text, legal mask)."""
 
 from __future__ import annotations
 
@@ -52,16 +61,32 @@ def _check_width(net: QNetwork) -> None:
         )
 
 
-@dataclass
 class GreedyPolicy:
-    net: QNetwork
+    """The network's best legal action, ties broken low.
 
-    def __post_init__(self) -> None:
-        _check_width(self.net)
+    The policy acts with a read-only copy of ``net`` taken when it is built:
+    a later change to ``net`` (a training step, new parameters) does not
+    reach it, and a policy built after the change acts with the changed
+    network. Over that fixed copy a greedy action is a pure function of the
+    state's text and legal mask, so it is memoized on the pair, and a state
+    seen before costs no forward pass. Like the embedder's memo it needs no
+    bound: the reflection states are formulaic, a few hundred texts.
+    """
+
+    def __init__(self, net: QNetwork):
+        _check_width(net)
+        flat = net.flat.copy()
+        flat.setflags(write=False)
+        self.net = QNetwork.from_flat(net.layer_sizes, flat)
+        self._actions: dict[tuple[str, bytes], int] = {}
 
     def __call__(self, state, mask, rng):
-        x, cols = embed.compact(state.serialized)
-        return select_action(self.net, x, mask, 0.0, rng, cols)
+        key = (state.serialized, np.asarray(mask, dtype=bool).tobytes())
+        action = self._actions.get(key)
+        if action is None:
+            x, cols = embed.compact(state.serialized)
+            action = self._actions[key] = select_action(self.net, x, mask, 0.0, rng, cols)
+        return action
 
 
 @dataclass
@@ -156,6 +181,10 @@ class LazyGenerator:
         return getattr(self._rng, name)
 
 
+#: The spawn keys of an episode's two streams under its seed.
+POLICY_STREAM, WORLD_STREAM = (0,), (1,)
+
+
 def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
     """(policy stream, world stream) for one episode: generators on the two
     children ``SeedSequence(seed).spawn(2)`` gives, built directly from
@@ -166,7 +195,47 @@ def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
-    return LazyGenerator(seed, (0,)), child_stream(seed, 1)
+    return LazyGenerator(seed, POLICY_STREAM), child_stream(seed, *WORLD_STREAM)
+
+
+#: Draw tables ``world_draws`` keeps: more than the episode seeds of one
+#: paired comparison (``experiment.run_seed`` has 100), each a few hundred
+#: bytes.
+WORLD_DRAWS_MEMO = 256
+
+
+@lru_cache(maxsize=WORLD_DRAWS_MEMO)
+def world_draws(seed: int, pairs: int) -> tuple[float, ...]:
+    """The first ``pairs`` (uniform, normal) pairs of the world stream of
+    ``seed``, flat and in draw order: what ``pairs`` expert calls draw
+    from the world Generator of ``episode_streams(seed)``. Memoized."""
+    rng = child_stream(seed, *WORLD_STREAM)
+    draws: list[float] = []
+    for _ in range(pairs):
+        draws += (rng.random(), rng.normal())
+    return tuple(draws)
+
+
+class WorldDraws:
+    """The world stream of an episode, read from its ``world_draws`` table
+    in the order an expert call draws: ``random`` gives the uniform of the
+    current pair, ``normal`` its normal, and then moves on to the next
+    pair. An episode that draws in that order reads what the Generator
+    would give it."""
+
+    __slots__ = ("_draws", "_next")
+
+    def __init__(self, draws: tuple[float, ...]):
+        self._draws = draws
+        self._next = 0
+
+    def random(self) -> float:
+        return self._draws[self._next]
+
+    def normal(self) -> float:
+        z = self._draws[self._next + 1]
+        self._next += 2
+        return z
 
 
 def run_episode(
@@ -179,10 +248,13 @@ def run_episode(
 ) -> EpisodeRecord:
     """Roll one full episode; deterministic given the seed.
 
-    Each state's legal mask is computed once and carried forward: the mask
-    the policy sees is the successor mask of the previous transition.
+    The world is read from the seed's draw table, the policy stream is
+    ``episode_streams``'s. Each state's legal mask is computed once and
+    carried forward: the mask the policy sees is the successor mask of the
+    previous transition.
     """
-    policy_rng, rng = episode_streams(seed)
+    policy_rng = LazyGenerator(seed, POLICY_STREAM)
+    rng = WorldDraws(world_draws(seed, env.t_max))
     state = env.reset(prompt)
     mask = env.legal_actions(state)
     steps: list[StepRecord] = []

@@ -16,16 +16,17 @@ The critic finds the prompt's met atoms once per call (``satisfied_atoms``)
 and hands them on in its verdict: the subscores, the completion flag and the
 decomposition all read that set, and the decomposition intersects the open
 atoms with the prompt's per-category atom sets (``Prompt.by_category``).
+What the critic reads of the prompt itself (its spatial and removal atoms)
+is computed once per prompt.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .core import (
     MAX_ATTEMPTS,
-    SPATIAL_CATEGORIES,
     TAXONOMY,
     Atom,
     AtomicCommand,
@@ -63,15 +64,11 @@ def critic_score(curr: CanvasState, c_curr: AtomicCommand, prompt: Prompt, quali
     completion flag read them. A payload atom outside the prompt (only a
     hand-built command has one) is checked on its own.
     """
-    met = satisfied_atoms(prompt.atoms, curr)
+    met = satisfied_atoms(prompt.atoms, curr, prompt.removals)
     content = 10.0 * len(met) / len(prompt.atoms)
 
-    spatial_parts = [part for cat, part in prompt.by_category.items() if cat in SPATIAL_CATEGORIES]
-    if spatial_parts:
-        n_spatial = sum(len(part & met) for part in spatial_parts)
-        spatial = 10.0 * n_spatial / sum(len(part) for part in spatial_parts)
-    else:
-        spatial = 10.0
+    spatial_atoms = prompt.spatial_atoms
+    spatial = 10.0 * len(spatial_atoms & met) / len(spatial_atoms) if spatial_atoms else 10.0
 
     visual = clamp_score(float(quality))
 
@@ -85,8 +82,10 @@ def critic_score(curr: CanvasState, c_curr: AtomicCommand, prompt: Prompt, quali
     subscores = (content, spatial, visual, style)
     raw = sum(subscores) / 4.0
 
-    outside = c_curr.payload - prompt.atoms
-    completed = c_curr.payload <= (met | satisfied_atoms(outside, curr) if outside else met)
+    completed = c_curr.payload <= met
+    if not completed and not c_curr.payload <= prompt.atoms:
+        outside = c_curr.payload - prompt.atoms
+        completed = c_curr.payload <= met | satisfied_atoms(outside, curr)
     return CriticVerdict(raw=raw, subscores=subscores, completed=completed, met=met)
 
 
@@ -153,21 +152,25 @@ def apply_attempt_policy(
 
     attempts = c_curr.attempts + 1
     if attempts < MAX_ATTEMPTS:
-        requeued = replace(c_curr, attempts=attempts)
+        requeued = AtomicCommand(c_curr.id, c_curr.text, c_curr.category, c_curr.payload, attempts)
         return _decompose(verdict.met, (*c_rem, requeued), prompt, abandoned, top_id), None
 
     (category,) = categories
     lost = prompt.by_category.get(category, frozenset()) - verdict.met - abandoned
-    dropped = replace(c_curr, payload=lost, attempts=attempts)
+    dropped = AtomicCommand(c_curr.id, c_curr.text, c_curr.category, lost, attempts)
     return _decompose(verdict.met, c_rem, prompt, abandoned | lost, top_id), dropped
+
+
+#: The order ``extract_command`` takes commands in.
+_NEXT_FIRST = attrgetter("attempts", "id")
 
 
 def extract_command(c_rem: Ledger) -> tuple[Optional[AtomicCommand], Ledger]:
     """Pick the next command: fewest attempts first, then lowest id."""
     if not c_rem:
         return None, c_rem
-    chosen = min(c_rem, key=lambda c: (c.attempts, c.id))
-    return chosen, tuple(c for c in c_rem if c.id != chosen.id)
+    chosen = min(c_rem, key=_NEXT_FIRST)
+    return chosen, tuple([c for c in c_rem if c.id != chosen.id])
 
 
 def classify_task(payload: frozenset[Atom]) -> TaskCategory:

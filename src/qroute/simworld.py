@@ -145,7 +145,7 @@ def generate_corpus(
 def oracle_fraction(canvas: CanvasState, prompt: Prompt) -> float:
     """Fraction of the prompt's atoms the canvas satisfies (``satisfied_atoms``:
     a removal atom by its absence, any other by its presence); blank scores 0."""
-    return len(satisfied_atoms(prompt.atoms, canvas)) / len(prompt.atoms)
+    return len(satisfied_atoms(prompt.atoms, canvas, prompt.removals)) / len(prompt.atoms)
 
 
 def best_expert(registry: ExpertRegistry, category: TaskCategory) -> int:

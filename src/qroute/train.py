@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +32,7 @@ METRICS_NAME = "metrics.jsonl"
 SUMMARY_NAME = "summary.json"
 
 
-@dataclass
-class StepMetric:
+class StepMetric(NamedTuple):
     step: int
     episode: int
     epsilon: float
@@ -153,7 +152,7 @@ def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, step)
     write_episode_log(out_dir / EPISODES_NAME, result.episodes)
-    write_lines(out_dir / METRICS_NAME, [canonical_json(vars(m)) for m in result.metrics])
+    write_lines(out_dir / METRICS_NAME, [canonical_json(m._asdict()) for m in result.metrics])
     losses = result.losses
     summary = {
         "total_steps": step,

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qroute.core import child_stream
+from qroute.core import AtomicCommand, CanvasKind, CanvasState, TaskCategory, child_stream, command_text
 from qroute.environment import shape_reward
 from qroute.errors import DomainError
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
@@ -43,6 +43,29 @@ def test_reset_editing_prompt_starts_with_image(env):
     assert not state.canvas.is_blank
     mask = env.legal_actions(state)
     assert set(np.flatnonzero(mask)) == {7, 8, 9, 10, 11}
+
+
+def test_value_types_check_their_fields_on_every_path():
+    """A command's attempt counter and a blank canvas's emptiness are
+    checked however the value is made: built, replaced, made from an
+    iterable, copied or unpickled."""
+    cat = TaskCategory.ADD_TEXT
+    cmd = AtomicCommand(1, command_text(cat), cat, frozenset({atom("add_text", "sign")}), 2)
+    canvas = CanvasState.symbolic(frozenset({atom("add_text", "sign")}), "noir")
+    for value in (cmd, canvas, CanvasState.blank()):
+        assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+        assert type(pickle.loads(pickle.dumps(value))) is type(value)
+    assert cmd._replace(attempts=3).attempts == 3
+    for bad in (
+        lambda: AtomicCommand(1, "x", cat, attempts=4),
+        lambda: cmd._replace(attempts=-1),
+        lambda: AtomicCommand._make([1, "x", cat, frozenset(), 4]),
+        lambda: CanvasState(CanvasKind.BLANK, style="noir"),
+        lambda: CanvasState.blank()._replace(atoms=canvas.atoms),
+        lambda: CanvasState._make([CanvasKind.BLANK, canvas.atoms, None]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_reset_is_deterministic(env):

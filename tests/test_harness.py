@@ -663,7 +663,7 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     with pytest.raises(LogParseError, match="step lines"):
         read_episode_log(logs["length"])
     # one that agrees with an infinite step reward reads, and the test refuses it
-    inf_steps = (replace(rand[0].steps[0], reward=float("inf")), *rand[0].steps[1:])
+    inf_steps = (rand[0].steps[0]._replace(reward=float("inf")), *rand[0].steps[1:])
     write_episode_log(logs["inf"], [replace(rand[0], steps=inf_steps, episode_return=float("inf")), *rand[1:]])
     assert read_episode_log(logs["inf"])[0].episode_return == float("inf")
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,10 +121,10 @@ def reference_ledger(curr, c_curr, c_rem, prompt, abandoned, completed):
     categories = {a.category for a in c_curr.payload}
     if not completed and len(categories) == 1:
         if c_curr.attempts + 1 < MAX_ATTEMPTS:
-            c_rem = (*c_rem, replace(c_curr, attempts=c_curr.attempts + 1))
+            c_rem = (*c_rem, c_curr._replace(attempts=c_curr.attempts + 1))
         else:
             lost = frozenset(a for a in prompt.atoms if a.category in categories and is_open(a, abandoned))
-            dropped = replace(c_curr, payload=lost, attempts=MAX_ATTEMPTS)
+            dropped = c_curr._replace(payload=lost, attempts=MAX_ATTEMPTS)
             abandoned = abandoned | lost
 
     open_atoms = {}
@@ -136,7 +134,7 @@ def reference_ledger(curr, c_curr, c_rem, prompt, abandoned, completed):
     commands, claimed = [], set()
     for c in c_rem:
         if c.category in open_atoms and c.category not in claimed:
-            commands.append(replace(c, text=command_text(c.category), payload=frozenset(open_atoms[c.category])))
+            commands.append(c._replace(text=command_text(c.category), payload=frozenset(open_atoms[c.category])))
             claimed.add(c.category)
     for cat in TAXONOMY:
         if cat in open_atoms and cat not in claimed:

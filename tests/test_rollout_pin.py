@@ -6,15 +6,22 @@ depends only on the environment, the critic, the experts, the policies and
 the episode streams. A change to any of those that is meant to be bit-exact
 must leave the hash as it is; a change that means to alter rollouts must
 record the new value here and say why.
+
+A third pin hashes the greedy rollouts of a briefly trained network over
+the same prompts. It covers the greedy policy's path (embedding, forward
+pass, masked argmax), so, like the reference hashes of the training runs,
+it also rests on how this host's BLAS rounds.
 """
 
 import hashlib
 
+from qroute.config import RunConfig
 from qroute.core import CanvasState, Prompt
 from qroute.evaluate import baseline_single_expert, evaluate
 from qroute.logs import episode_lines
-from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_seed, run_episode
+from qroute.policies import GreedyPolicy, OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_seed, run_episode
 from qroute.simworld import generate_corpus
+from qroute.train import train
 
 from conftest import atom
 
@@ -83,3 +90,19 @@ def test_network_free_rollout_states_match_the_pinned_hash(env):
                 run_episode(env, policy, prompt, episode_seed(seed, prompt.id, rep), on_step=record)
     assert steps > (12 + 2 + 1) * 50 * 5
     assert digest.hexdigest() == PINNED_STATES_SHA256
+
+
+#: sha256 of the episode logs of the greedy policy of a 200-step seed-1
+#: training run over the same prompts, two episodes each; recorded before
+#: the draw tables and the greedy policy's action memo, and unchanged by them
+PINNED_GREEDY_SHA256 = "c88177c782181b0b55bda2c3d271915a050ca50c02d0a87268f587cae0edb558"
+
+
+def test_greedy_rollouts_match_the_pinned_hash(env):
+    net = train(RunConfig(seed=1, total_steps=200)).net
+    greedy = evaluate(env, GreedyPolicy(net), pinned_prompts(), 2, 5, name="greedy")
+    digest = hashlib.sha256()
+    for ep in greedy.episodes:
+        digest.update(("\n".join(episode_lines(ep)) + "\n").encode("utf-8"))
+    assert len(greedy.episodes) == 2 * 50
+    assert digest.hexdigest() == PINNED_GREEDY_SHA256
