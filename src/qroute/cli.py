@@ -38,7 +38,7 @@ from .evaluate import (
     paired_returns,
     render_report,
 )
-from .logs import read_episode_log, read_prompts, write_episode_log, write_prompts
+from .logs import field, read_episode_log, read_prompts, typed, write_episode_log, write_prompts
 from .policies import GreedyPolicy, run_episode
 from .simworld import generate_corpus
 from .stats import wilcoxon_signed_rank
@@ -123,9 +123,10 @@ def _recorded_config(run_file: Path) -> RunConfig:
     if not summary.is_file():
         return RunConfig()
     try:
-        return config_from_dict(json.loads(summary.read_text(encoding="utf-8"))["config"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        recorded = field(typed(json.loads(summary.read_text(encoding="utf-8")), dict, "the summary"), "config", dict)
+    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"no run config in {summary}: {exc}") from exc
+    return config_from_dict(recorded)
 
 
 def _cmd_eval(args) -> int:

@@ -6,6 +6,11 @@ a registry (a config's own, or the stock ``DEFAULT_EXPERT_PROFILES`` when
 it gives none), and ``RunConfig.environment`` the one place a config
 becomes a world. ``config_from_dict`` is the JSON boundary: it checks each
 value's JSON type before the config validates its range.
+
+Every JSON value is checked by the typed-field helpers of ``qroute.logs``,
+the one rule set for the files qroute reads: nothing is coerced (a float
+setting or a profile number is a finite number), and an unknown key is
+refused, at the top level and in an expert profile entry alike.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .core import TAXONOMY, TaskCategory
 from .environment import Environment
 from .errors import ConfigError
 from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
+from .logs import field, optional, typed
 
 
 @dataclass
@@ -67,8 +73,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
-        if self.step_penalty < 0:
-            raise ConfigError("step_penalty must be >= 0")
+        if not 0.0 <= self.step_penalty < math.inf:
+            raise ConfigError("step_penalty must be a finite number >= 0")
         if not 1 <= self.difficulty_min <= self.difficulty_max <= 6:
             raise ConfigError("difficulty bounds must satisfy 1 <= min <= max <= 6")
         if self.train_prompt_count < 1:
@@ -82,23 +88,11 @@ class RunConfig:
         through one parser and the same checks."""
         entries = DEFAULT_EXPERT_PROFILES if self.expert_profiles is None else self.expert_profiles
         specs = []
-        for entry in entries:
+        for i, entry in enumerate(entries):
             try:
-                means = {TaskCategory(k): float(v) for k, v in entry["means"].items()}
-                failure = entry.get("failure")
-                if failure is not None:
-                    failure = {TaskCategory(k): float(v) for k, v in failure.items()}
-                sigma = float(entry.get("sigma", SkillProfile.sigma))
-                specs.append(
-                    ExpertSpec(
-                        index=int(entry["index"]),
-                        name=str(entry["name"]),
-                        modality=Modality(entry["modality"]),
-                        profile=SkillProfile(means=means, sigma=sigma, failure=failure),
-                    )
-                )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad expert profile entry: {exc}") from exc
+                specs.append(_profile_spec(typed(entry, dict, "the entry")))
+            except ValueError as exc:
+                raise ConfigError(f"bad expert profile entry {i} of 'expert_profiles': {exc}") from exc
         indices = sorted(spec.index for spec in specs)
         if indices != list(range(len(specs))):
             raise ConfigError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
@@ -123,19 +117,33 @@ class RunConfig:
 _LEGACY_TAXONOMY = [c.value for c in TAXONOMY]
 
 
-def _check_json_type(name: str, hint: Any, value: Any) -> None:
-    """An int field takes an integer, a float field a finite number (not
-    ``NaN`` or ``Infinity``, which Python's JSON reader accepts), and
-    ``expert_profiles`` a list or null; a boolean is none of these."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        ok, want = number and isinstance(value, int), "an integer"
-    elif hint is float:
-        ok, want = number and (isinstance(value, int) or math.isfinite(value)), "a finite number"
-    else:
-        ok, want = value is None or isinstance(value, list), "a list or null"
-    if not ok:
-        raise ConfigError(f"config key {name!r} must be {want}, got {value!r}")
+_PROFILE_KEYS = {"index", "name", "modality", "means", "sigma", "failure"}
+
+
+def _profile_spec(entry: dict[str, Any]) -> ExpertSpec:
+    """One ``expert_profiles`` entry as an expert: an object of exactly
+    ``index``, ``name``, ``modality`` and ``means`` (a number per category),
+    with optional ``sigma`` (a number) and ``failure`` (a number per
+    category)."""
+    unknown, missing = entry.keys() - _PROFILE_KEYS, _PROFILE_KEYS - {"sigma", "failure"} - entry.keys()
+    if unknown or missing:
+        raise ValueError(f"unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
+    failure = optional(entry, "failure", dict)
+    sigma = optional(entry, "sigma", float)
+    return ExpertSpec(
+        index=field(entry, "index", int),
+        name=field(entry, "name", str),
+        modality=Modality(field(entry, "modality", str)),
+        profile=SkillProfile(
+            means=_per_category(field(entry, "means", dict), "means"),
+            sigma=SkillProfile.sigma if sigma is None else sigma,
+            failure=None if failure is None else _per_category(failure, "failure"),
+        ),
+    )
+
+
+def _per_category(numbers: dict[str, Any], key: str) -> dict[TaskCategory, float]:
+    return {TaskCategory(k): typed(v, float, f"entry {k!r} of {key!r}") for k, v in numbers.items()}
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
@@ -149,16 +157,19 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
     unknown = set(kwargs) - set(hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in kwargs.items():
-        _check_json_type(name, hints[name], value)
+    try:
+        for name in kwargs:
+            # an int or float setting takes its JSON type, ``expert_profiles`` a list or null
+            hint = hints[name]
+            kwargs[name] = field(kwargs, name, hint) if hint in (int, float) else optional(kwargs, name, list)
+    except ValueError as exc:
+        raise ConfigError(f"config key {exc}") from exc
     return RunConfig(**kwargs).validate()
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "the config root")
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)

@@ -20,7 +20,8 @@ hands out a copy.
 The world's randomness reaches a step as ``rng``: a ``numpy`` Generator, or
 any reader with the same ``random`` and ``normal`` methods, such as the
 pre-drawn table the episode runner passes (``policies.WorldDraws``). Each
-step draws exactly one uniform and then one normal from it.
+step draws from it exactly what ``experts.draw`` draws: one uniform, then
+one normal.
 
 The step budget and the step penalty have no defaults here: a run's world
 is built by ``RunConfig.environment``, which owns them.

@@ -9,6 +9,7 @@ baseline on the same prompts with the same per-prompt seeds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -207,8 +208,9 @@ class EvalReport:
                 }
                 for p in self.policies
             ],
+            # W is NaN when every paired difference is zero; JSON has no NaN
             "wilcoxon_vs_baselines": {
-                k: {"W": w, "p": pv} for k, (w, pv) in sorted(self.wilcoxon.items())
+                k: {"W": w if math.isfinite(w) else None, "p": pv} for k, (w, pv) in sorted(self.wilcoxon.items())
             },
             "win_rates_vs_baselines": {
                 k: {"rate": r, "stderr": se} for k, (r, se) in sorted(self.win_rates.items())

@@ -21,6 +21,7 @@ check of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional, Sequence
@@ -53,8 +54,8 @@ class SkillProfile:
     failure: Optional[dict[TaskCategory, float]] = None
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
         for cat, m in self.means.items():
             if not 0.0 <= m <= 10.0:
                 raise ValueError(f"mean score for {cat} out of [0, 10]: {m}")
@@ -87,6 +88,13 @@ class ExpertSpec:
     name: str
     modality: Modality
     profile: SkillProfile
+
+
+def draw(rng: np.random.Generator) -> tuple[float, float]:
+    """One expert call's world draws in their fixed order, which keeps replays
+    bit-exact: the uniform its success is drawn against, then the normal of
+    its quality noise. ``policies.world_draws`` tabulates them."""
+    return rng.random(), rng.normal()
 
 
 class ExpertRegistry:
@@ -156,9 +164,8 @@ class ExpertRegistry:
         if skills is None:
             raise DomainError(f"expert {index} not eligible on {canvas.kind.value} canvas")
         mean, failure, sigma = skills[command.category]
-        # Fixed draw order (uniform, then gaussian) keeps replays bit-exact.
-        success = rng.random() >= failure
-        noise = rng.normal()
+        uniform, noise = draw(rng)
+        success = uniform >= failure
 
         removal = command.category in REMOVAL_CATEGORIES
         if removal and not (command.payload & canvas.atoms):

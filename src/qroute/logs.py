@@ -4,9 +4,12 @@ file holds one prompt per line. Writing is canonical (sorted keys, no
 whitespace) so identical runs produce identical bytes.
 
 Reading is strict: each field must have its JSON type (an integer, a
-number, a boolean, a string, or null where the field is optional), so a
-``"false"`` string or a fractional id is refused rather than coerced, and
-a bad line raises ``LogParseError`` with its line number. Reading also
+finite number, a boolean, a string, or null where the field is optional),
+so a ``"false"`` string, a fractional id or an infinite reward is refused
+rather than coerced, and a bad line raises ``LogParseError`` with its line
+number. ``typed``, ``field``, ``optional`` and ``typed_list`` are the
+program's one rule set for JSON values: configs and their expert profiles
+(``qroute.config``) are read through them too. Reading also
 refuses an episode line whose return or length contradicts its step lines:
 the return must be ``reward_sum`` of the step rewards, the length their
 count.
@@ -17,6 +20,7 @@ build; an ``EpisodeRecord``, one per episode, is a frozen dataclass."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Optional
@@ -72,15 +76,17 @@ def _prompt_payload(p: Prompt) -> dict:
 
 
 _JSON_TYPE_NAMES = {
-    int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list", dict: "an object"
+    int: "an integer", float: "a finite number", bool: "a boolean", str: "a string", list: "a list", dict: "an object"
 }
 
 
-def _typed(value: Any, kind: type, name: str) -> Any:
-    """``value`` if it has the JSON type ``kind`` (a number for ``float``,
-    returned as a float; a boolean is no number), else ValueError."""
+def typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it has the JSON type ``kind``, else ValueError. A
+    number (``kind`` float) is finite: an integer or float that a float
+    holds, not ``NaN`` or ``Infinity`` (which Python's JSON reader accepts);
+    it is returned as a float. A boolean is no number."""
     if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     else:
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     if not ok:
@@ -88,31 +94,33 @@ def _typed(value: Any, kind: type, name: str) -> Any:
     return float(value) if kind is float else value
 
 
-def _field(data: dict, key: str, kind: type) -> Any:
-    return _typed(data[key], kind, repr(key))
+def field(data: dict, key: str, kind: type) -> Any:
+    """``data[key]``, which must have the JSON type ``kind``."""
+    return typed(data[key], kind, repr(key))
 
 
-def _optional(data: dict, key: str, kind: type) -> Any:
+def optional(data: dict, key: str, kind: type) -> Any:
     """``data[key]`` of type ``kind``, or None when it is null or absent."""
     value = data.get(key)
-    return None if value is None else _typed(value, kind, repr(key))
+    return None if value is None else typed(value, kind, repr(key))
 
 
-def _typed_list(data: dict, key: str, kind: type) -> tuple:
-    return tuple(_typed(x, kind, f"an entry of {key!r}") for x in _field(data, key, list))
+def typed_list(data: dict, key: str, kind: type) -> tuple:
+    """``data[key]``, a list whose every entry has the JSON type ``kind``."""
+    return tuple(typed(x, kind, f"an entry of {key!r}") for x in field(data, key, list))
 
 
 def _prompt_from_payload(data: dict) -> Prompt:
     atoms = []
-    for entry in _field(data, "atoms", list):
-        category, key, value = (_typed(x, str, "an atom field") for x in _typed(entry, list, "an atom"))
+    for entry in field(data, "atoms", list):
+        category, key, value = (typed(x, str, "an atom field") for x in typed(entry, list, "an atom"))
         atoms.append(Atom(category=TaskCategory(category), key=key, value=value))
     return Prompt(
-        id=_field(data, "id", int),
-        text=_field(data, "text", str),
+        id=field(data, "id", int),
+        text=field(data, "text", str),
         atoms=frozenset(atoms),
-        style_tag=_optional(data, "style", str),
-        initial_canvas=CanvasState.symbolic() if _optional(data, "editing", bool) else None,
+        style_tag=optional(data, "style", str),
+        initial_canvas=CanvasState.symbolic() if optional(data, "editing", bool) else None,
     )
 
 
@@ -140,7 +148,7 @@ def read_prompts(path: str | Path) -> list[Prompt]:
         if not line.strip():
             continue
         try:
-            prompt = _prompt_from_payload(json.loads(line))
+            prompt = _prompt_from_payload(typed(json.loads(line), dict, "the line"))
         except (KeyError, TypeError, ValueError) as exc:
             raise LogParseError(lineno, f"bad prompt record: {exc}") from exc
         if prompt.id in ids:
@@ -186,41 +194,38 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(lineno, f"invalid JSON: {exc}") from exc
-        try:
+            data = typed(json.loads(line), dict, "the line")
             kind = data["kind"]
             if kind == "step":
-                subscores = _typed_list(data, "subscores", float)
+                subscores = typed_list(data, "subscores", float)
                 if len(subscores) != 4:
                     raise ValueError(f"'subscores' must hold 4 numbers, got {len(subscores)}")
                 pending.append(
                     StepRecord(
-                        t=_field(data, "t", int),
-                        expert=_field(data, "expert", int),
-                        category=_field(data, "category", str),
-                        raw=_field(data, "raw", float),
+                        t=field(data, "t", int),
+                        expert=field(data, "expert", int),
+                        category=field(data, "category", str),
+                        raw=field(data, "raw", float),
                         subscores=subscores,
-                        reward=_field(data, "reward", float),
-                        completed=_field(data, "completed", bool),
-                        mask=_typed_list(data, "mask", bool),
-                        command_id=_field(data, "command_id", int),
-                        attempts=_field(data, "attempts", int),
-                        abandoned_command=_optional(data, "abandoned_command", int),
-                        terminal_reason=_optional(data, "terminal_reason", str),
+                        reward=field(data, "reward", float),
+                        completed=field(data, "completed", bool),
+                        mask=typed_list(data, "mask", bool),
+                        command_id=field(data, "command_id", int),
+                        attempts=field(data, "attempts", int),
+                        abandoned_command=optional(data, "abandoned_command", int),
+                        terminal_reason=optional(data, "terminal_reason", str),
                     )
                 )
             elif kind == "episode":
                 episode = EpisodeRecord(
-                    episode_id=_field(data, "episode", int),
-                    seed=_field(data, "seed", int),
-                    prompt=_prompt_from_payload(_field(data, "prompt", dict)),
+                    episode_id=field(data, "episode", int),
+                    seed=field(data, "seed", int),
+                    prompt=_prompt_from_payload(field(data, "prompt", dict)),
                     steps=tuple(pending),
-                    episode_return=_field(data, "return", float),
-                    length=_field(data, "length", int),
-                    final_oracle_fraction=_field(data, "oracle", float),
-                    truncated_by=_optional(data, "truncated_by", str),
+                    episode_return=field(data, "return", float),
+                    length=field(data, "length", int),
+                    final_oracle_fraction=field(data, "oracle", float),
+                    truncated_by=optional(data, "truncated_by", str),
                 )
                 if episode.length != len(pending):
                     raise LogParseError(lineno, f"length {episode.length} but {len(pending)} step lines")

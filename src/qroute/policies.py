@@ -7,18 +7,19 @@ expert call draws from, and the policy's, which only the random and the
 exploring policies draw from and which is therefore made on its first draw.
 
 An expert call draws exactly one uniform and then one normal from the
-world's stream, whatever the policy, so step k of any episode reads the
-k-th (uniform, normal) pair of that stream. ``run_episode`` therefore
-reads the world from a table of the first ``t_max`` pairs, drawn once per
-seed (``world_draws``) and read in order by a ``WorldDraws``; a table is
-the same draws the Generator of ``episode_streams`` gives. A paired
-comparison rolls every policy over the same episode seeds, so the tables
-and ``episode_seed`` are memoized, in bounded memos that hold numbers only.
+world's stream (``experts.draw``, the one owner of that order), whatever
+the policy, so step k of any episode reads the k-th (uniform, normal)
+pair of that stream. ``run_episode`` therefore reads the world from a
+table of the first ``t_max`` pairs, drawn once per seed (``world_draws``)
+and read in order by a ``WorldDraws``; a table is the same draws the
+Generator of ``episode_streams`` gives. A paired comparison rolls every
+policy over the same episode seeds, so the tables and ``episode_seed`` are
+memoized, in bounded memos that hold numbers only.
 
-The network policies score the memoized compact form of the state's
-embedding, so their one-row forward pass skips the 1536-column scan. The
-greedy policy acts with a frozen copy of its network and memoizes its
-action per (state text, legal mask)."""
+The greedy policy scores the memoized compact form of the state's
+embedding, so its one-row forward pass skips the 1536-column scan. It acts
+with a frozen copy of its network and memoizes its action per (state text,
+legal mask)."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .core import Prompt, child_stream
 from .embedder import EMBED_DIM, embed
 from .environment import Environment, EnvState
 from .errors import DomainError
-from .experts import ExpertRegistry, Modality
+from .experts import ExpertRegistry, Modality, draw
 from .logs import EpisodeRecord, StepRecord, reward_sum
 from .network import QNetwork
 from .simworld import best_legal_expert, oracle_fraction
@@ -53,14 +54,6 @@ class Policy(Protocol):
 StepHook = Callable[[EnvState, int, float, EnvState, np.ndarray], bool]
 
 
-def _check_width(net: QNetwork) -> None:
-    # the compact input carries no width, so the forward pass cannot check it
-    if net.n_inputs != EMBED_DIM:
-        raise DomainError(
-            f"expected a network of input width {EMBED_DIM}, got one that reads {net.n_inputs}-wide states"
-        )
-
-
 class GreedyPolicy:
     """The network's best legal action, ties broken low.
 
@@ -74,7 +67,11 @@ class GreedyPolicy:
     """
 
     def __init__(self, net: QNetwork):
-        _check_width(net)
+        # the compact input carries no width, so the forward pass cannot check it
+        if net.n_inputs != EMBED_DIM:
+            raise DomainError(
+                f"expected a network of input width {EMBED_DIM}, got one that reads {net.n_inputs}-wide states"
+            )
         flat = net.flat.copy()
         flat.setflags(write=False)
         self.net = QNetwork.from_flat(net.layer_sizes, flat)
@@ -87,19 +84,6 @@ class GreedyPolicy:
             x, cols = embed.compact(state.serialized)
             action = self._actions[key] = select_action(self.net, x, mask, 0.0, rng, cols)
         return action
-
-
-@dataclass
-class EpsilonGreedyPolicy:
-    net: QNetwork
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _check_width(self.net)
-
-    def __call__(self, state, mask, rng):
-        x, cols = embed.compact(state.serialized)
-        return select_action(self.net, x, mask, self.epsilon, rng, cols)
 
 
 class RandomPolicy:
@@ -206,36 +190,25 @@ WORLD_DRAWS_MEMO = 256
 
 @lru_cache(maxsize=WORLD_DRAWS_MEMO)
 def world_draws(seed: int, pairs: int) -> tuple[float, ...]:
-    """The first ``pairs`` (uniform, normal) pairs of the world stream of
-    ``seed``, flat and in draw order: what ``pairs`` expert calls draw
-    from the world Generator of ``episode_streams(seed)``. Memoized."""
+    """What the first ``pairs`` expert calls draw (``experts.draw``) from the
+    world Generator of ``episode_streams(seed)``, flat and in draw order.
+    Memoized."""
     rng = child_stream(seed, *WORLD_STREAM)
     draws: list[float] = []
     for _ in range(pairs):
-        draws += (rng.random(), rng.normal())
+        draws += draw(rng)
     return tuple(draws)
 
 
 class WorldDraws:
-    """The world stream of an episode, read from its ``world_draws`` table
-    in the order an expert call draws: ``random`` gives the uniform of the
-    current pair, ``normal`` its normal, and then moves on to the next
-    pair. An episode that draws in that order reads what the Generator
-    would give it."""
+    """The world stream of an episode, read from its ``world_draws`` table:
+    each draw, whatever its kind, is the table's next number, so an expert
+    call reads what the Generator would give it."""
 
-    __slots__ = ("_draws", "_next")
+    __slots__ = ("random", "normal")
 
     def __init__(self, draws: tuple[float, ...]):
-        self._draws = draws
-        self._next = 0
-
-    def random(self) -> float:
-        return self._draws[self._next]
-
-    def normal(self) -> float:
-        z = self._draws[self._next + 1]
-        self._next += 2
-        return z
+        self.random = self.normal = iter(draws).__next__
 
 
 def run_episode(

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from qroute.agent import ReplayBuffer, Transition
+from qroute.agent import ReplayBuffer, Transition, select_action
 from qroute.config import RunConfig
-from qroute.embedder import EMBED_DIM
+from qroute.embedder import EMBED_DIM, embed
 from qroute.environment import shape_reward
 from qroute.errors import DomainError
 from qroute.network import HIDDEN_WIDTHS, QNetwork
-from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
+from qroute.policies import GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 from qroute.stats import win_rate, wilcoxon_signed_rank
 from qroute.train import train
@@ -89,11 +89,21 @@ def test_criterion_1_reward_shaping_exactness(random_trace):
     assert elapsed < 1.0
 
 
+def epsilon_greedy(net, epsilon):
+    """A policy that explores with probability ``epsilon`` from the policy stream."""
+
+    def policy(state, mask, rng):
+        x, cols = embed.compact(state.serialized)
+        return select_action(net, x, mask, epsilon, rng, cols)
+
+    return policy
+
+
 def test_criterion_2_masking_soundness(env):
     c = Criterion(2, "zero illegal actions across 10,000 steps")
     prompts = generate_corpus(103, 300, 1, 6)
     net = QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, env.n_actions), seed=0)
-    policies = [RandomPolicy(), GreedyPolicy(net), EpsilonGreedyPolicy(net, 0.3)]
+    policies = [RandomPolicy(), GreedyPolicy(net), epsilon_greedy(net, 0.3)]
     steps = 0
     i = 0
     t0 = time.perf_counter()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qroute.agent import select_action
 from qroute.embedder import EMBED_DIM, HashingEmbedder, serialize_reflection_state
 from qroute.network import QNetwork
-from qroute.policies import EpsilonGreedyPolicy, GreedyPolicy, RandomPolicy, run_episode
+from qroute.policies import GreedyPolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 
 embed = HashingEmbedder()
@@ -152,5 +152,3 @@ def test_network_policies_reject_a_net_of_another_input_width(width):
     net = QNetwork((width, 8, 12), seed=0)
     with pytest.raises(ValueError, match="input width"):
         GreedyPolicy(net)
-    with pytest.raises(ValueError, match="input width"):
-        EpsilonGreedyPolicy(net, 0.1)

@@ -13,7 +13,7 @@ from qroute.config import RunConfig, config_from_dict, load_config
 from qroute.core import TaskCategory
 from qroute.errors import ConfigError, DomainError, LogParseError
 from qroute.evaluate import baseline_single_expert, build_report, evaluate, paired_returns, render_report
-from qroute.experts import DEFAULT_EXPERT_PROFILES
+from qroute.experts import DEFAULT_EXPERT_PROFILES, SkillProfile
 from qroute.logs import read_episode_log, write_episode_log, write_prompts
 from qroute.network import QNetwork
 from qroute.policies import OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
@@ -83,6 +83,14 @@ def test_config_profiles_must_cover_taxonomy():
     del profiles[0]["means"]["add_text"]
     with pytest.raises(ConfigError):
         config_from_dict({"expert_profiles": profiles})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_python_api_refuses_a_non_finite_sigma_or_step_penalty(bad):
+    with pytest.raises(ValueError, match="sigma must be a finite number"):
+        SkillProfile(means={c: 5.0 for c in TaskCategory}, sigma=bad)
+    with pytest.raises(ConfigError, match="step_penalty must be a finite number"):
+        RunConfig(step_penalty=bad).validate()
 
 
 def test_config_profile_means_must_be_an_object():
@@ -386,6 +394,13 @@ def test_cli_learning_rate_above_one_exits_2(tmp_path, capsys, lr):
     assert config_from_dict({"lr": 1.0}).lr == 1.0
 
 
+def with_bad_profile(entry=None, **change):
+    """A config of uniform profiles whose entry 3 is ``entry``, or takes ``change``."""
+    profiles = uniform_profiles()
+    profiles[3] = {**profiles[3], **change} if entry is None else entry
+    return {"expert_profiles": profiles}
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -397,10 +412,22 @@ def test_cli_learning_rate_above_one_exits_2(tmp_path, capsys, lr):
         {"t_max": True},
         {"lr": float("nan")},
         {"step_penalty": float("inf")},
+        pytest.param(with_bad_profile(sigma=float("nan")), id="profile_sigma_nan"),
+        pytest.param(with_bad_profile(sigma=float("inf")), id="profile_sigma_inf"),
+        pytest.param(with_bad_profile(index=1.9), id="profile_index_fraction"),
+        pytest.param(with_bad_profile(index=True), id="profile_index_bool"),
+        pytest.param(with_bad_profile(name=7), id="profile_name_number"),
+        pytest.param(
+            with_bad_profile(means={**uniform_profiles()[3]["means"], "add_object": "3.3"}), id="profile_mean_string"
+        ),
+        pytest.param(with_bad_profile(failure={"add_object": True}), id="profile_failure_bool"),
+        pytest.param(with_bad_profile(sigmma=0.1), id="profile_unknown_key"),
+        pytest.param(with_bad_profile(entry=5), id="profile_entry_not_an_object"),
     ],
     ids=lambda config: next(iter(config)),
 )
 def test_cli_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, config):
+    # json.dumps writes a NaN or an infinity as Python's JSON reader reads it
     (tmp_path / "bad.json").write_text(json.dumps(config))
     assert cli_main(["train", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
@@ -643,6 +670,47 @@ def test_cli_eval_baselines_on_a_three_expert_run(tmp_path, capsys):
     assert lengths["expert_0_e0_t2i"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "recorded",
+    ["abc", [["seed", 3]], with_bad_profile(sigma=float("nan"))],
+    ids=["string", "list_of_pairs", "bad_profile"],
+)
+def test_cli_eval_refuses_a_recorded_config_that_is_no_config(tmp_path, capsys, recorded):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    save_checkpoint(run_dir / "checkpoint.ckpt", QNetwork((1536, 64, 64, 12), seed=0), step=0)
+    (run_dir / "summary.json").write_text(json.dumps({"config": recorded}))
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 2, 1, 6))
+    rc = cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--prompts", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert ("'expert_profiles'" if isinstance(recorded, dict) else "'config' must be an object") in err
+
+
+def test_cli_eval_report_is_strict_json_when_a_baseline_ties_every_episode(tmp_path, capsys, env):
+    # a baseline that ties every episode has no signed-rank statistic
+    oracle = evaluate(env, OraclePolicy(env.registry), generate_corpus(2, 5, 1, 6), 1, 0)
+    assert np.isnan(build_report(oracle, [replace(oracle, name="b")]).wilcoxon["b"][0])
+    # one expert per modality under one name: every policy makes the same calls
+    profiles = [
+        {"index": i, "name": "e", "modality": modality, "means": {c.value: 5.0 for c in TaskCategory}}
+        for i, modality in enumerate(("t2i", "i2i"))
+    ]
+    run_dir = tmp_path / "run"
+    (tmp_path / "cfg.json").write_text(RunConfig(seed=3, total_steps=60, expert_profiles=profiles).to_json())
+    assert cli_main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir)]) == 0
+    write_prompts(tmp_path / "p.jsonl", generate_corpus(0, 4, 1, 6))
+    eval_args = ["--prompts", str(tmp_path / "p.jsonl"), "--baselines", "--out", str(tmp_path / "report.json")]
+    assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), *eval_args]) == 0
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    assert [test["W"] for test in report["wilcoxon_vs_baselines"].values()] == [None, None]
+
+
 def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     prompts = generate_corpus(6, 10, 1, 6)
     oracle = [run_episode(env, OraclePolicy(env.registry), p, seed=i, episode_id=i) for i, p in enumerate(prompts)]
@@ -662,10 +730,11 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
         read_episode_log(logs["return"])
     with pytest.raises(LogParseError, match="step lines"):
         read_episode_log(logs["length"])
-    # one that agrees with an infinite step reward reads, and the test refuses it
+    # one that agrees with an infinite step reward is refused at that step's line
     inf_steps = (rand[0].steps[0]._replace(reward=float("inf")), *rand[0].steps[1:])
     write_episode_log(logs["inf"], [replace(rand[0], steps=inf_steps, episode_return=float("inf")), *rand[1:]])
-    assert read_episode_log(logs["inf"])[0].episode_return == float("inf")
+    with pytest.raises(LogParseError, match="line 1: .*'reward' must be a finite number, got inf"):
+        read_episode_log(logs["inf"])
 
     def wilcoxon(b):
         code = cli_main(["stats", "wilcoxon", "--a", str(logs["a"]), "--b", str(logs[b])])

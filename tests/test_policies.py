@@ -7,13 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
+from qroute.agent import select_action
 from qroute.config import RunConfig
+from qroute.embedder import embed
 from qroute.evaluate import evaluate
 from qroute.experiment import HELDOUT_SEED_OFFSET
 from qroute.network import QNetwork
 from qroute.policies import (
     WORLD_DRAWS_MEMO,
-    EpsilonGreedyPolicy,
     GreedyPolicy,
     OraclePolicy,
     RandomPolicy,
@@ -39,6 +40,16 @@ def heldout():
     return generate_corpus(1 + HELDOUT_SEED_OFFSET, 100, 6, 6, id_start=10_000)
 
 
+def unmemoized_greedy(net):
+    """The greedy action by a forward pass at every step."""
+
+    def policy(state, mask, rng):
+        x, cols = embed.compact(state.serialized)
+        return select_action(net, x, mask, 0.0, rng, cols)
+
+    return policy
+
+
 def test_a_draw_table_is_the_world_stream_read_in_pairs():
     for seed in (0, 5, 2**63 - 1):
         _, world = episode_streams(seed)
@@ -46,6 +57,9 @@ def test_a_draw_table_is_the_world_stream_read_in_pairs():
         assert world_draws(seed, 6) == tuple(expected)
         reader = WorldDraws(world_draws(seed, 6))
         assert [x for _ in range(6) for x in (reader.random(), reader.normal())] == expected
+        # the reader knows no draw order: each draw is the next number, whatever its kind
+        reader = WorldDraws(world_draws(seed, 6))
+        assert [reader.normal() for _ in range(12)] == expected
 
 
 def test_every_policy_reads_from_its_table_what_the_world_generator_gives(env, net):
@@ -100,7 +114,7 @@ def test_greedy_memo_gives_the_episodes_of_the_unmemoized_policy(env, net, monke
     monkeypatch.setattr(QNetwork, "forward", counted)
     memoized = evaluate(env, GreedyPolicy(net), heldout(), 1, 2)
     memoized_calls, calls = calls, 0
-    plain = evaluate(env, EpsilonGreedyPolicy(net, 0.0), heldout(), 1, 2)
+    plain = evaluate(env, unmemoized_greedy(net), heldout(), 1, 2)
     assert memoized.episodes == plain.episodes
     # a state seen before costs no forward pass
     assert calls == sum(ep.length for ep in plain.episodes) > memoized_calls
@@ -118,5 +132,5 @@ def test_greedy_policy_acts_with_the_network_it_was_built_with(env, net):
 
     # a policy built after the change acts with the changed network
     changed = evaluate(env, GreedyPolicy(net), heldout(), 1, 2).episodes
-    assert changed == evaluate(env, EpsilonGreedyPolicy(net, 0.0), heldout(), 1, 2).episodes
+    assert changed == evaluate(env, unmemoized_greedy(net), heldout(), 1, 2).episodes
     assert changed != expected
