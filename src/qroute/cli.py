@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .logs import field, read_episode_log, read_prompts, typed, write_episode_log, write_prompts
 from .policies import GreedyPolicy, run_episode
-from .simworld import generate_corpus
+from .simworld import MAX_DIFFICULTY, generate_corpus
 from .stats import wilcoxon_signed_rank
 from .train import SUMMARY_NAME, train
 
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prompts.add_argument("--count", type=int, required=True)
     p_prompts.add_argument("--seed", type=int, default=0)
     p_prompts.add_argument("--difficulty-min", type=int, default=1)
-    p_prompts.add_argument("--difficulty-max", type=int, default=6)
+    p_prompts.add_argument("--difficulty-max", type=int, default=MAX_DIFFICULTY)
     p_prompts.add_argument("--out", type=Path, required=True)
     p_prompts.set_defaults(run=_cmd_prompts)
     return parser
@@ -124,7 +124,7 @@ def _recorded_config(run_file: Path) -> RunConfig:
         return RunConfig()
     try:
         recorded = field(typed(json.loads(summary.read_text(encoding="utf-8")), dict, "the summary"), "config", dict)
-    except (KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"no run config in {summary}: {exc}") from exc
     return config_from_dict(recorded)
 

@@ -4,11 +4,11 @@
 written, ``RunConfig.build_registry`` the one place expert profiles become
 a registry (a config's own, or the stock ``DEFAULT_EXPERT_PROFILES`` when
 it gives none), and ``RunConfig.environment`` the one place a config
-becomes a world. ``config_from_dict`` is the JSON boundary: it checks each
-value's JSON type before the config validates its range.
+becomes a world. ``RunConfig.validate`` checks each setting's JSON type
+before its range, for a config built in Python and one read from JSON.
 
-Every JSON value is checked by the typed-field helpers of ``qroute.logs``,
-the one rule set for the files qroute reads: nothing is coerced (a float
+Every value is checked by the typed-field helpers of ``qroute.logs``, the
+one rule set for the files qroute reads: nothing is coerced (a float
 setting or a profile number is a finite number), and an unknown key is
 refused, at the top level and in an expert profile entry alike.
 """
@@ -16,7 +16,6 @@ refused, at the top level and in an expert profile entry alike.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, get_type_hints
@@ -26,6 +25,7 @@ from .environment import Environment
 from .errors import ConfigError
 from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
 from .logs import field, optional, typed
+from .simworld import MAX_DIFFICULTY
 
 
 @dataclass
@@ -49,6 +49,13 @@ class RunConfig:
     difficulty_max: int = 6
 
     def validate(self) -> "RunConfig":
+        settings = vars(self)
+        try:
+            for name, hint in _SETTING_TYPES.items():
+                # an int or float setting takes its JSON type, ``expert_profiles`` a list or null
+                settings[name] = field(settings, name, hint) if hint in (int, float) else optional(settings, name, list)
+        except ValueError as exc:
+            raise ConfigError(f"config key {exc}") from exc
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.total_steps < 0:
@@ -73,10 +80,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
-        if not 0.0 <= self.step_penalty < math.inf:
+        if self.step_penalty < 0.0:  # finite, by its type check
             raise ConfigError("step_penalty must be a finite number >= 0")
-        if not 1 <= self.difficulty_min <= self.difficulty_max <= 6:
-            raise ConfigError("difficulty bounds must satisfy 1 <= min <= max <= 6")
+        if not 1 <= self.difficulty_min <= self.difficulty_max <= MAX_DIFFICULTY:
+            raise ConfigError(f"difficulty bounds must satisfy 1 <= min <= max <= {MAX_DIFFICULTY}")
         if self.train_prompt_count < 1:
             raise ConfigError("train_prompt_count must be >= 1")
         self.build_registry()  # profiles must parse and cover every category
@@ -110,6 +117,9 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+_SETTING_TYPES = get_type_hints(RunConfig)
 
 
 #: The ``taxonomy`` value every config written while it was a setting holds
@@ -153,17 +163,9 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
             f"taxonomy is not a setting: expert profiles cover all {len(TAXONOMY)} categories, "
             "and a recorded taxonomy must list them all in order"
         )
-    hints = get_type_hints(RunConfig)
-    unknown = set(kwargs) - set(hints)
+    unknown = set(kwargs) - set(_SETTING_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        for name in kwargs:
-            # an int or float setting takes its JSON type, ``expert_profiles`` a list or null
-            hint = hints[name]
-            kwargs[name] = field(kwargs, name, hint) if hint in (int, float) else optional(kwargs, name, list)
-    except ValueError as exc:
-        raise ConfigError(f"config key {exc}") from exc
     return RunConfig(**kwargs).validate()
 
 

@@ -17,11 +17,10 @@ the environment builds its two legal masks once, when it is made: a step
 checks its action against one and logs its tuple, and ``legal_actions``
 hands out a copy.
 
-The world's randomness reaches a step as ``rng``: a ``numpy`` Generator, or
-any reader with the same ``random`` and ``normal`` methods, such as the
-pre-drawn table the episode runner passes (``policies.WorldDraws``). Each
-step draws from it exactly what ``experts.draw`` draws: one uniform, then
-one normal.
+The world's randomness reaches a step as ``world``, an iterator of
+``experts.draw`` pairs (one uniform, then one normal): each step reads
+exactly one pair, its expert call's draws. The episode runner passes an
+iterator over a pre-drawn table (``policies.world_draws``).
 
 The step budget and the step penalty have no defaults here: a run's world
 is built by ``RunConfig.environment``, which owns them.
@@ -29,7 +28,7 @@ is built by ``RunConfig.environment``, which owns them.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -131,11 +130,10 @@ class Environment:
         return self._masks[state.canvas.is_blank][0].copy()
 
     def step(
-        self, state: EnvState, action: int, rng: np.random.Generator
+        self, state: EnvState, action: int, world: Iterator[tuple[float, float]]
     ) -> tuple[EnvState, float, bool, StepRecord]:
-        """Apply one expert call; the record is the step's episode-log entry.
-        ``rng`` is the world's stream: a Generator, or a reader of its
-        pre-drawn values (see the module docstring)."""
+        """Apply one expert call on the next pair of ``world``; the record is
+        the step's episode-log entry."""
         if state.done:
             raise DomainError("episode already finished")
         assert state.c_curr is not None
@@ -143,7 +141,7 @@ class Environment:
         if not (0 <= action < self.n_actions) or not mask[action]:
             raise DomainError(f"action {action} illegal on {state.canvas.kind.value} canvas")
 
-        canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, rng)
+        canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, next(world))
         verdict = critic_score(canvas2, state.c_curr, state.prompt, quality)
         ledger, abandoned = apply_attempt_policy(
             verdict, state.c_curr, state.c_rem, state.prompt, state.abandoned_atoms

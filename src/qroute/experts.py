@@ -14,9 +14,10 @@ scale by ``core.clamp_score``, the clamp the critic applies too.
 
 A registry lays its profiles out once, when it is made: for a blank canvas
 and for an existing image, the experts eligible on it, each with its
-(mean, failure probability, sigma) per category. A call looks up its
-expert's table and is refused when there is none, so eligibility costs no
-check of its own.
+(mean, failure probability, sigma) per category. ``ExpertRegistry.odds``
+owns a call's outcome model: it looks up its expert's table, refused when
+there is none, so eligibility costs no check of its own. ``invoke`` draws
+nothing: it applies the outcome of one ``draw`` pair.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,10 +91,19 @@ class ExpertSpec:
     profile: SkillProfile
 
 
+class Odds(NamedTuple):
+    """One expert call's outcome model (``ExpertRegistry.odds``)."""
+
+    failure: float
+    success_mean: float
+    failure_mean: float
+    sigma: float
+
+
 def draw(rng: np.random.Generator) -> tuple[float, float]:
     """One expert call's world draws in their fixed order, which keeps replays
     bit-exact: the uniform its success is drawn against, then the normal of
-    its quality noise. ``policies.world_draws`` tabulates them."""
+    its quality noise: the pair ``invoke`` takes."""
     return rng.random(), rng.normal()
 
 
@@ -144,36 +154,37 @@ class ExpertRegistry:
             return self._by_modality[Modality.T2I]
         return self._by_modality[Modality.I2I]
 
-    def invoke(
-        self,
-        index: int,
-        command: AtomicCommand,
-        canvas: CanvasState,
-        rng: np.random.Generator,
-    ) -> tuple[CanvasState, float]:
-        """Run one expert call; returns the new canvas and a quality in [0, 10].
+    def odds(self, index: int, command: AtomicCommand, canvas: CanvasState) -> Odds:
+        """The call's failure probability, its mean quality on success and
+        on failure (half the mean), and sigma. It gives the failure
+        probability, not the success one: a call succeeds when its uniform
+        is at least ``failure``, and ``1 - (1 - f)`` need not round to ``f``."""
+        skills = self._skills[canvas.is_blank].get(index)
+        if skills is None:
+            raise DomainError(f"expert {index} not eligible on {canvas.kind.value} canvas")
+        mean, failure, sigma = skills[command.category]
+        if command.category in REMOVAL_CATEGORIES and not (command.payload & canvas.atoms):
+            failure = 1.0  # removing something that is not there is a no-op
+        return Odds(failure, mean, mean / 2.0, sigma)
 
-        Success is drawn against the profile's failure probability for the
-        command's category. Success applies the whole payload (removal
+    def invoke(
+        self, index: int, command: AtomicCommand, canvas: CanvasState, draws: tuple[float, float]
+    ) -> tuple[CanvasState, float]:
+        """Run one expert call on its ``draw`` pair; returns the new canvas
+        and a quality in [0, 10].
+
+        The call succeeds when the pair's uniform is at least the ``odds``'
+        failure probability. Success applies the whole payload (removal
         categories delete their payload atoms instead of adding them);
         failure leaves content unchanged but still consumes the step. A T2I
         call always turns a blank canvas into a symbolic one, even when it
         fails to satisfy anything.
         """
-        skills = self._skills[canvas.is_blank].get(index)
-        if skills is None:
-            raise DomainError(f"expert {index} not eligible on {canvas.kind.value} canvas")
-        mean, failure, sigma = skills[command.category]
-        uniform, noise = draw(rng)
-        success = uniform >= failure
-
-        removal = command.category in REMOVAL_CATEGORIES
-        if removal and not (command.payload & canvas.atoms):
-            success = False  # removing something that is not there is a no-op
-
-        if success:
-            quality = clamp_score(mean + sigma * noise)
-            if removal:
+        failure, success_mean, failure_mean, sigma = self.odds(index, command, canvas)
+        uniform, noise = draws
+        if uniform >= failure:
+            quality = clamp_score(success_mean + sigma * noise)
+            if command.category in REMOVAL_CATEGORIES:
                 atoms = canvas.atoms - command.payload
             else:
                 atoms = canvas.atoms | command.payload
@@ -182,7 +193,7 @@ class ExpertRegistry:
                 if a.category is _STYLE_TRANSFER:
                     style = a.value
             return CanvasState.symbolic(atoms, style), quality
-        quality = clamp_score(mean / 2.0 + sigma * noise)
+        quality = clamp_score(failure_mean + sigma * noise)
         if canvas.is_blank:
             return CanvasState.symbolic(frozenset(), None), quality
         return canvas, quality

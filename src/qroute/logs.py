@@ -95,7 +95,9 @@ def typed(value: Any, kind: type, name: str) -> Any:
 
 
 def field(data: dict, key: str, kind: type) -> Any:
-    """``data[key]``, which must have the JSON type ``kind``."""
+    """``data[key]``, which must be there and have the JSON type ``kind``."""
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
     return typed(data[key], kind, repr(key))
 
 
@@ -149,7 +151,7 @@ def read_prompts(path: str | Path) -> list[Prompt]:
             continue
         try:
             prompt = _prompt_from_payload(typed(json.loads(line), dict, "the line"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise LogParseError(lineno, f"bad prompt record: {exc}") from exc
         if prompt.id in ids:
             raise LogParseError(lineno, f"repeated prompt id {prompt.id}")
@@ -195,7 +197,7 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
             continue
         try:
             data = typed(json.loads(line), dict, "the line")
-            kind = data["kind"]
+            kind = field(data, "kind", str)
             if kind == "step":
                 subscores = typed_list(data, "subscores", float)
                 if len(subscores) != 4:
@@ -237,7 +239,7 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 raise LogParseError(lineno, f"unknown record kind {kind!r}")
         except LogParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise LogParseError(lineno, f"bad record: {exc}") from exc
     if pending:
         raise LogParseError(lineno, "dangling step records without an episode summary")

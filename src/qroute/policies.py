@@ -8,13 +8,12 @@ exploring policies draw from and which is therefore made on its first draw.
 
 An expert call draws exactly one uniform and then one normal from the
 world's stream (``experts.draw``, the one owner of that order), whatever
-the policy, so step k of any episode reads the k-th (uniform, normal)
-pair of that stream. ``run_episode`` therefore reads the world from a
-table of the first ``t_max`` pairs, drawn once per seed (``world_draws``)
-and read in order by a ``WorldDraws``; a table is the same draws the
-Generator of ``episode_streams`` gives. A paired comparison rolls every
-policy over the same episode seeds, so the tables and ``episode_seed`` are
-memoized, in bounded memos that hold numbers only.
+the policy, so step k of any episode reads the k-th pair of that stream;
+``env.step`` reads the world as an iterator of those pairs. ``run_episode``
+iterates over a table of the first ``t_max`` pairs, drawn once per seed
+(``world_draws``). A paired comparison rolls every policy over the same
+episode seeds, so the tables and ``episode_seed`` are memoized, in bounded
+memos that hold numbers only.
 
 The greedy policy scores the memoized compact form of the state's
 embedding, so its one-row forward pass skips the 1536-column scan. It acts
@@ -24,8 +23,8 @@ legal mask)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Protocol
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -169,46 +168,32 @@ class LazyGenerator:
 POLICY_STREAM, WORLD_STREAM = (0,), (1,)
 
 
-def episode_streams(seed: int) -> tuple[LazyGenerator, np.random.Generator]:
-    """(policy stream, world stream) for one episode: generators on the two
-    children ``SeedSequence(seed).spawn(2)`` gives, built directly from
-    their spawn keys. The policy stream is made only if the policy draws
-    from it.
+def episode_streams(seed: int) -> tuple[LazyGenerator, Iterator[tuple[float, float]]]:
+    """(policy stream, world stream) for one episode, on the two children
+    ``SeedSequence(seed).spawn(2)`` gives, built from their spawn keys: a
+    generator made on the policy's first draw, and the endless iterator of
+    ``experts.draw`` pairs that ``env.step`` reads.
 
     Keeping them separate means a logged episode can be re-simulated from
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
-    return LazyGenerator(seed, POLICY_STREAM), child_stream(seed, *WORLD_STREAM)
+    world = child_stream(seed, *WORLD_STREAM)
+    return LazyGenerator(seed, POLICY_STREAM), iter(partial(draw, world), None)  # draw never gives None
 
 
 #: Draw tables ``world_draws`` keeps: more than the episode seeds of one
-#: paired comparison (``experiment.run_seed`` has 100), each a few hundred
-#: bytes.
+#: paired comparison (``experiment.run_seed`` has 100), each under a
+#: kilobyte.
 WORLD_DRAWS_MEMO = 256
 
 
 @lru_cache(maxsize=WORLD_DRAWS_MEMO)
-def world_draws(seed: int, pairs: int) -> tuple[float, ...]:
-    """What the first ``pairs`` expert calls draw (``experts.draw``) from the
-    world Generator of ``episode_streams(seed)``, flat and in draw order.
-    Memoized."""
+def world_draws(seed: int, pairs: int) -> tuple[tuple[float, float], ...]:
+    """The first ``pairs`` pairs of the world stream of
+    ``episode_streams(seed)``, in draw order. Memoized."""
     rng = child_stream(seed, *WORLD_STREAM)
-    draws: list[float] = []
-    for _ in range(pairs):
-        draws += draw(rng)
-    return tuple(draws)
-
-
-class WorldDraws:
-    """The world stream of an episode, read from its ``world_draws`` table:
-    each draw, whatever its kind, is the table's next number, so an expert
-    call reads what the Generator would give it."""
-
-    __slots__ = ("random", "normal")
-
-    def __init__(self, draws: tuple[float, ...]):
-        self.random = self.normal = iter(draws).__next__
+    return tuple(draw(rng) for _ in range(pairs))
 
 
 def run_episode(
@@ -227,7 +212,7 @@ def run_episode(
     previous transition.
     """
     policy_rng = LazyGenerator(seed, POLICY_STREAM)
-    rng = WorldDraws(world_draws(seed, env.t_max))
+    world = iter(world_draws(seed, env.t_max))
     state = env.reset(prompt)
     mask = env.legal_actions(state)
     steps: list[StepRecord] = []
@@ -238,7 +223,7 @@ def run_episode(
             truncated_by = "policy"
             break
         action = int(action)
-        state2, reward, _, record = env.step(state, action, rng)
+        state2, reward, _, record = env.step(state, action, world)
         next_mask = env.legal_actions(state2)
         steps.append(record)
         keep_going = on_step is None or on_step(state, action, reward, state2, next_mask)

@@ -19,6 +19,8 @@ from .experts import ExpertRegistry
 
 _C = TaskCategory
 
+MAX_DIFFICULTY = 6  # the most atoms a generated prompt carries
+
 #: Content categories a sampled atom may use. Spatial-configuration
 #: categories (``core.SPATIAL_CATEGORIES``) enter through the forced
 #: constraints of ``generate_prompt``; removal never appears in a generated
@@ -63,8 +65,8 @@ def generate_prompt(
     A share of prompts (``editing_prob``) are editing tasks: they carry an
     input image, so their episodes start directly in the editing block.
     """
-    if not 1 <= difficulty <= 6:
-        raise DomainError(f"difficulty out of [1, 6]: {difficulty}")
+    if not 1 <= difficulty <= MAX_DIFFICULTY:
+        raise DomainError(f"difficulty out of [1, {MAX_DIFFICULTY}]: {difficulty}")
 
     editing = bool(rng.random() < editing_prob)
     styled = bool(rng.random() < 0.5)
@@ -132,8 +134,8 @@ def generate_corpus(
     """Reproducible prompt corpus with difficulties drawn uniformly."""
     if count < 1:
         raise DomainError(f"prompt count must be >= 1: {count}")
-    if not 1 <= difficulty_min <= difficulty_max <= 6:
-        raise DomainError("difficulty bounds must satisfy 1 <= min <= max <= 6")
+    if not 1 <= difficulty_min <= difficulty_max <= MAX_DIFFICULTY:
+        raise DomainError(f"difficulty bounds must satisfy 1 <= min <= max <= {MAX_DIFFICULTY}")
     rng = child_stream(seed, 77)
     prompts = []
     for i in range(count):

@@ -4,6 +4,7 @@ import pytest
 from qroute.agent import Batch, States, epsilon_at
 from qroute.config import RunConfig
 from qroute.core import Atom, CanvasState, Prompt, TaskCategory
+from qroute.experts import draw
 from qroute.network import RowGrad
 
 #: The default run's settings, for the functions that take them.
@@ -23,6 +24,13 @@ def env():
 def default_epsilon(step, horizon):
     """``epsilon_at`` on the default run's exploration schedule."""
     return epsilon_at(step, horizon, DEFAULTS.epsilon_initial, DEFAULTS.epsilon_final, DEFAULTS.exploration_fraction)
+
+
+def world_of(seed):
+    """A world stream as ``env.step`` reads it: the endless iterator of
+    ``experts.draw`` pairs of ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return iter(lambda: draw(rng), None)
 
 
 def make_prompt(atoms, style=None, editing=False, pid=1):

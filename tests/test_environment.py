@@ -7,10 +7,11 @@ import pytest
 from qroute.core import AtomicCommand, CanvasKind, CanvasState, TaskCategory, child_stream, command_text
 from qroute.environment import shape_reward
 from qroute.errors import DomainError
+from qroute.experts import draw
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 
-from conftest import DEFAULTS, atom, make_prompt
+from conftest import DEFAULTS, atom, make_prompt, world_of
 
 
 def test_shape_reward_examples():
@@ -84,14 +85,14 @@ def test_legal_actions_returns_an_array_the_caller_owns(env):
     mask = env.legal_actions(state)
     assert np.array_equal(mask, expected)
     mask[:] = True
-    state2, _, _, record = env.step(state, 4, np.random.default_rng(0))
+    state2, _, _, record = env.step(state, 4, world_of(0))
     assert record.mask == tuple(bool(b) for b in expected)
     # the editing mask and the finished episode's mask are copies too
     while not state2.done:
         after = env.legal_actions(state2)
         after[:] = False
         assert set(np.flatnonzero(env.legal_actions(state2))) == {7, 8, 9, 10, 11}
-        state2, _, _, _ = env.step(state2, 9, np.random.default_rng(1))
+        state2, _, _, _ = env.step(state2, 9, world_of(1))
     env.legal_actions(state2)[:] = True
     assert not env.legal_actions(state2).any()
     assert np.array_equal(env.legal_actions(env.reset(prompt)), expected)
@@ -102,11 +103,10 @@ def test_episode_streams_draw_what_spawned_children_draw():
         policy, world = episode_streams(seed)
         ref_policy, ref_world = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
         # the world stream first: the policy stream is made on its first draw
-        assert np.array_equal(world.random(5), ref_world.random(5))
-        assert np.array_equal(world.normal(size=5), ref_world.normal(size=5))
+        assert [next(world) for _ in range(5)] == [draw(ref_world) for _ in range(5)]
         assert np.array_equal(policy.integers(0, 12, size=7), ref_policy.integers(0, 12, size=7))
         assert policy.random() == ref_policy.random()
-        assert np.array_equal(world.random(3), ref_world.random(3))
+        assert [next(world) for _ in range(3)] == [draw(ref_world) for _ in range(3)]
 
 
 def test_lazy_policy_stream_survives_copy_and_pickle():
@@ -145,20 +145,20 @@ def test_negative_seed_makes_no_stream():
 def test_illegal_action_rejected(env):
     state = env.reset(make_prompt([atom("add_object", "dog")]))
     with pytest.raises(DomainError, match="action 7 illegal on blank canvas"):
-        env.step(state, 7, np.random.default_rng(0))
+        env.step(state, 7, world_of(0))
     with pytest.raises(DomainError, match="action 99 illegal on blank canvas"):
-        env.step(state, 99, np.random.default_rng(0))
+        env.step(state, 99, world_of(0))
 
 
 def test_step_after_done_rejected(env):
     state = env.reset(make_prompt([atom("add_object", "dog")]))
-    rng = np.random.default_rng(0)
+    rng = world_of(0)
     while not state.done:
         mask = env.legal_actions(state)
         state, _, _, _ = env.step(state, int(np.flatnonzero(mask)[0]), rng)
     assert not env.legal_actions(state).any()
     with pytest.raises(DomainError, match="episode already finished"):
-        env.step(state, 7, np.random.default_rng(0))
+        env.step(state, 7, world_of(0))
 
 
 def test_full_satisfaction_step_reward(env):
@@ -166,7 +166,7 @@ def test_full_satisfaction_step_reward(env):
     prompt = make_prompt([atom("add_object", "dog")])
     for seed in range(40):
         state = env.reset(prompt)
-        state2, reward, done, info = env.step(state, 4, np.random.default_rng(seed))
+        state2, reward, done, info = env.step(state, 4, world_of(seed))
         if info.completed:
             assert done
             assert info.terminal_reason == "drained"

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from qroute.core import AtomicCommand, CanvasState, TaskCategory
+from qroute.core import REMOVAL_CATEGORIES, AtomicCommand, CanvasState, TaskCategory
 from qroute.errors import DomainError
 from qroute.experts import (
     ExpertRegistry,
     ExpertSpec,
     Modality,
+    Odds,
     SkillProfile,
+    draw,
 )
+from qroute.policies import episode_streams
 
 from conftest import atom
 
@@ -53,7 +56,7 @@ def test_eligibility_partition(registry):
 def test_invoke_success_adds_payload():
     reg = two_expert_registry(fail=0.0)
     dog = atom("add_object", "dog", "1")
-    canvas, quality = reg.invoke(0, command("add_object", [dog]), CanvasState.blank(), np.random.default_rng(0))
+    canvas, quality = reg.invoke(0, command("add_object", [dog]), CanvasState.blank(), draw(np.random.default_rng(0)))
     assert canvas.kind.value == "symbolic"
     assert dog in canvas.atoms
     assert quality == pytest.approx(8.0)
@@ -62,14 +65,16 @@ def test_invoke_success_adds_payload():
 def test_invoke_certain_failure_keeps_canvas():
     reg = two_expert_registry(fail=1.0)
     start = CanvasState.symbolic(frozenset({atom("add_object", "cat")}))
-    canvas, quality = reg.invoke(1, command("add_object", [atom("add_object", "dog")]), start, np.random.default_rng(0))
+    dog = atom("add_object", "dog")
+    canvas, quality = reg.invoke(1, command("add_object", [dog]), start, draw(np.random.default_rng(0)))
     assert canvas == start
     assert quality == pytest.approx(4.0)  # half mean on failure
 
 
 def test_t2i_always_leaves_an_image_even_on_failure():
     reg = two_expert_registry(fail=1.0)
-    canvas, _ = reg.invoke(0, command("add_object", [atom("add_object", "dog")]), CanvasState.blank(), np.random.default_rng(0))
+    dog = atom("add_object", "dog")
+    canvas, _ = reg.invoke(0, command("add_object", [dog]), CanvasState.blank(), draw(np.random.default_rng(0)))
     assert canvas.kind.value == "symbolic"
     assert canvas.atoms == frozenset()
 
@@ -79,7 +84,7 @@ def test_removal_deletes_payload():
     junk = atom("remove_object", "junk")
     keep = atom("add_object", "keep")
     start = CanvasState.symbolic(frozenset({junk, keep}))
-    canvas, _ = reg.invoke(1, command("remove_object", [junk]), start, np.random.default_rng(0))
+    canvas, _ = reg.invoke(1, command("remove_object", [junk]), start, draw(np.random.default_rng(0)))
     assert junk not in canvas.atoms
     assert keep in canvas.atoms
 
@@ -88,7 +93,7 @@ def test_removing_absent_atom_is_noop_failure():
     reg = two_expert_registry(fail=0.0)
     start = CanvasState.symbolic(frozenset({atom("add_object", "keep")}))
     canvas, quality = reg.invoke(
-        1, command("remove_object", [atom("remove_object", "ghost")]), start, np.random.default_rng(0)
+        1, command("remove_object", [atom("remove_object", "ghost")]), start, draw(np.random.default_rng(0))
     )
     assert canvas == start
     assert quality == pytest.approx(4.0)
@@ -97,23 +102,61 @@ def test_removing_absent_atom_is_noop_failure():
 def test_style_payload_sets_canvas_style():
     reg = two_expert_registry(fail=0.0)
     tag = atom("style_transfer", "style", "noir")
-    canvas, _ = reg.invoke(1, command("style_transfer", [tag]), CanvasState.symbolic(), np.random.default_rng(0))
+    canvas, _ = reg.invoke(1, command("style_transfer", [tag]), CanvasState.symbolic(), draw(np.random.default_rng(0)))
     assert canvas.style == "noir"
 
 
 def test_invoke_requires_eligibility():
     reg = two_expert_registry()
-    with pytest.raises(DomainError, match="expert 1 not eligible on blank canvas"):
-        reg.invoke(1, command("add_object"), CanvasState.blank(), np.random.default_rng(0))
-    with pytest.raises(DomainError, match="expert 0 not eligible on symbolic canvas"):
-        reg.invoke(0, command("add_object"), CanvasState.symbolic(), np.random.default_rng(0))
+    # ``odds`` refuses the same calls, and ``invoke`` refuses them through it
+    for call, draws in ((reg.invoke, (draw(np.random.default_rng(0)),)), (reg.odds, ())):
+        with pytest.raises(DomainError, match="expert 1 not eligible on blank canvas"):
+            call(1, command("add_object"), CanvasState.blank(), *draws)
+        with pytest.raises(DomainError, match="expert 0 not eligible on symbolic canvas"):
+            call(0, command("add_object"), CanvasState.symbolic(), *draws)
+
+
+def test_odds_are_each_eligible_experts_profile(registry):
+    checked = 0
+    for spec in registry.list():
+        for cat in TaskCategory:
+            payload = frozenset({atom(cat.value, "present")})
+            if spec.modality is Modality.T2I:
+                if cat in REMOVAL_CATEGORIES:
+                    continue  # nothing to remove from a blank canvas
+                canvas = CanvasState.blank()
+            else:
+                canvas = CanvasState.symbolic(payload)  # what a removal removes is there
+            mean = spec.profile.mean_for(cat)
+            expected = Odds(spec.profile.failure_for(cat), mean, mean / 2, spec.profile.sigma)
+            assert registry.odds(spec.index, command(cat.value, payload), canvas) == expected
+            checked += 1
+    assert checked == 12 * len(TaskCategory) - 7 * len(REMOVAL_CATEGORIES)
+
+
+def test_removing_an_absent_atom_always_fails(registry):
+    start = CanvasState.symbolic(frozenset({atom("add_object", "keep")}))
+    ghost = command("remove_object", [atom("remove_object", "ghost")])
+    assert registry.spec(8).profile.failure_for(_C.REMOVE_OBJECT) < 1.0
+    assert registry.odds(8, ghost, start).failure == 1.0
+
+
+def test_invoke_succeeds_at_the_odds_rate_over_one_world_stream(registry):
+    dog = atom("add_object", "dog")
+    cmd, canvas = command("add_object", [dog]), CanvasState.symbolic()
+    failure = registry.odds(9, cmd, canvas).failure
+    _, world = episode_streams(3)
+    n = 20_000
+    successes = sum(dog in registry.invoke(9, cmd, canvas, next(world))[0].atoms for _ in range(n))
+    p = 1.0 - failure
+    assert abs(successes / n - p) <= 4 * (p * (1 - p) / n) ** 0.5
 
 
 def test_invoke_reproducible(registry):
     cmd = command("add_text", [atom("add_text", "sign")])
     canvas = CanvasState.symbolic()
-    a = registry.invoke(10, cmd, canvas, np.random.default_rng(123))
-    b = registry.invoke(10, cmd, canvas, np.random.default_rng(123))
+    a = registry.invoke(10, cmd, canvas, draw(np.random.default_rng(123)))
+    b = registry.invoke(10, cmd, canvas, draw(np.random.default_rng(123)))
     assert a[0] == b[0]
     assert a[1] == b[1]
 

@@ -89,8 +89,27 @@ def test_config_profiles_must_cover_taxonomy():
 def test_python_api_refuses_a_non_finite_sigma_or_step_penalty(bad):
     with pytest.raises(ValueError, match="sigma must be a finite number"):
         SkillProfile(means={c: 5.0 for c in TaskCategory}, sigma=bad)
-    with pytest.raises(ConfigError, match="step_penalty must be a finite number"):
+    # the config's own type check, the one a JSON config passes too
+    with pytest.raises(ConfigError, match="config key 'step_penalty' must be a finite number"):
         RunConfig(step_penalty=bad).validate()
+
+
+@pytest.mark.parametrize(
+    "setting", [{"batch_size": 2.5}, {"t_max": 2.5}, {"total_steps": 1.5}, {"seed": True}], ids=lambda s: next(iter(s))
+)
+def test_python_api_refuses_an_int_setting_of_another_type(setting):
+    # the Python API and a JSON config pass the same type check
+    ((name, value),) = setting.items()
+    with pytest.raises(ConfigError, match=f"config key '{name}' must be an integer, got {value!r}"):
+        RunConfig(**setting).validate()
+    with pytest.raises(ConfigError, match=f"config key '{name}' must be an integer, got {value!r}"):
+        config_from_dict(setting)
+
+
+def test_a_float_setting_given_an_int_is_stored_as_a_float():
+    for cfg in (RunConfig(gamma=1, step_penalty=0).validate(), config_from_dict({"gamma": 1, "step_penalty": 0})):
+        assert (cfg.gamma, cfg.step_penalty) == (1.0, 0.0)
+        assert type(cfg.gamma) is float and type(cfg.step_penalty) is float
 
 
 def test_config_profile_means_must_be_an_object():
@@ -644,7 +663,7 @@ def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
     assert "7 experts" in capsys.readouterr().err
     (other / "summary.json").write_text("{}")
     assert cli_main(["eval", "--checkpoint", str(other / "checkpoint.ckpt"), *eval_args]) == 2
-    capsys.readouterr()
+    assert "missing field 'config'" in capsys.readouterr().err
 
 
 def test_cli_eval_baselines_on_a_three_expert_run(tmp_path, capsys):

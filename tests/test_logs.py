@@ -69,6 +69,21 @@ def test_a_step_field_of_the_wrong_type_is_refused(tmp_path, capsys, env, fields
     assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
+@pytest.mark.parametrize("key,on_step_line", [("reward", True), ("kind", True), ("seed", False)])
+def test_a_missing_field_is_named(tmp_path, env, key, on_step_line):
+    path = tmp_path / "episodes.jsonl"
+    episode = run_episode(env, RandomPolicy(), generate_corpus(1, 1, 6, 6)[0], seed=3)
+    write_episode_log(path, [episode])
+    lineno = 1 if on_step_line else episode.length + 1
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    del record[key]
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError, match=f"line {lineno}: bad record: missing field '{key}'"):
+        read_episode_log(path)
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"seed": "5"}, {"return": None}, {"prompt": []}, {"truncated_by": False}],

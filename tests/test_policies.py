@@ -9,17 +9,18 @@ import pytest
 
 from qroute.agent import select_action
 from qroute.config import RunConfig
+from qroute.core import child_stream
 from qroute.embedder import embed
 from qroute.evaluate import evaluate
 from qroute.experiment import HELDOUT_SEED_OFFSET
 from qroute.network import QNetwork
 from qroute.policies import (
     WORLD_DRAWS_MEMO,
+    WORLD_STREAM,
     GreedyPolicy,
     OraclePolicy,
     RandomPolicy,
     SingleExpertPolicy,
-    WorldDraws,
     episode_streams,
     world_draws,
 )
@@ -53,18 +54,15 @@ def unmemoized_greedy(net):
 def test_a_draw_table_is_the_world_stream_read_in_pairs():
     for seed in (0, 5, 2**63 - 1):
         _, world = episode_streams(seed)
-        expected = [x for _ in range(6) for x in (world.random(), world.normal())]
+        expected = [next(world) for _ in range(6)]
         assert world_draws(seed, 6) == tuple(expected)
-        reader = WorldDraws(world_draws(seed, 6))
-        assert [x for _ in range(6) for x in (reader.random(), reader.normal())] == expected
-        # the reader knows no draw order: each draw is the next number, whatever its kind
-        reader = WorldDraws(world_draws(seed, 6))
-        assert [reader.normal() for _ in range(12)] == expected
+        rng = child_stream(seed, *WORLD_STREAM)
+        assert expected == [(rng.random(), rng.normal()) for _ in range(6)]
 
 
 def test_every_policy_reads_from_its_table_what_the_world_generator_gives(env, net):
     """Each episode of the 15 policies of a paired comparison, re-simulated
-    through ``env.step`` from the Generator of ``episode_streams``, gives the
+    through ``env.step`` from the world stream of ``episode_streams``, gives the
     same step records."""
     registry = env.registry
     policies = [
