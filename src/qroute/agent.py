@@ -10,28 +10,13 @@ what the network's first layer multiplies.
 
 The table also keeps each state's Q-values under the target network. The
 target is frozen between syncs and a default run's replay holds about 70
-distinct states (at most 90 in seeds 1, 2, 3 and 12), so a state's row is
-computed once per sync, or once after it is first stored, and a batch
-carries its successors' rows, ``q2``, instead of running the target
-network over them at every step. The rows equal what a forward pass over
-the sampled successors gives, bit for bit, because of how OpenBLAS rounds
-these products. Measured on the production network (1536 -> 64 -> 64 ->
-12, float32) on a 2-core x86-64 host with OpenBLAS through numpy 2.4:
-
-- a one-row product rounds differently from a batched one (50 of 50 rows
-  differed);
-- in a product of 2 to 16 rows, a row's bits did not depend on the other
-  rows or on its position, up to a column union of about 800; in products
-  of 32 or 64 rows they did not up to about 440 columns, and at about 500
-  columns or more nearly every row diverged. The batches of default runs
-  (seeds 1 and 12) have unions of at most 84 columns;
-- with fewer than 8 outputs (4 excepted; 1 to 13 tried), a row's bits can
-  depend on the row count of the product, though not on its position.
-
-So the table computes its rows in forward passes of exactly the sampled
-batch's row count, padding the last one with repeats. Another BLAS, or a
-network shape outside these measurements, may give targets that differ
-from a per-batch forward pass in the last bits; runs stay deterministic.
+distinct states, so a state's row is computed when the state is stored and
+again at each sync, every held row in one product; a batch carries its
+successors' rows, ``q2``, and a sample runs no forward pass. The rows rest
+on one measured property of these products: a row's bits do not depend on
+the other rows in them, so ``q2`` equals a per-batch forward pass over the
+sampled successors bit for bit. A one-row product rounds differently, so a
+lone row is padded to two. ``_StateTable`` gives the measured range.
 
 The learner's settings (discount, learning rate, buffer sizes, exploration
 schedule) have no defaults here: ``RunConfig`` owns them, and ``train``
@@ -95,8 +80,15 @@ class _StateTable:
     read-only). Rows are counted by the ring slots that refer to them and
     freed at zero.
 
-    A row's Q-values are stale from the moment its state is stored and
-    whenever the target changes; ``refresh`` recomputes the stale ones.
+    A row's Q-values under ``target`` are computed when the row is stored
+    and, every held row in one product, at each ``set_target``. Measured on
+    the production network (1536 -> 64 -> 64 -> 12, float32) with OpenBLAS
+    through numpy 2.4 on a 2-core x86-64 host, with one BLAS thread and
+    with two, in seeds 1-30: products of 2 to 102 rows over up to 120
+    columns gave every sampled row the bits of a per-batch forward pass. A
+    one-row product rounds differently, so a lone row is padded to two
+    rows. Larger products, another BLAS or another shape stay
+    deterministic but are not claimed equal to a per-batch forward pass.
     """
 
     def __init__(self, rows: int):
@@ -106,9 +98,8 @@ class _StateTable:
         self._free = list(range(rows - 1, -1, -1))
         self._cols = np.full((rows, 0), -1, dtype=np.intp)
         self._vals = np.zeros((rows, 0), dtype=np.float64)
-        self.q = np.zeros((rows, 0), dtype=np.float64)  # target Q-values, sized by the first refresh
-        self._stale: set[int] = set()
-        self._chunk = 0  # the row count of the products that computed the Q-values
+        self.q = np.zeros((rows, 0), dtype=np.float64)  # target Q-values, sized by the first target
+        self.target: QNetwork | None = None
         # a column's position in the batch being gathered, zero between
         # gathers; the last entry stands for the padding column -1
         self._pos = np.zeros(1, dtype=np.intp)
@@ -134,7 +125,8 @@ class _StateTable:
             self._vals[row, width:] = 0.0
             self.vectors[row] = vector
             self._row_of[id(vector)] = row
-            self._stale.add(row)
+            if self.target is not None:
+                self._compute(np.array([row]))
         self._refs[row] += 1
         return row
 
@@ -143,32 +135,20 @@ class _StateTable:
         if not self._refs[row]:
             del self._row_of[id(self.vectors[row])]
             self.vectors[row] = None
-            self._stale.discard(row)
             self._free.append(row)
 
-    def invalidate(self) -> None:
-        """Mark every row's Q-values stale."""
-        self._stale = set(self._row_of.values())
-
-    def refresh(self, target: QNetwork, chunk: int) -> None:
-        """Compute the stale rows' Q-values under ``target`` in forward
-        passes of exactly ``chunk`` rows, the last one padded by repeating
-        its rows. A row's bits can depend on the row count of the product
-        but not on the other rows in it (see the module docstring), so each
-        row reads as it would in a sampled batch of ``chunk``. A new
-        ``chunk`` makes every row stale."""
-        if chunk != self._chunk:
-            self._chunk = chunk
-            self.invalidate()
-        if not self._stale:
-            return
+    def set_target(self, target: QNetwork) -> None:
+        """Bootstrap from ``target``, recomputing every held row's Q-values
+        in one product."""
+        self.target = target
         if self.q.shape[1] != target.n_actions:
             self.q = np.zeros((len(self.vectors), target.n_actions), dtype=np.float64)
-        stale = np.array(sorted(self._stale), dtype=np.intp)
-        self._stale.clear()
-        for start in range(0, len(stale), chunk):
-            rows = np.resize(stale[start : start + chunk], chunk)
-            self.q[rows] = target.forward(*self.gather(rows))
+        if self._row_of:
+            self._compute(np.fromiter(self._row_of.values(), dtype=np.intp))
+
+    def _compute(self, rows: np.ndarray) -> None:
+        rows = np.resize(rows, max(len(rows), 2))  # a one-row product rounds differently
+        self.q[rows] = self.target.forward(*self.gather(rows))
 
     def gather(self, rows: np.ndarray) -> States:
         """The states of ``rows`` in compact form. ``cols``, the union of
@@ -194,8 +174,7 @@ class ReplayBuffer:
     preallocated arrays, and its two states as rows of a state table, so
     the table holds at most 2 * capacity rows. The table also keeps each
     state's Q-values under the target network given to ``set_target``, so
-    a sample reads a successor's as one row instead of running the target
-    network over it.
+    a sample reads a successor's as one row and runs no forward pass.
     """
 
     def __init__(self, capacity: int, min_size: int):
@@ -212,7 +191,6 @@ class ReplayBuffer:
         self._r = np.zeros(capacity, dtype=np.float64)
         self._done = np.zeros(capacity, dtype=bool)
         self._next_mask: np.ndarray | None = None  # (capacity, actions), sized by the first push
-        self._target: QNetwork | None = None
 
     def __len__(self) -> int:
         return self._len
@@ -224,10 +202,9 @@ class ReplayBuffer:
 
     def set_target(self, target: QNetwork) -> None:
         """Bootstrap from ``target`` from now on. It must not change while
-        it is the target: each stored state's Q-values are computed from it
-        once."""
-        self._target = target
-        self._states.invalidate()
+        it is the target: the held states' Q-values are computed from it
+        now, and a new state's when it is stored."""
+        self._states.set_target(target)
 
     def push(self, transition: Transition) -> None:
         slot = self._cursor
@@ -248,17 +225,15 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement; refused below the warmup size
-        or without a target. The stale target Q-values are computed first,
-        in forward passes of ``batch_size`` states."""
+        or without a target."""
         if not self.ready:
             raise DomainError(
                 f"buffer holds {self._len} transitions, learning starts at {self.min_size}"
             )
         if batch_size < 1:
             raise DomainError(f"batch size must be >= 1: {batch_size}")
-        if self._target is None:
+        if self._states.target is None:
             raise DomainError("no target network to bootstrap from: call set_target first")
-        self._states.refresh(self._target, batch_size)
         idx = rng.integers(0, self._len, size=batch_size)
         return Batch(
             s=self._states.gather(self._s.take(idx)),

@@ -250,6 +250,8 @@ def episode_seed(base_seed: int, prompt_id: int, repeat: int) -> int:
     held-out evaluation has 100)."""
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0: {base_seed}")
+    if prompt_id < 0:
+        raise DomainError(f"prompt id must be >= 0: {prompt_id}")
     if repeat < 0:
         raise DomainError("repeat must be >= 0")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(prompt_id, repeat))

@@ -71,12 +71,14 @@ def compact(x):
 def batch_of(transitions, target):
     """A list of transitions as the ``Batch`` ``ReplayBuffer.sample`` gives
     when bootstrapping from ``target``: the successors' target Q-values come
-    from one batched forward pass of the stacked successors."""
+    from one batched forward pass of the stacked successors, a lone
+    successor stacked twice (a one-row product rounds differently)."""
+    successors = np.stack([t.s2 for t in transitions] * (2 if len(transitions) == 1 else 1))
     return Batch(
         s=compact(np.stack([t.s for t in transitions])),
         a=np.array([t.a for t in transitions], dtype=np.intp),
         r=np.array([t.r for t in transitions], dtype=np.float64),
-        q2=np.asarray(target.forward(np.stack([t.s2 for t in transitions])), dtype=np.float64),
+        q2=np.asarray(target.forward(successors)[: len(transitions)], dtype=np.float64),
         done=np.array([t.done for t in transitions], dtype=bool),
         next_mask=np.array([t.next_mask for t in transitions], dtype=bool),
     )

@@ -135,6 +135,8 @@ def test_memoized_episode_seed_equals_the_direct_computation():
             episode_seed(0, 0, -1)
         with pytest.raises(DomainError, match="seed must be >= 0: -1"):
             episode_seed(-1, 0, 0)
+        with pytest.raises(DomainError, match="prompt id must be >= 0: -5"):
+            episode_seed(0, -5, 0)
 
 
 def test_negative_seed_makes_no_stream():

@@ -538,6 +538,14 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys):
     (tmp_path / "twice.jsonl").write_text("\n".join([*lines, lines[0]]) + "\n")
     assert cli_main([*eval_args, str(tmp_path / "twice.jsonl")]) == 2
     assert "line 3" in capsys.readouterr().err
+    # a negative prompt id makes no episode seed: one line, no traceback
+    negative = json.loads(lines[0]) | {"id": -5}
+    (tmp_path / "negative.jsonl").write_text("\n".join([json.dumps(negative), *lines[1:]]) + "\n")
+    for args in ([*eval_args, str(tmp_path / "negative.jsonl")],
+                 ["baseline", "--expert", "9", "--prompts", str(tmp_path / "negative.jsonl")]):
+        assert cli_main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err == "error: prompt id must be >= 0: -5\n", args
 
 
 def crc_sealed(body):
