@@ -1,8 +1,9 @@
 """Shared domain types: task taxonomy, atoms, canvases, commands, prompts.
 
-The synthetic world tracks image content symbolically. A canvas carries the
-set of prompt constraints ("atoms") currently satisfied plus an optional
-style tag; experts mutate that set, the critic reads it.
+The synthetic world tracks image content symbolically. A canvas is the
+set of prompt constraints ("atoms") currently satisfied, its style among
+them as a ``style_transfer`` atom; experts mutate that set, the critic
+reads it.
 
 ``satisfied_atoms`` is the one rule for which constraints a canvas meets.
 It works on whole sets: frozenset operations reuse the hashes the sets
@@ -14,7 +15,8 @@ The values a rollout builds at every step, ``CanvasState`` and
 ``AtomicCommand``, are named tuples: building one costs a tuple, and the
 check a type makes runs in its ``__new__`` (``_replace`` goes through it
 too). What a rollout reads of a prompt at every step (its seed command,
-its spatial and removal atoms) is computed once per prompt and kept on it.
+its spatial, style and removal atoms) is computed once per prompt and kept
+on it.
 """
 
 from __future__ import annotations
@@ -78,19 +80,17 @@ _BLANK_KIND, _SYMBOLIC_KIND = CanvasKind.BLANK, CanvasKind.SYMBOLIC
 class _CanvasFields(NamedTuple):
     kind: CanvasKind
     atoms: frozenset[Atom] = frozenset()
-    style: Optional[str] = None
 
 
 class CanvasState(_CanvasFields):
-    """An image as its satisfied atoms and style tag; a blank canvas has
-    neither."""
+    """An image as its satisfied atoms; a blank canvas has none."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: CanvasKind, atoms: frozenset[Atom] = frozenset(), style: Optional[str] = None):
-        if kind is _BLANK_KIND and (atoms or style):
-            raise ValueError("a blank canvas carries no atoms or style")
-        return tuple.__new__(cls, (kind, atoms, style))
+    def __new__(cls, kind: CanvasKind, atoms: frozenset[Atom] = frozenset()):
+        if kind is _BLANK_KIND and atoms:
+            raise ValueError("a blank canvas carries no atoms")
+        return tuple.__new__(cls, (kind, atoms))
 
     @classmethod
     def _make(cls, iterable) -> "CanvasState":
@@ -105,8 +105,8 @@ class CanvasState(_CanvasFields):
         return _BLANK
 
     @staticmethod
-    def symbolic(atoms: frozenset[Atom] = frozenset(), style: Optional[str] = None) -> "CanvasState":
-        return CanvasState(_SYMBOLIC_KIND, frozenset(atoms), style)
+    def symbolic(atoms: frozenset[Atom] = frozenset()) -> "CanvasState":
+        return CanvasState(_SYMBOLIC_KIND, frozenset(atoms))
 
 
 _BLANK = CanvasState(_BLANK_KIND)
@@ -205,7 +205,10 @@ def command_text(category: TaskCategory) -> str:
 
 @dataclass(frozen=True)
 class Prompt:
-    """A compositional request: a set of atoms plus an optional style tag."""
+    """A compositional request: a set of atoms. At most one of them is a
+    ``style_transfer`` atom, and ``style_tag`` is its value (``None`` when
+    there is none): the prompt format states a style twice, and this is
+    the one place that keeps the two in agreement."""
 
     id: int
     text: str
@@ -222,6 +225,9 @@ class Prompt:
             if pair in seen:
                 raise ValueError(f"duplicate (category, key) pair in prompt: {pair}")
             seen.add(pair)
+        styles = sorted(a.value for a in self.atoms if a.category is TaskCategory.STYLE_TRANSFER)
+        if styles != ([] if self.style_tag is None else [self.style_tag]):
+            raise ValueError(f"style {self.style_tag!r} is not the value of one style_transfer atom: {styles}")
 
     @property
     def difficulty(self) -> int:
@@ -241,6 +247,11 @@ class Prompt:
         """The atoms of the spatial-configuration categories, the ones
         rubric dimension two scores."""
         return frozenset(a for a in self.atoms if a.category in SPATIAL_CATEGORIES)
+
+    @cached_property
+    def style_atoms(self) -> frozenset[Atom]:
+        """The style atom, if any: rubric dimension four scores it."""
+        return self.by_category.get(TaskCategory.STYLE_TRANSFER, frozenset())
 
     @cached_property
     def removals(self) -> frozenset[Atom]:

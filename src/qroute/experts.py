@@ -33,9 +33,6 @@ from .core import REMOVAL_CATEGORIES, TAXONOMY, AtomicCommand, CanvasState, Task
 from .errors import DomainError
 
 
-_STYLE_TRANSFER = TaskCategory.STYLE_TRANSFER  # read once, not off the enum class per atom
-
-
 class Modality(str, Enum):
     T2I = "t2i"
     I2I = "i2i"
@@ -176,9 +173,10 @@ class ExpertRegistry:
         The call succeeds when the pair's uniform is at least the ``odds``'
         failure probability. Success applies the whole payload (removal
         categories delete their payload atoms instead of adding them);
-        failure leaves content unchanged but still consumes the step. A T2I
-        call always turns a blank canvas into a symbolic one, even when it
-        fails to satisfy anything.
+        failure leaves content unchanged but still consumes the step. A
+        style is one more atom, applied like the others. A T2I call always
+        turns a blank canvas into a symbolic one, even when it fails to
+        satisfy anything.
         """
         failure, success_mean, failure_mean, sigma = self.odds(index, command, canvas)
         uniform, noise = draws
@@ -188,14 +186,10 @@ class ExpertRegistry:
                 atoms = canvas.atoms - command.payload
             else:
                 atoms = canvas.atoms | command.payload
-            style = canvas.style
-            for a in command.payload:
-                if a.category is _STYLE_TRANSFER:
-                    style = a.value
-            return CanvasState.symbolic(atoms, style), quality
+            return CanvasState.symbolic(atoms), quality
         quality = clamp_score(failure_mean + sigma * noise)
         if canvas.is_blank:
-            return CanvasState.symbolic(frozenset(), None), quality
+            return CanvasState.symbolic(), quality
         return canvas, quality
 
 

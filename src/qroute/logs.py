@@ -113,6 +113,10 @@ def typed_list(data: dict, key: str, kind: type) -> tuple:
 
 
 def _prompt_from_payload(data: dict) -> Prompt:
+    """A prompt record: an object of exactly ``id``, ``text`` and
+    ``atoms``, with optional ``style`` and ``editing``."""
+    if unknown := data.keys() - {"id", "text", "atoms", "style", "editing"}:
+        raise ValueError(f"unknown prompt keys {sorted(unknown)}")
     atoms = []
     for entry in field(data, "atoms", list):
         category, key, value = (typed(x, str, "an atom field") for x in typed(entry, list, "an atom"))

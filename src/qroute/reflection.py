@@ -16,8 +16,8 @@ The critic finds the prompt's met atoms once per call (``satisfied_atoms``)
 and hands them on in its verdict: the subscores, the completion flag and the
 decomposition all read that set, and the decomposition intersects the open
 atoms with the prompt's per-category atom sets (``Prompt.by_category``).
-What the critic reads of the prompt itself (its spatial and removal atoms)
-is computed once per prompt.
+What the critic reads of the prompt itself (its spatial, style and removal
+atoms) is computed once per prompt.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ def critic_score(curr: CanvasState, c_curr: AtomicCommand, prompt: Prompt, quali
     Subscores: content accuracy is the satisfied fraction of all prompt
     atoms; spatial configuration the satisfied fraction of spatial-category
     atoms (a prompt without spatial atoms scores 10); visual quality passes
-    the expert's own quality through; style consistency is all-or-nothing
-    against the prompt's style tag.
+    the expert's own quality through; style consistency is all-or-nothing:
+    10 when the prompt's style atom is met or it has none, else 0.
 
-    The prompt's met atoms are found once, and every subscore and the
-    completion flag read them. A payload atom outside the prompt (only a
-    hand-built command has one) is checked on its own.
+    The prompt's met atoms are found once; the completion flag and every
+    subscore but visual quality read them. A payload atom outside the
+    prompt (only a hand-built command has one) is checked on its own.
     """
     met = satisfied_atoms(prompt.atoms, curr, prompt.removals)
     content = 10.0 * len(met) / len(prompt.atoms)
@@ -72,10 +72,7 @@ def critic_score(curr: CanvasState, c_curr: AtomicCommand, prompt: Prompt, quali
 
     visual = clamp_score(float(quality))
 
-    if prompt.style_tag is None or curr.style == prompt.style_tag:
-        style = 10.0
-    else:
-        style = 0.0
+    style = 10.0 if prompt.style_atoms <= met else 0.0
 
     # content and spatial are fractions of 10 and style is 0 or 10, so only
     # the expert's quality needs clamping

@@ -33,12 +33,14 @@ def world_of(seed):
     return iter(lambda: draw(rng), None)
 
 
-def make_prompt(atoms, style=None, editing=False, pid=1):
+def make_prompt(atoms, editing=False, pid=1):
+    """A prompt of ``atoms``; its style tag is the value of its style atom,
+    if it has one."""
     return Prompt(
         id=pid,
         text=" | ".join(f"{a.category.value} {a.key}" for a in sorted(atoms)),
         atoms=frozenset(atoms),
-        style_tag=style,
+        style_tag=next((a.value for a in atoms if a.category is TaskCategory.STYLE_TRANSFER), None),
         initial_canvas=CanvasState.symbolic() if editing else None,
     )
 

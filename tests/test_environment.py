@@ -52,7 +52,7 @@ def test_value_types_check_their_fields_on_every_path():
     iterable, copied or unpickled."""
     cat = TaskCategory.ADD_TEXT
     cmd = AtomicCommand(1, command_text(cat), cat, frozenset({atom("add_text", "sign")}), 2)
-    canvas = CanvasState.symbolic(frozenset({atom("add_text", "sign")}), "noir")
+    canvas = CanvasState.symbolic(frozenset({atom("add_text", "sign"), atom("style_transfer", "style", "noir")}))
     for value in (cmd, canvas, CanvasState.blank()):
         assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
         assert type(pickle.loads(pickle.dumps(value))) is type(value)
@@ -61,9 +61,9 @@ def test_value_types_check_their_fields_on_every_path():
         lambda: AtomicCommand(1, "x", cat, attempts=4),
         lambda: cmd._replace(attempts=-1),
         lambda: AtomicCommand._make([1, "x", cat, frozenset(), 4]),
-        lambda: CanvasState(CanvasKind.BLANK, style="noir"),
+        lambda: CanvasState(CanvasKind.BLANK, frozenset({atom("style_transfer", "style", "noir")})),
         lambda: CanvasState.blank()._replace(atoms=canvas.atoms),
-        lambda: CanvasState._make([CanvasKind.BLANK, canvas.atoms, None]),
+        lambda: CanvasState._make([CanvasKind.BLANK, canvas.atoms]),
     ):
         with pytest.raises(ValueError):
             bad()

@@ -103,7 +103,7 @@ def test_style_payload_sets_canvas_style():
     reg = two_expert_registry(fail=0.0)
     tag = atom("style_transfer", "style", "noir")
     canvas, _ = reg.invoke(1, command("style_transfer", [tag]), CanvasState.symbolic(), draw(np.random.default_rng(0)))
-    assert canvas.style == "noir"
+    assert canvas.atoms == {tag}
 
 
 def test_invoke_requires_eligibility():

@@ -546,6 +546,14 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys):
         assert cli_main(args) == 2, args
         err = capsys.readouterr().err
         assert err == "error: prompt id must be >= 0: -5\n", args
+    # a misspelt key would run an editing prompt from a blank canvas
+    misspelt = json.loads(lines[1]) | {"editting": True}
+    (tmp_path / "misspelt.jsonl").write_text("\n".join([lines[0], json.dumps(misspelt)]) + "\n")
+    for args in ([*eval_args, str(tmp_path / "misspelt.jsonl")],
+                 ["baseline", "--expert", "9", "--prompts", str(tmp_path / "misspelt.jsonl")]):
+        assert cli_main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err == "error: line 2: bad prompt record: unknown prompt keys ['editting']\n", args
 
 
 def crc_sealed(body):

@@ -1,15 +1,29 @@
 """Prompt files and episode logs are read strictly: a field of the wrong
-JSON type is refused with its line number, never coerced."""
+JSON type, an unknown prompt key or a style the prompt's atoms do not state
+is refused with its line number, never coerced. What a log holds does not
+depend on the interpreter's string hash seed."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qroute.checkpoint import save_checkpoint
 from qroute.cli import main as cli_main
+from qroute.core import Prompt
+from qroute.embedder import EMBED_DIM
 from qroute.errors import LogParseError
 from qroute.logs import read_episode_log, read_prompts, write_episode_log, write_prompts
+from qroute.network import HIDDEN_WIDTHS, QNetwork
 from qroute.policies import RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
+
+from conftest import atom
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rewrite_line(path, lineno, **fields):
@@ -113,3 +127,85 @@ def test_integers_read_as_numbers_and_optional_fields_may_be_absent(tmp_path, en
     prompts.write_text(json.dumps({"id": 4, "text": "write lettering", "atoms": [["add_text", "sign", "open"]]}) + "\n")
     (prompt,) = read_prompts(prompts)
     assert prompt.style_tag is None and prompt.initial_canvas is None
+
+
+#: a styled prompt record whose atoms are not listed in sorted order
+STYLED = {
+    "id": 1,
+    "text": "restyle rendering | insert objects",
+    "atoms": [["style_transfer", "style", "noir"], ["add_object", "boats", "6"]],
+    "style": "noir",
+}
+
+
+def test_a_prompt_states_its_style_once():
+    """At most one style atom, and the style tag is its value."""
+    boats, noir = atom("add_object", "boats", "6"), atom("style_transfer", "style", "noir")
+    pastel = atom("style_transfer", "look", "pastel")
+    for atoms, tag in (({boats, noir, pastel}, "noir"), ({boats}, "noir"), ({boats, noir}, None)):
+        with pytest.raises(ValueError, match="style_transfer atom"):
+            Prompt(id=1, text="t", atoms=frozenset(atoms), style_tag=tag)
+    assert Prompt(id=1, text="t", atoms=frozenset({boats, noir}), style_tag="noir").style_atoms == {noir}
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+    save_checkpoint(path, QNetwork((EMBED_DIM, *HIDDEN_WIDTHS, 12), seed=0), step=0)
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"atoms": [*STYLED["atoms"], ["style_transfer", "look", "pastel"]]},
+        {"atoms": STYLED["atoms"][1:]},
+        {"style": None},
+        {"editting": True},  # a misspelt key would run an editing prompt from a blank canvas
+    ],
+    ids=["two-style-atoms", "style-no-atom-carries", "null-style-beside-a-style-atom", "unknown-key"],
+)
+def test_a_bad_prompt_record_exits_2_naming_its_line(tmp_path, capsys, env, untrained_checkpoint, fields):
+    """Through a prompt file (``baseline`` and ``eval``) and through the
+    prompt object of an episode line (``replay``)."""
+    prompts, log = tmp_path / "prompts.jsonl", tmp_path / "episodes.jsonl"
+    prompts.write_text(json.dumps(STYLED) + "\n")
+    write_episode_log(log, [run_episode(env, RandomPolicy(), read_prompts(prompts)[0], seed=3)])
+    bad = {**STYLED, "id": 2, **fields}
+    prompts.write_text(json.dumps(STYLED) + "\n" + json.dumps(bad) + "\n")
+    lines = log.read_text().splitlines()
+    lines[-1] = json.dumps({**json.loads(lines[-1]), "prompt": bad})
+    log.write_text("\n".join(lines) + "\n")
+    runs = [
+        (["baseline", "--expert", "4", "--prompts", str(prompts)], "line 2: bad prompt record: "),
+        (["eval", "--checkpoint", str(untrained_checkpoint), "--prompts", str(prompts)], "line 2: bad prompt record: "),
+        (["replay", "--episode", str(log), "--index", "0"], f"line {len(lines)}: bad record: "),
+    ]
+    for args, says in runs:
+        assert cli_main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + says) and err.count("\n") == 1, (args, err)
+
+
+def test_baseline_logs_are_byte_identical_across_hash_seeds(tmp_path):
+    """A styled prompt with unsorted atoms and an editing prompt: the episode
+    log of a fresh interpreter does not depend on its string hash seed, and
+    replays under a third one."""
+    prompts = tmp_path / "prompts.jsonl"
+    editing = {"id": 2, "text": "write lettering | recolor regions", "editing": True,
+               "atoms": [["color_change", "walls", "teal"], ["add_text", "sign", "open"]]}
+    prompts.write_text(json.dumps(STYLED) + "\n" + json.dumps(editing) + "\n")
+
+    def qroute(hash_seed, *args):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qroute", *map(str, args)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    for hash_seed in (0, 1):
+        qroute(hash_seed, "baseline", "--expert", "4", "--prompts", prompts, "--episodes", "2",
+               "--log", tmp_path / f"log{hash_seed}.jsonl")
+    assert (tmp_path / "log0.jsonl").read_bytes() == (tmp_path / "log1.jsonl").read_bytes()
+    assert "replay OK" in qroute(2, "replay", "--episode", tmp_path / "log0.jsonl", "--index", "0")

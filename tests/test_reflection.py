@@ -36,8 +36,8 @@ def cmd(category, atoms=(), attempts=0, cid=1, text=None):
     )
 
 
-def canvas_with(*atoms_, style=None):
-    return CanvasState.symbolic(frozenset(atoms_), style=style)
+def canvas_with(*atoms_):
+    return CanvasState.symbolic(frozenset(atoms_))
 
 
 def by_id(ledger, command_id):
@@ -54,7 +54,8 @@ def rubric_oracle(prompt, canvas, quality):
         spatial = 10 * sum(1 for a in spatial_atoms if a in canvas.atoms) / len(spatial_atoms)
     else:
         spatial = 10.0
-    style = 10.0 if prompt.style_tag is None or canvas.style == prompt.style_tag else 0.0
+    style_atoms = [a for a in prompt.atoms if a.category is _C.STYLE_TRANSFER]
+    style = 10.0 if all(a in canvas.atoms for a in style_atoms) else 0.0
     return (content + spatial + min(10, max(0, quality)) + style) / 4
 
 
@@ -97,7 +98,8 @@ def reference_verdict(curr, c_curr, prompt, quality):
         spatial = 10.0 * sum(1 for a in spatial_atoms if satisfied_one_by_one(a, curr)) / len(spatial_atoms)
     else:
         spatial = 10.0
-    style = 10.0 if prompt.style_tag is None or curr.style == prompt.style_tag else 0.0
+    style_atoms = [a for a in prompt.atoms if a.category is _C.STYLE_TRANSFER]
+    style = 10.0 if all(satisfied_one_by_one(a, curr) for a in style_atoms) else 0.0
     subscores = (content, spatial, min(10.0, max(0.0, float(quality))), style)
     return (
         sum(subscores) / 4.0,
@@ -151,12 +153,13 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
         atom("spatial_rearrange", "b"),
         atom("add_text", "c"),
     ]
-    prompt = make_prompt(atoms, style="noir")
+    noir, popart = atom("style_transfer", "style", "noir"), atom("style_transfer", "style", "popart")
+    prompt = make_prompt([*atoms, noir])
     c = cmd("add_object", [atoms[0]])
     for mask in range(8):
         sat = frozenset(a for i, a in enumerate(atoms) if mask & (1 << i))
-        for style in (None, "noir", "popart"):
-            canvas = CanvasState.symbolic(sat, style=style)
+        for style in ((), (noir,), (popart,), (noir, popart)):
+            canvas = CanvasState.symbolic(sat | set(style))
             for quality in (0.0, 4.5, 10.0):
                 verdict = critic_score(canvas, c, prompt, quality)
                 assert verdict.raw == pytest.approx(rubric_oracle(prompt, canvas, quality))
@@ -210,18 +213,20 @@ def test_rubric_matches_independent_scorer_over_enumerated_canvases():
 
 def test_style_mismatch_zeroes_style_dimension():
     a = atom("add_object", "dog")
-    prompt = make_prompt([a], style="noir")
-    verdict = critic_score(canvas_with(a, style="popart"), cmd("add_object", [a]), prompt, 10.0)
+    prompt = make_prompt([a, atom("style_transfer", "style", "noir")])
+    canvas = canvas_with(a, atom("style_transfer", "style", "popart"))
+    verdict = critic_score(canvas, cmd("add_object", [a]), prompt, 10.0)
     assert verdict.subscores[3] == 0.0
 
 
 def test_raw_is_ten_only_at_perfect_subscores():
     a = atom("add_object", "dog")
-    prompt = make_prompt([a], style="noir")
+    noir = atom("style_transfer", "style", "noir")
+    prompt = make_prompt([a, noir])
     c = cmd("add_object", [a])
-    perfect = critic_score(canvas_with(a, style="noir"), c, prompt, 10.0)
+    perfect = critic_score(canvas_with(a, noir), c, prompt, 10.0)
     assert perfect.raw == 10.0 and all(s == 10.0 for s in perfect.subscores)
-    near = critic_score(canvas_with(a, style="noir"), c, prompt, 9.999)
+    near = critic_score(canvas_with(a, noir), c, prompt, 9.999)
     assert near.raw < 10.0
 
 

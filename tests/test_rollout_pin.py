@@ -25,9 +25,14 @@ from qroute.train import train
 
 from conftest import atom
 
-#: sha256 of the joined episode lines, recorded before the rollout fast path
-#: (memoized streams, set-based critic, prebuilt masks) and unchanged by it
-PINNED_SHA256 = "b5ee71a7fe88e20916088894badd1af7b4ca4cfcb2e1af9e71edbf47feb6325d"
+#: sha256 of the joined episode lines. Re-recorded when the canvas's atoms
+#: became the only record of its style: prompt 901's whole-prompt command is
+#: filed under remove_object, so its success deletes the style atom, where
+#: the canvas's separate style tag used to stay set. 9 of the 750 episodes
+#: moved, all on prompt 901 (those of experts 4 and 6-11, of the random
+#: policy and of the oracle), and only in the style subscore of one step and
+#: the raw score, reward and return that follow from it; the state pin held
+PINNED_SHA256 = "fa931854eb95bd0c024b24b9df4e137c559c0655e07c0fbb9b3790f6cb760eed"
 
 
 def pinned_prompts():
@@ -93,9 +98,10 @@ def test_network_free_rollout_states_match_the_pinned_hash(env):
 
 
 #: sha256 of the episode logs of the greedy policy of a 200-step seed-1
-#: training run over the same prompts, two episodes each; recorded before
-#: the draw tables and the greedy policy's action memo, and unchanged by them
-PINNED_GREEDY_SHA256 = "c88177c782181b0b55bda2c3d271915a050ca50c02d0a87268f587cae0edb558"
+#: training run over the same prompts, two episodes each. Re-recorded for the
+#: same reason as the first pin: one of the two episodes on prompt 901 moved
+#: (1 of 100), only in its style subscore, raw score, reward and return
+PINNED_GREEDY_SHA256 = "73f096b492ea0a83562377397a4d043fad2102bfef30b2825bda734ed65ce2c8"
 
 
 def test_greedy_rollouts_match_the_pinned_hash(env):
