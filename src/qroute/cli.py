@@ -177,11 +177,9 @@ def _cmd_wilcoxon(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    episodes = read_episode_log(args.episode)
-    matching = [e for e in episodes if e.episode_id == args.index]
-    if not matching:
+    episode = next((e for e in read_episode_log(args.episode) if e.episode_id == args.index), None)
+    if episode is None:
         raise ConfigError(f"no episode with id {args.index} in {args.episode}")
-    episode = matching[0]
     cfg = load_config(args.config) if args.config is not None else _recorded_config(args.episode)
     # feed the runner the logged experts in order, then stop
     experts = iter([logged.expert for logged in episode.steps])

@@ -7,10 +7,10 @@ it gives none), and ``RunConfig.environment`` the one place a config
 becomes a world. ``RunConfig.validate`` checks each setting's JSON type
 before its range, for a config built in Python and one read from JSON.
 
-Every value is checked by the typed-field helpers of ``qroute.logs``, the
-one rule set for the files qroute reads: nothing is coerced (a float
-setting or a profile number is a finite number), and an unknown key is
-refused, at the top level and in an expert profile entry alike.
+Every value is read by the helpers of ``qroute.logs``, the one rule set
+for the JSON objects qroute reads: a setting by its type annotation, with
+nothing coerced (a float setting or a profile number is a finite number),
+and an unknown key refused, at the top level and in a profile entry alike.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional, get_type_hints
+from typing import Any, Optional
 
 from .core import TAXONOMY, TaskCategory
 from .environment import Environment
 from .errors import ConfigError
 from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
-from .logs import field, optional, typed
+from .logs import field, field_readers, known_keys, optional, typed
 from .simworld import MAX_DIFFICULTY
 
 
@@ -51,9 +51,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         settings = vars(self)
         try:
-            for name, hint in _SETTING_TYPES.items():
-                # an int or float setting takes its JSON type, ``expert_profiles`` a list or null
-                settings[name] = field(settings, name, hint) if hint in (int, float) else optional(settings, name, list)
+            for name, read in _SETTINGS.items():
+                settings[name] = read(settings, name)
         except ValueError as exc:
             raise ConfigError(f"config key {exc}") from exc
         if self.seed < 0:
@@ -119,7 +118,7 @@ class RunConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-_SETTING_TYPES = get_type_hints(RunConfig)
+_SETTINGS = field_readers(RunConfig)
 
 
 #: The ``taxonomy`` value every config written while it was a setting holds
@@ -127,17 +126,10 @@ _SETTING_TYPES = get_type_hints(RunConfig)
 _LEGACY_TAXONOMY = [c.value for c in TAXONOMY]
 
 
-_PROFILE_KEYS = {"index", "name", "modality", "means", "sigma", "failure"}
-
-
 def _profile_spec(entry: dict[str, Any]) -> ExpertSpec:
-    """One ``expert_profiles`` entry as an expert: an object of exactly
-    ``index``, ``name``, ``modality`` and ``means`` (a number per category),
-    with optional ``sigma`` (a number) and ``failure`` (a number per
-    category)."""
-    unknown, missing = entry.keys() - _PROFILE_KEYS, _PROFILE_KEYS - {"sigma", "failure"} - entry.keys()
-    if unknown or missing:
-        raise ValueError(f"unknown keys {sorted(unknown)}, missing keys {sorted(missing)}")
+    """One ``expert_profiles`` entry as an expert; ``sigma`` and ``failure``
+    may be absent, and ``means`` and ``failure`` hold a number per category."""
+    known_keys(entry, ("index", "name", "modality", "means", "sigma", "failure"))
     failure = optional(entry, "failure", dict)
     sigma = optional(entry, "sigma", float)
     return ExpertSpec(
@@ -163,9 +155,10 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
             f"taxonomy is not a setting: expert profiles cover all {len(TAXONOMY)} categories, "
             "and a recorded taxonomy must list them all in order"
         )
-    unknown = set(kwargs) - set(_SETTING_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        known_keys(kwargs, _SETTINGS)
+    except ValueError as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
     return RunConfig(**kwargs).validate()
 
 

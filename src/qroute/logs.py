@@ -3,27 +3,22 @@ holds one step per line, followed by an episode summary line; a prompt
 file holds one prompt per line. Writing is canonical (sorted keys, no
 whitespace) so identical runs produce identical bytes.
 
-Reading is strict: each field must have its JSON type (an integer, a
-finite number, a boolean, a string, or null where the field is optional),
-so a ``"false"`` string, a fractional id or an infinite reward is refused
-rather than coerced, and a bad line raises ``LogParseError`` with its line
-number. ``typed``, ``field``, ``optional`` and ``typed_list`` are the
-program's one rule set for JSON values: configs and their expert profiles
-(``qroute.config``) are read through them too. Reading also
-refuses an episode line whose return or length contradicts its step lines:
-the return must be ``reward_sum`` of the step rewards, the length their
-count.
-
-A ``StepRecord`` is a named tuple, the cheapest record a rollout step can
-build; an ``EpisodeRecord``, one per episode, is a frozen dataclass."""
+This module owns what each JSON object qroute reads may hold (a config
+root, an expert profile entry, a prompt record, a step or episode line):
+``known_keys`` refuses an unknown key, and ``typed``, ``field``, ``optional``
+and ``field_readers`` (which reads a step line by ``StepRecord``'s own
+annotations) refuse a value without its JSON type rather than coerce it.
+A bad log line, a step line under another episode's id, a repeated episode
+id, or an episode line whose return or length its steps contradict raises
+``LogParseError`` with the line number."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import Atom, CanvasState, Prompt, TaskCategory
 from .errors import LogParseError
@@ -44,16 +39,20 @@ class StepRecord(NamedTuple):
     terminal_reason: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     episode_id: int
     seed: int
     prompt: Prompt
     steps: tuple[StepRecord, ...]
-    episode_return: float
-    length: int
+    episode_return: float = dataclasses.field(init=False)  # reward_sum(steps)
+    length: int = dataclasses.field(init=False)  # len(steps)
     final_oracle_fraction: float
     truncated_by: Optional[str] = None  # None | "budget" | "policy"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "episode_return", reward_sum(self.steps))
+        object.__setattr__(self, "length", len(self.steps))
 
 
 def reward_sum(steps: Iterable[StepRecord]) -> float:
@@ -107,16 +106,45 @@ def optional(data: dict, key: str, kind: type) -> Any:
     return None if value is None else typed(value, kind, repr(key))
 
 
-def typed_list(data: dict, key: str, kind: type) -> tuple:
-    """``data[key]``, a list whose every entry has the JSON type ``kind``."""
-    return tuple(typed(x, kind, f"an entry of {key!r}") for x in field(data, key, list))
+def known_keys(data: dict, allowed: Iterable[str]) -> None:
+    """ValueError if ``data`` holds a key outside ``allowed``."""
+    if unknown := data.keys() - allowed:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+
+
+def _hinted(hint: Any) -> Callable[[dict, str], Any]:
+    """The reader of a field annotated ``hint``: a JSON type, ``list[...]``,
+    ``Optional[X]`` (null or absent reads as None), or ``tuple[X, ...]`` or
+    ``tuple[X, X]`` (exactly two) of a scalar X; else TypeError."""
+    origin, args = get_origin(hint), get_args(hint)
+    if (kind := origin or hint) in _JSON_TYPE_NAMES:
+        return lambda data, key: field(data, key, kind)
+    if origin is Union and len(args) == 2 and args[1] is type(None):  # Optional[X]
+        inner = _hinted(args[0])
+        return lambda data, key: None if data.get(key) is None else inner(data, key)
+    if origin is tuple and args and args[0] in (int, float, bool, str) and set(args) <= {args[0], ...}:
+        size = None if ... in args else len(args)
+
+        def entries(data: dict, key: str) -> tuple:
+            values = tuple(typed(x, args[0], f"an entry of {key!r}") for x in field(data, key, list))
+            if size not in (None, len(values)):
+                raise ValueError(f"{key!r} must hold {size} entries, got {len(values)}")
+            return values
+
+        return entries
+    raise TypeError(f"no JSON reader for a field of type {hint!r}")
+
+
+def field_readers(cls: type) -> dict[str, Callable[[dict, str], Any]]:
+    """A reader per annotated field of ``cls``: a table built at import, so
+    a field of a type ``_hinted`` cannot read fails every run at once."""
+    return {name: _hinted(hint) for name, hint in get_type_hints(cls).items()}
 
 
 def _prompt_from_payload(data: dict) -> Prompt:
     """A prompt record: an object of exactly ``id``, ``text`` and
     ``atoms``, with optional ``style`` and ``editing``."""
-    if unknown := data.keys() - {"id", "text", "atoms", "style", "editing"}:
-        raise ValueError(f"unknown prompt keys {sorted(unknown)}")
+    known_keys(data, ("id", "text", "atoms", "style", "editing"))
     atoms = []
     for entry in field(data, "atoms", list):
         category, key, value = (typed(x, str, "an atom field") for x in typed(entry, list, "an atom"))
@@ -186,15 +214,21 @@ def episode_lines(episode: EpisodeRecord) -> list[str]:
 
 
 def write_episode_log(path: str | Path, episodes: list[EpisodeRecord]) -> None:
-    lines: list[str] = []
-    for ep in episodes:
-        lines.extend(episode_lines(ep))
-    write_lines(path, lines)
+    write_lines(path, [line for ep in episodes for line in episode_lines(ep)])
+
+
+_STEP_FIELDS = field_readers(StepRecord)
+_LINE_KEYS = {
+    "step": {"kind", "episode", *_STEP_FIELDS},
+    "episode": {"kind", "episode", "seed", "prompt", "return", "length", "oracle", "truncated_by"},
+}
 
 
 def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
-    episodes: list[EpisodeRecord] = []
+    """The episodes of a log; a step line carries its episode line's id."""
+    episodes: dict[int, EpisodeRecord] = {}
     pending: list[StepRecord] = []
+    pending_id = None
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -202,49 +236,34 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
         try:
             data = typed(json.loads(line), dict, "the line")
             kind = field(data, "kind", str)
+            if kind not in _LINE_KEYS:
+                raise ValueError(f"unknown record kind {kind!r}")
+            known_keys(data, _LINE_KEYS[kind])
+            episode_id = field(data, "episode", int)
+            if pending and episode_id != pending_id:
+                raise ValueError(f"a line of episode {episode_id} after steps of episode {pending_id}")
             if kind == "step":
-                subscores = typed_list(data, "subscores", float)
-                if len(subscores) != 4:
-                    raise ValueError(f"'subscores' must hold 4 numbers, got {len(subscores)}")
-                pending.append(
-                    StepRecord(
-                        t=field(data, "t", int),
-                        expert=field(data, "expert", int),
-                        category=field(data, "category", str),
-                        raw=field(data, "raw", float),
-                        subscores=subscores,
-                        reward=field(data, "reward", float),
-                        completed=field(data, "completed", bool),
-                        mask=typed_list(data, "mask", bool),
-                        command_id=field(data, "command_id", int),
-                        attempts=field(data, "attempts", int),
-                        abandoned_command=optional(data, "abandoned_command", int),
-                        terminal_reason=optional(data, "terminal_reason", str),
-                    )
-                )
-            elif kind == "episode":
-                episode = EpisodeRecord(
-                    episode_id=field(data, "episode", int),
-                    seed=field(data, "seed", int),
-                    prompt=_prompt_from_payload(field(data, "prompt", dict)),
-                    steps=tuple(pending),
-                    episode_return=field(data, "return", float),
-                    length=field(data, "length", int),
-                    final_oracle_fraction=field(data, "oracle", float),
-                    truncated_by=optional(data, "truncated_by", str),
-                )
-                if episode.length != len(pending):
-                    raise LogParseError(lineno, f"length {episode.length} but {len(pending)} step lines")
-                if episode.episode_return != (total := reward_sum(pending)):
-                    raise LogParseError(lineno, f"return {episode.episode_return!r} but steps sum to {total!r}")
-                episodes.append(episode)
-                pending = []
-            else:
-                raise LogParseError(lineno, f"unknown record kind {kind!r}")
-        except LogParseError:
-            raise
+                pending.append(StepRecord(**{key: read(data, key) for key, read in _STEP_FIELDS.items()}))
+                pending_id = episode_id
+                continue
+            if episode_id in episodes:
+                raise ValueError(f"repeated episode id {episode_id}")
+            episode = EpisodeRecord(
+                episode_id=episode_id,
+                seed=field(data, "seed", int),
+                prompt=_prompt_from_payload(field(data, "prompt", dict)),
+                steps=tuple(pending),
+                final_oracle_fraction=field(data, "oracle", float),
+                truncated_by=optional(data, "truncated_by", str),
+            )
+            if (length := field(data, "length", int)) != episode.length:
+                raise ValueError(f"length {length} but {episode.length} step lines")
+            if (logged := field(data, "return", float)) != episode.episode_return:
+                raise ValueError(f"return {logged!r} but steps sum to {episode.episode_return!r}")
+            episodes[episode_id] = episode
+            pending = []
         except (TypeError, ValueError) as exc:
             raise LogParseError(lineno, f"bad record: {exc}") from exc
     if pending:
         raise LogParseError(lineno, "dangling step records without an episode summary")
-    return episodes
+    return list(episodes.values())

@@ -34,7 +34,7 @@ from .embedder import EMBED_DIM, embed
 from .environment import Environment, EnvState
 from .errors import DomainError
 from .experts import ExpertRegistry, Modality, draw
-from .logs import EpisodeRecord, StepRecord, reward_sum
+from .logs import EpisodeRecord, StepRecord
 from .network import QNetwork
 from .simworld import best_legal_expert, oracle_fraction
 
@@ -236,8 +236,6 @@ def run_episode(
         seed=seed,
         prompt=prompt,
         steps=tuple(steps),
-        episode_return=reward_sum(steps),
-        length=len(steps),
         final_oracle_fraction=oracle_fraction(state.canvas, prompt),
         truncated_by=truncated_by,
     )

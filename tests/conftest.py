@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ def make_prompt(atoms, editing=False, pid=1):
         style_tag=next((a.value for a in atoms if a.category is TaskCategory.STYLE_TRANSFER), None),
         initial_canvas=CanvasState.symbolic() if editing else None,
     )
+
+
+def rewrite_line(path, lineno, **fields):
+    """Set ``fields`` of the JSON record on line ``lineno`` (1-based)."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
+    path.write_text("\n".join(lines) + "\n")
 
 
 def atom(category, key="k", value="v"):

@@ -21,7 +21,7 @@ from qroute.simworld import generate_corpus
 from qroute.stats import wilcoxon_signed_rank, win_rate
 from qroute.train import train
 
-from conftest import atom, make_prompt
+from conftest import atom, make_prompt, rewrite_line
 
 _C = TaskCategory
 
@@ -274,7 +274,9 @@ def test_report_statistics_do_not_hide_errors(env):
     same = replace(main_eval, name="same")
     w, p = build_report(main_eval, [same]).wilcoxon["same"]
     assert np.isnan(w) and p == 1.0
-    nan_episode = replace(main_eval.episodes[0], episode_return=float("nan"))
+    # a NaN step reward makes a NaN return
+    first = main_eval.episodes[0]
+    nan_episode = replace(first, steps=(first.steps[0]._replace(reward=float("nan")), *first.steps[1:]))
     broken = replace(main_eval, name="broken", episodes=[nan_episode, *main_eval.episodes[1:]])
     with pytest.raises(DomainError):
         build_report(main_eval, [broken])
@@ -553,7 +555,7 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys):
                  ["baseline", "--expert", "9", "--prompts", str(tmp_path / "misspelt.jsonl")]):
         assert cli_main(args) == 2, args
         err = capsys.readouterr().err
-        assert err == "error: line 2: bad prompt record: unknown prompt keys ['editting']\n", args
+        assert err == "error: line 2: bad prompt record: unknown keys ['editting']\n", args
 
 
 def crc_sealed(body):
@@ -757,17 +759,19 @@ def test_cli_wilcoxon_between_logs(tmp_path, capsys, env):
     write_episode_log(logs["shuffled"], rand[::-1])
     write_episode_log(logs["unmatched"], [replace(rand[0], seed=99), *rand[1:]])
     write_episode_log(logs["twice"], [*rand, rand[0]])
-    write_episode_log(logs["nan"], [replace(rand[0], episode_return=float("nan")), *rand[1:]])
-    # an episode line that contradicts its step lines does not read
-    write_episode_log(logs["return"], [replace(rand[0], episode_return=rand[0].episode_return + 5.0), *rand[1:]])
-    write_episode_log(logs["length"], [replace(rand[0], length=rand[0].length + 1), *rand[1:]])
+    # the first episode line, edited: a NaN return, and two that contradict its step lines
+    edits = {"nan": {"return": float("nan")}, "return": {"return": rand[0].episode_return + 5.0},
+             "length": {"length": rand[0].length + 1}}
+    for name, fields in edits.items():
+        write_episode_log(logs[name], rand)
+        rewrite_line(logs[name], rand[0].length + 1, **fields)
     with pytest.raises(LogParseError, match="but steps sum to"):
         read_episode_log(logs["return"])
     with pytest.raises(LogParseError, match="step lines"):
         read_episode_log(logs["length"])
     # one that agrees with an infinite step reward is refused at that step's line
     inf_steps = (rand[0].steps[0]._replace(reward=float("inf")), *rand[0].steps[1:])
-    write_episode_log(logs["inf"], [replace(rand[0], steps=inf_steps, episode_return=float("inf")), *rand[1:]])
+    write_episode_log(logs["inf"], [replace(rand[0], steps=inf_steps), *rand[1:]])
     with pytest.raises(LogParseError, match="line 1: .*'reward' must be a finite number, got inf"):
         read_episode_log(logs["inf"])
 

@@ -1,13 +1,17 @@
 """Prompt files and episode logs are read strictly: a field of the wrong
-JSON type, an unknown prompt key or a style the prompt's atoms do not state
-is refused with its line number, never coerced. What a log holds does not
-depend on the interpreter's string hash seed."""
+JSON type, an unknown key, a style the prompt's atoms do not state, a step
+under another episode's id or a repeated episode id is refused with its
+line number, never coerced. An episode's return and length are taken from
+its steps. What a log holds does not depend on the interpreter's string
+hash seed."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional, Union
 
 import pytest
 
@@ -16,21 +20,23 @@ from qroute.cli import main as cli_main
 from qroute.core import Prompt
 from qroute.embedder import EMBED_DIM
 from qroute.errors import LogParseError
-from qroute.logs import read_episode_log, read_prompts, write_episode_log, write_prompts
+from qroute.experts import DEFAULT_EXPERT_PROFILES
+from qroute.logs import (
+    EpisodeRecord,
+    field_readers,
+    read_episode_log,
+    read_prompts,
+    reward_sum,
+    write_episode_log,
+    write_prompts,
+)
 from qroute.network import HIDDEN_WIDTHS, QNetwork
 from qroute.policies import RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 
-from conftest import atom
+from conftest import atom, rewrite_line
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def rewrite_line(path, lineno, **fields):
-    """Set ``fields`` of the JSON record on line ``lineno`` (1-based)."""
-    lines = path.read_text().splitlines()
-    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
-    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -111,6 +117,117 @@ def test_an_episode_field_of_the_wrong_type_is_refused(tmp_path, env, fields):
     with pytest.raises(LogParseError) as err:
         read_episode_log(path)
     assert err.value.line_number == episode.length + 1
+
+
+def unknown_key_in_config_root(tmp_path, env):
+    (tmp_path / "cfg.json").write_text(json.dumps({"total_steps": 10, "extra_key": 1}))
+    return ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]
+
+
+def unknown_key_in_profile_entry(tmp_path, env):
+    profiles = json.loads(json.dumps(list(DEFAULT_EXPERT_PROFILES)))
+    profiles[3]["extra_key"] = 0.1
+    (tmp_path / "cfg.json").write_text(json.dumps({"total_steps": 10, "expert_profiles": profiles}))
+    return ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]
+
+
+def unknown_key_in_prompt_record(tmp_path, env):
+    write_prompts(tmp_path / "prompts.jsonl", generate_corpus(0, 3, 1, 6))
+    rewrite_line(tmp_path / "prompts.jsonl", 2, extra_key=True)
+    return ["baseline", "--expert", "4", "--prompts", str(tmp_path / "prompts.jsonl")]
+
+
+def unknown_key_in_log_line(on_step_line):
+    def case(tmp_path, env):
+        path = tmp_path / "episodes.jsonl"
+        episode = run_episode(env, RandomPolicy(), generate_corpus(1, 1, 6, 6)[0], seed=3)
+        write_episode_log(path, [episode])
+        rewrite_line(path, 1 if on_step_line else episode.length + 1, extra_key=None)
+        if on_step_line:
+            return ["stats", "wilcoxon", "--a", str(path), "--b", str(path)]
+        return ["replay", "--episode", str(path), "--index", "0"]
+
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [unknown_key_in_config_root, unknown_key_in_profile_entry, unknown_key_in_prompt_record,
+     unknown_key_in_log_line(on_step_line=True), unknown_key_in_log_line(on_step_line=False)],
+    ids=["config-root", "profile-entry", "prompt-record", "step-line", "episode-line"],
+)
+def test_an_unknown_key_is_refused_in_every_object_qroute_reads(tmp_path, capsys, env, case):
+    """One rule, one message: each object names the key it does not hold."""
+    args = case(tmp_path, env)
+    capsys.readouterr()
+    assert cli_main(args) == 2, args
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(": unknown keys ['extra_key']\n"), err
+    assert not (tmp_path / "run").exists()
+
+
+def two_episode_log(path, env, episode_ids=(0, 1)):
+    """Two six-step episodes of two prompts, under ``episode_ids``."""
+    prompts = generate_corpus(1, 2, 6, 6)
+    episodes = [
+        run_episode(env, RandomPolicy(), p, seed=s, episode_id=e) for p, s, e in zip(prompts, (3, 5), episode_ids)
+    ]
+    write_episode_log(path, episodes)
+    return episodes
+
+
+def test_a_step_line_under_another_episodes_id_is_refused(tmp_path, capsys, env):
+    path = tmp_path / "episodes.jsonl"
+    first, _ = two_episode_log(path, env)
+    assert first.length >= 2
+    rewrite_line(path, 2, episode=1)  # the second step of episode 0
+    with pytest.raises(LogParseError, match="line 2: bad record: a line of episode 1 after steps of episode 0"):
+        read_episode_log(path)
+    assert cli_main(["stats", "wilcoxon", "--a", str(path), "--b", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    # an episode line under another id than its steps
+    two_episode_log(path, env)
+    rewrite_line(path, first.length + 1, episode=1)
+    with pytest.raises(LogParseError) as err:
+        read_episode_log(path)
+    assert err.value.line_number == first.length + 1
+
+
+def test_a_repeated_episode_id_is_refused_by_replay(tmp_path, capsys, env):
+    """Two episodes under id 0: the second could never be replayed, so the
+    log does not read, rather than ``replay`` checking only the first."""
+    path = tmp_path / "episodes.jsonl"
+    first, second = two_episode_log(path, env, episode_ids=(0, 0))
+    last = first.length + second.length + 2
+    assert cli_main(["replay", "--episode", str(path), "--index", "0"]) == 2
+    out = capsys.readouterr()
+    assert "replay OK" not in out.out
+    assert out.err == f"error: line {last}: bad record: repeated episode id 0\n"
+
+
+def test_an_episode_takes_its_return_and_length_from_its_steps(env):
+    episode = run_episode(env, RandomPolicy(), generate_corpus(1, 1, 6, 6)[0], seed=3)
+    # three rewards whose left-to-right sum is 0.0 and exact sum 1.0
+    steps = tuple(episode.steps[0]._replace(t=t, reward=r) for t, r in enumerate((1e16, 1.0, -1e16), start=1))
+    record = EpisodeRecord(episode_id=0, seed=3, prompt=episode.prompt, steps=steps, final_oracle_fraction=0.5)
+    assert (record.episode_return, record.length) == (reward_sum(steps), 3) == (0.0, 3)
+    shorter = dataclasses.replace(record, steps=steps[:2])
+    assert (shorter.episode_return, shorter.length) == (1e16 + 1.0, 2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(record, episode_return=1.0)
+
+
+def test_field_readers_read_by_annotation_and_refuse_what_they_cannot_read():
+    fields = [("n", Optional[int]), ("pair", tuple[float, float]), ("flags", tuple[bool, ...])]
+    read = field_readers(NamedTuple("Readable", fields))
+    assert read["n"]({}, "n") is None and read["pair"]({"pair": [1, 2.5]}, "pair") == (1.0, 2.5)
+    assert read["flags"]({"flags": []}, "flags") == ()
+    with pytest.raises(ValueError, match="'pair' must hold 2 entries, got 3"):
+        read["pair"]({"pair": [1, 2, 3]}, "pair")
+    for hint in (Union[int, str], tuple[dict, ...]):
+        with pytest.raises(TypeError, match="no JSON reader"):
+            field_readers(NamedTuple("Unreadable", [("n", int), ("bad", hint)]))
 
 
 def test_integers_read_as_numbers_and_optional_fields_may_be_absent(tmp_path, env):
