@@ -16,14 +16,14 @@ from pathlib import Path
 
 from qroute.cli import run_guarded
 from qroute.config import RunConfig, load_config
-from qroute.experiment import render_experiment, run_learning_experiment
+from qroute.experiment import HELDOUT_PROMPTS, SWEEP_SEEDS, render_experiment, run_learning_experiment
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", type=Path, default=None, help="base run config (JSON)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--prompts", type=int, default=100, help="held-out prompts per seed")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SWEEP_SEEDS))
+    parser.add_argument("--prompts", type=int, default=HELDOUT_PROMPTS, help="held-out prompts per seed")
     parser.add_argument("--out", type=Path, default=None, help="write a JSON summary here")
     args = parser.parse_args()
 

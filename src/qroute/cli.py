@@ -7,10 +7,11 @@ missing or unreadable file) exits 2; any other ``QRouteError`` (numerical
 failure) and a replay mismatch exit 3. ``run_guarded`` applies that rule,
 for the CLI and for the scripts alike.
 
-``eval`` and ``replay`` (without ``--config``) score and re-simulate in the
-world the run was trained in: the config ``train`` recorded in the
-``summary.json`` beside the checkpoint or episode log, or the default
-config when there is no such file.
+A command's run config comes from one rule: ``--config`` if given, else
+the config ``train`` recorded in the ``summary.json`` beside the run file
+the command reads (``eval``'s checkpoint, ``replay``'s episode log), else
+the default. So ``eval`` and ``replay`` score and re-simulate in the world
+the run was trained in. ``train --seed`` overrides the config's seed.
 
 ``eval --log`` and ``baseline --log`` write the evaluated policy's
 rollouts as an episode log. Two such logs of the same prompt file and
@@ -102,25 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(path: Path | None, seed: int | None) -> RunConfig:
-    cfg = load_config(path) if path is not None else RunConfig()
-    if seed is not None:
-        cfg.seed = seed
-    return cfg.validate()
-
-
-def _cmd_train(args) -> int:
-    cfg = _load_run_config(args.config, args.seed)
-    result = train(cfg, out_dir=args.out)
-    print(f"trained {cfg.total_steps} steps over {len(result.episodes)} episodes")
-    print(f"artifacts in {result.out_dir}")
-    return EXIT_OK
-
-
-def _recorded_config(run_file: Path) -> RunConfig:
-    """The config of the run whose directory holds ``run_file``."""
-    summary = run_file.parent / SUMMARY_NAME
-    if not summary.is_file():
+def _run_config(config: Path | None, run_file: Path | None = None) -> RunConfig:
+    """A command's run config: ``--config`` if given, else the config
+    ``train`` recorded in the ``summary.json`` beside ``run_file``, else the
+    default."""
+    if config is not None:
+        return load_config(config)
+    summary = None if run_file is None else run_file.parent / SUMMARY_NAME
+    if summary is None or not summary.is_file():
         return RunConfig()
     try:
         recorded = field(typed(json.loads(summary.read_text(encoding="utf-8")), dict, "the summary"), "config", dict)
@@ -129,10 +119,20 @@ def _recorded_config(run_file: Path) -> RunConfig:
     return config_from_dict(recorded)
 
 
+def _cmd_train(args) -> int:
+    cfg = _run_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed  # ``train`` validates it
+    result = train(cfg, out_dir=args.out)
+    print(f"trained {cfg.total_steps} steps over {len(result.episodes)} episodes")
+    print(f"artifacts in {result.out_dir}")
+    return EXIT_OK
+
+
 def _cmd_eval(args) -> int:
     net, _, _ = load_checkpoint(args.checkpoint)
     prompts = read_prompts(args.prompts)
-    env = _recorded_config(args.checkpoint).environment()
+    env = _run_config(None, args.checkpoint).environment()
     if net.n_actions != len(env.registry):
         raise ConfigError(
             f"checkpoint scores {net.n_actions} experts, its run config registers {len(env.registry)}"
@@ -149,7 +149,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    env = _load_run_config(args.config, None).environment()
+    env = _run_config(args.config).environment()
     if not 0 <= args.expert < len(env.registry):
         raise ConfigError(f"expert index out of range: {args.expert}")
     prompts = read_prompts(args.prompts)
@@ -180,10 +180,10 @@ def _cmd_replay(args) -> int:
     episode = next((e for e in read_episode_log(args.episode) if e.episode_id == args.index), None)
     if episode is None:
         raise ConfigError(f"no episode with id {args.index} in {args.episode}")
-    cfg = load_config(args.config) if args.config is not None else _recorded_config(args.episode)
+    env = _run_config(args.config, args.episode).environment()
     # feed the runner the logged experts in order, then stop
     experts = iter([logged.expert for logged in episode.steps])
-    replayed = run_episode(cfg.environment(), lambda *_: next(experts, None), episode.prompt, episode.seed)
+    replayed = run_episode(env, lambda *_: next(experts, None), episode.prompt, episode.seed)
 
     print(f"{'t':>2} {'expert':>6} {'category':<24} {'raw':>7} {'reward':>8} {'done':>5}")
     for t, (got, logged) in enumerate(zip_longest(replayed.steps, episode.steps), start=1):

@@ -4,7 +4,9 @@
 written, ``RunConfig.build_registry`` the one place expert profiles become
 a registry (a config's own, or the stock ``DEFAULT_EXPERT_PROFILES`` when
 it gives none), and ``RunConfig.environment`` the one place a config
-becomes a world. ``RunConfig.validate`` checks each setting's JSON type
+becomes a world. ``build_registry`` only parses the entries: what makes a
+lineup valid is the registry's own rule, and its refusal is re-raised as a
+``ConfigError``. ``RunConfig.validate`` checks each setting's JSON type
 before its range, for a config built in Python and one read from JSON.
 
 Every value is read by the helpers of ``qroute.logs``, the one rule set
@@ -22,7 +24,7 @@ from typing import Any, Optional
 
 from .core import TAXONOMY, TaskCategory
 from .environment import Environment
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .experts import DEFAULT_EXPERT_PROFILES, ExpertRegistry, ExpertSpec, Modality, SkillProfile
 from .logs import field, field_readers, known_keys, optional, typed
 from .simworld import MAX_DIFFICULTY
@@ -85,13 +87,13 @@ class RunConfig:
             raise ConfigError(f"difficulty bounds must satisfy 1 <= min <= max <= {MAX_DIFFICULTY}")
         if self.train_prompt_count < 1:
             raise ConfigError("train_prompt_count must be >= 1")
-        self.build_registry()  # profiles must parse and cover every category
+        self.build_registry()  # profiles must parse and make a valid lineup
         return self
 
     def build_registry(self) -> ExpertRegistry:
         """The registry of ``expert_profiles``, or of the stock lineup
         ``DEFAULT_EXPERT_PROFILES`` when it is ``None``: every entry goes
-        through one parser and the same checks."""
+        through one parser, and the registry refuses an invalid lineup."""
         entries = DEFAULT_EXPERT_PROFILES if self.expert_profiles is None else self.expert_profiles
         specs = []
         for i, entry in enumerate(entries):
@@ -99,15 +101,10 @@ class RunConfig:
                 specs.append(_profile_spec(typed(entry, dict, "the entry")))
             except ValueError as exc:
                 raise ConfigError(f"bad expert profile entry {i} of 'expert_profiles': {exc}") from exc
-        indices = sorted(spec.index for spec in specs)
-        if indices != list(range(len(specs))):
-            raise ConfigError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
-        if {spec.modality for spec in specs} != set(Modality):
-            raise ConfigError("expert profiles need at least one t2i and one i2i expert")
-        for spec in specs:
-            if not spec.profile.covers():
-                raise ConfigError(f"expert {spec.index} profile does not cover the taxonomy")
-        return ExpertRegistry(specs)
+        try:
+            return ExpertRegistry(specs)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def environment(self) -> Environment:
         """The world this config describes: its registry, step budget and

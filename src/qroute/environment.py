@@ -12,10 +12,10 @@ object whose text form ``serialized`` is computed when first read, and the
 step's ``StepRecord`` is a named tuple. ``reset`` reads the prompt's seed
 command, built once per prompt.
 
-Which experts are legal depends only on whether the canvas is blank, so
-the environment builds its two legal masks once, when it is made: a step
-checks its action against one and logs its tuple, and ``legal_actions``
-hands out a copy.
+Which experts are legal depends only on whether the canvas is blank; the
+registry holds the legal mask of each kind of canvas. A step checks its
+action against one and logs its tuple, and ``legal_actions`` hands out a
+copy.
 
 The world's randomness reaches a step as ``world``, an iterator of
 ``experts.draw`` pairs (one uniform, then one normal): each step reads
@@ -83,15 +83,6 @@ class EnvState:
         return self._serialized
 
 
-def _mask(n_actions: int, legal: frozenset[int]) -> tuple[np.ndarray, tuple[bool, ...]]:
-    """A read-only boolean mask over ``n_actions`` that is true at ``legal``,
-    and the same mask as a tuple."""
-    mask = np.zeros(n_actions, dtype=bool)
-    mask[sorted(legal)] = True
-    mask.setflags(write=False)
-    return mask, tuple(bool(b) for b in mask)
-
-
 class Environment:
     """Binds a registry and the reflection loop into one symbolic MDP."""
 
@@ -102,12 +93,6 @@ class Environment:
         self.t_max = t_max
         self.step_penalty = step_penalty
         self.n_actions = len(registry)
-        # eligibility depends only on whether the canvas is blank, so each
-        # legal mask is built once, with its tuple for the step records
-        self._masks = {
-            canvas.is_blank: _mask(self.n_actions, registry.eligible(canvas))
-            for canvas in (CanvasState.blank(), CanvasState.symbolic())
-        }
 
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
@@ -127,7 +112,7 @@ class Environment:
         The array is a fresh copy, the caller's to keep or change."""
         if state.done:
             return np.zeros(self.n_actions, dtype=bool)
-        return self._masks[state.canvas.is_blank][0].copy()
+        return self.registry.legal_mask(state.canvas)[0].copy()
 
     def step(
         self, state: EnvState, action: int, world: Iterator[tuple[float, float]]
@@ -137,7 +122,7 @@ class Environment:
         if state.done:
             raise DomainError("episode already finished")
         assert state.c_curr is not None
-        mask = self._masks[state.canvas.is_blank][1]
+        mask = self.registry.legal_mask(state.canvas)[1]
         if not (0 <= action < self.n_actions) or not mask[action]:
             raise DomainError(f"action {action} illegal on {state.canvas.kind.value} canvas")
 

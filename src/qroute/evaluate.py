@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TAXONOMY, Prompt, TaskCategory
+from .core import TAXONOMY, CanvasState, Prompt, TaskCategory
 from .environment import Environment
 from .errors import AllZeroDifferences, DomainError
-from .experts import ExpertRegistry, Modality
+from .experts import ExpertRegistry
 from .logs import EpisodeRecord
 from .policies import Policy, SingleExpertPolicy, episode_seed, run_episode
 from .simworld import best_expert
@@ -80,19 +80,13 @@ def routing_stats(
 ) -> tuple[int, int]:
     """(hits, total) over editing steps: a hit is an action equal to the
     ground-truth best expert for the step's command category."""
-    i2i = registry.indices(Modality.I2I)
+    editing = registry.legal_mask(CanvasState.symbolic())[1]
     hits = 0
     total = 0
-    # whether a mask is the editing block's, and each category's best
-    # expert, found once each
-    editing: dict[tuple[bool, ...], bool] = {}
-    best: dict[str, int] = {}
+    best: dict[str, int] = {}  # each category's best expert, found once
     for ep in episodes:
         for s in ep.steps:
-            is_editing = editing.get(s.mask)
-            if is_editing is None:
-                is_editing = editing[s.mask] = {i for i, m in enumerate(s.mask) if m} == i2i
-            if not is_editing:
+            if s.mask != editing:
                 continue
             if s.category not in best:
                 best[s.category] = best_expert(registry, TaskCategory(s.category))

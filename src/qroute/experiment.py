@@ -17,6 +17,10 @@ from .stats import wilcoxon_signed_rank
 from .train import TrainResult, train
 
 HELDOUT_SEED_OFFSET = 971  # held-out prompts never overlap the training stream
+#: The sweep's defaults, for ``run_learning_experiment`` and its script:
+#: the seeds, and the held-out prompts each seed is evaluated on.
+SWEEP_SEEDS = (1, 2, 3, 4, 5)
+HELDOUT_PROMPTS = 100
 
 
 @dataclass
@@ -62,7 +66,7 @@ def _loss_decile_ratio(result: TrainResult) -> float:
     return float(np.mean(last) / np.mean(first))
 
 
-def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
+def run_seed(config: RunConfig, eval_prompt_count: int) -> SeedOutcome:
     """Train one seed, then roll each held-out prompt once under the trained
     policy, every single-expert baseline, random and the oracle, all paired
     on the same per-prompt seeds.
@@ -97,8 +101,8 @@ def run_seed(config: RunConfig, eval_prompt_count: int = 100) -> SeedOutcome:
 
 def run_learning_experiment(
     base_config: Optional[RunConfig] = None,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    eval_prompt_count: int = 100,
+    seeds: Sequence[int] = SWEEP_SEEDS,
+    eval_prompt_count: int = HELDOUT_PROMPTS,
 ) -> ExperimentResult:
     base = base_config if base_config is not None else RunConfig()
     # every seed's config is checked before the first one trains

@@ -12,12 +12,18 @@ modal: T2I experts act on a blank canvas, I2I experts on anything that
 already has an image. A call's quality is clamped to the rubric's [0, 10]
 scale by ``core.clamp_score``, the clamp the critic applies too.
 
+A lineup is valid by construction. A ``SkillProfile`` gives a mean for
+every category, and an ``ExpertRegistry`` holds indices 0..n-1, each once,
+with at least one T2I and one I2I expert; each refuses anything else when
+it is made, whoever builds it.
+
 A registry lays its profiles out once, when it is made: for a blank canvas
 and for an existing image, the experts eligible on it, each with its
-(mean, failure probability, sigma) per category. ``ExpertRegistry.odds``
-owns a call's outcome model: it looks up its expert's table, refused when
-there is none, so eligibility costs no check of its own. ``invoke`` draws
-nothing: it applies the outcome of one ``draw`` pair.
+(mean, failure probability, sigma) per category, and their legal mask
+(read-only, with the same mask as a tuple). ``ExpertRegistry.odds`` owns a
+call's outcome model: it looks up its expert's table, refused when there is
+none, so eligibility costs no check of its own. ``invoke`` draws nothing:
+it applies the outcome of one ``draw`` pair.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ class Modality(str, Enum):
 class SkillProfile:
     """Synthetic competence of one expert across the task taxonomy.
 
-    Failure probability defaults to (10 - mean) / 20 per category, so
-    weaker categories fail more often and the retry machinery gets real
-    exercise.
+    It gives a mean for every category. Failure probability defaults to
+    (10 - mean) / 20 per category, so weaker categories fail more often and
+    the retry machinery gets real exercise.
     """
 
     means: dict[TaskCategory, float]
@@ -52,6 +58,8 @@ class SkillProfile:
     failure: Optional[dict[TaskCategory, float]] = None
 
     def __post_init__(self) -> None:
+        if missing := [cat.value for cat in TAXONOMY if cat not in self.means]:
+            raise ValueError(f"profile does not cover the taxonomy: no mean for {missing}")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
         for cat, m in self.means.items():
@@ -71,13 +79,8 @@ class SkillProfile:
         return (10.0 - self.means[category]) / 20.0
 
     def table(self) -> dict[TaskCategory, tuple[float, float, float]]:
-        """(mean, failure probability, sigma) of each category it gives a
-        mean for."""
+        """(mean, failure probability, sigma) of each category."""
         return {cat: (self.mean_for(cat), self.failure_for(cat), self.sigma) for cat in self.means}
-
-    def covers(self) -> bool:
-        """Whether it gives a mean for every category of the taxonomy."""
-        return all(cat in self.means for cat in TAXONOMY)
 
 
 @dataclass(frozen=True)
@@ -105,26 +108,37 @@ def draw(rng: np.random.Generator) -> tuple[float, float]:
 
 
 class ExpertRegistry:
-    """Ordered, read-only-after-construction expert table."""
+    """Ordered, read-only expert table of a valid lineup: indices 0..n-1,
+    each once, and at least one T2I and one I2I expert."""
 
-    def __init__(self, specs: Sequence[ExpertSpec] = ()):
-        self._specs: dict[int, ExpertSpec] = {}
-        for spec in specs:
-            if spec.index in self._specs:
-                raise DomainError(f"expert index {spec.index} already registered")
-            self._specs[spec.index] = spec
-        self._by_modality: dict[Modality, frozenset[int]] = {
-            m: frozenset(i for i, s in self._specs.items() if s.modality is m) for m in Modality
+    def __init__(self, specs: Sequence[ExpertSpec]):
+        indices = sorted(spec.index for spec in specs)
+        if indices != list(range(len(specs))):
+            raise DomainError(f"expert indices must be 0..{len(specs) - 1}, each once: {indices}")
+        if {spec.modality for spec in specs} != set(Modality):
+            raise DomainError("expert profiles need at least one t2i and one i2i expert")
+        ordered = sorted(specs, key=lambda spec: spec.index)
+        self._specs = {spec.index: spec for spec in ordered}
+        self._by_modality = {m: frozenset(s.index for s in ordered if s.modality is m) for m in Modality}
+        # each expert's first same-name expert of the other modality
+        self._counterparts = {
+            s.index: next((o.index for o in ordered if o.name == s.name and o.modality is not s.modality), None)
+            for s in ordered
         }
-        self._counterparts = {index: self._find_counterpart(index) for index in self._specs}
-        # by whether the canvas is blank: the eligible experts' skill tables
-        self._skills: dict[bool, dict[int, dict[TaskCategory, tuple[float, float, float]]]] = {
-            canvas.is_blank: {i: self._specs[i].profile.table() for i in self.eligible(canvas)}
-            for canvas in (CanvasState.blank(), CanvasState.symbolic())
-        }
+        # by whether the canvas is blank: the eligible experts' skill tables,
+        # and their read-only legal mask with the same mask as a tuple
+        self._skills: dict[bool, dict[int, dict[TaskCategory, tuple[float, float, float]]]] = {}
+        self._masks: dict[bool, tuple[np.ndarray, tuple[bool, ...]]] = {}
+        for canvas in (CanvasState.blank(), CanvasState.symbolic()):
+            eligible = self.eligible(canvas)
+            self._skills[canvas.is_blank] = {i: self._specs[i].profile.table() for i in eligible}
+            legal = tuple(i in eligible for i in self._specs)
+            mask = np.array(legal)
+            mask.setflags(write=False)
+            self._masks[canvas.is_blank] = mask, legal
 
     def list(self) -> list[ExpertSpec]:
-        return [self._specs[i] for i in sorted(self._specs)]
+        return list(self._specs.values())
 
     def spec(self, index: int) -> ExpertSpec:
         return self._specs[index]
@@ -132,24 +146,19 @@ class ExpertRegistry:
     def __len__(self) -> int:
         return len(self._specs)
 
-    def indices(self, modality: Modality) -> frozenset[int]:
-        return self._by_modality[modality]
-
     def counterpart(self, index: int) -> Optional[int]:
         """Same-name expert in the other modality block, if registered."""
         return self._counterparts[index]
-
-    def _find_counterpart(self, index: int) -> Optional[int]:
-        me = self._specs[index]
-        for i, s in sorted(self._specs.items()):
-            if i != index and s.name == me.name and s.modality is not me.modality:
-                return i
-        return None
 
     def eligible(self, canvas: CanvasState) -> frozenset[int]:
         if canvas.is_blank:
             return self._by_modality[Modality.T2I]
         return self._by_modality[Modality.I2I]
+
+    def legal_mask(self, canvas: CanvasState) -> tuple[np.ndarray, tuple[bool, ...]]:
+        """The experts eligible on ``canvas`` as a read-only boolean mask over
+        the indices, and the same mask as a tuple (a step record's)."""
+        return self._masks[canvas.is_blank]
 
     def odds(self, index: int, command: AtomicCommand, canvas: CanvasState) -> Odds:
         """The call's failure probability, its mean quality on success and

@@ -10,7 +10,8 @@ and ``field_readers`` (which reads a step line by ``StepRecord``'s own
 annotations) refuse a value without its JSON type rather than coerce it.
 A bad log line, a step line under another episode's id, a repeated episode
 id, or an episode line whose return or length its steps contradict raises
-``LogParseError`` with the line number."""
+``LogParseError`` with the line number; a fault inside an episode line's
+prompt object is named ``prompt:``."""
 
 from __future__ import annotations
 
@@ -248,10 +249,15 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 continue
             if episode_id in episodes:
                 raise ValueError(f"repeated episode id {episode_id}")
+            payload = field(data, "prompt", dict)
+            try:
+                prompt = _prompt_from_payload(payload)
+            except ValueError as exc:
+                raise ValueError(f"prompt: {exc}") from exc
             episode = EpisodeRecord(
                 episode_id=episode_id,
                 seed=field(data, "seed", int),
-                prompt=_prompt_from_payload(field(data, "prompt", dict)),
+                prompt=prompt,
                 steps=tuple(pending),
                 final_oracle_fraction=field(data, "oracle", float),
                 truncated_by=optional(data, "truncated_by", str),

@@ -162,9 +162,6 @@ def best_expert(registry: ExpertRegistry, category: TaskCategory) -> int:
 def best_legal_expert(
     registry: ExpertRegistry, category: TaskCategory, canvas: CanvasState
 ) -> int:
-    """Argmax of configured skill means over the experts legal on the canvas;
-    ties break to the lowest index."""
-    legal = sorted(registry.eligible(canvas))
-    if not legal:
-        raise DomainError(f"no expert is legal on a {canvas.kind.value} canvas")
-    return max(legal, key=lambda i: registry.spec(i).profile.mean_for(category))
+    """Argmax of configured skill means over the experts legal on the canvas
+    (a registry has one on each kind); ties break to the lowest index."""
+    return max(sorted(registry.eligible(canvas)), key=lambda i: registry.spec(i).profile.mean_for(category))

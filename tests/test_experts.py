@@ -167,18 +167,47 @@ def test_stock_registry_shape(registry):
     assert [s.modality for s in specs[:7]] == [Modality.T2I] * 7
     assert [s.modality for s in specs[7:]] == [Modality.I2I] * 5
     for s in specs:
-        assert s.profile is not None
-        assert s.profile.covers()
+        assert set(s.profile.means) == set(TaskCategory)
 
 
 def test_register_duplicate_index():
     gen = ExpertSpec(0, "gen", Modality.T2I, profile=flat_profile(8.0))
-    with pytest.raises(DomainError, match="expert index 0 already registered"):
+    with pytest.raises(DomainError, match=r"expert indices must be 0\.\.1, each once: \[0, 0\]"):
         ExpertRegistry([gen, ExpertSpec(0, "again", Modality.T2I, profile=flat_profile(5.0))])
 
 
 def test_empty_registry():
-    assert ExpertRegistry().list() == []
+    with pytest.raises(DomainError, match="at least one t2i and one i2i expert"):
+        ExpertRegistry([])
+
+
+@pytest.mark.parametrize(
+    "lineup, message",
+    [
+        ([(0, Modality.T2I), (2, Modality.I2I)], r"0\.\.1, each once: \[0, 2\]"),
+        ([(1, Modality.T2I), (2, Modality.I2I)], r"0\.\.1, each once: \[1, 2\]"),
+        ([(0, Modality.T2I), (1, Modality.T2I)], "at least one t2i and one i2i expert"),
+        ([(0, Modality.I2I)], "at least one t2i and one i2i expert"),
+    ],
+    ids=["index-gap", "not-from-zero", "generation-only", "editing-only"],
+)
+def test_registry_refuses_an_invalid_lineup(lineup, message):
+    with pytest.raises(DomainError, match=message):
+        ExpertRegistry([ExpertSpec(i, f"e{i}", m, profile=flat_profile(5.0)) for i, m in lineup])
+
+
+def test_profile_refuses_means_that_miss_a_category():
+    means = {c: 5.0 for c in TaskCategory if c is not _C.COLOR_CHANGE}
+    with pytest.raises(ValueError, match=r"does not cover the taxonomy: no mean for \['color_change'\]"):
+        SkillProfile(means=means)
+
+
+def test_legal_masks_are_the_eligible_blocks_read_only(registry):
+    for canvas in (CanvasState.blank(), CanvasState.symbolic()):
+        mask, flags = registry.legal_mask(canvas)
+        assert set(np.flatnonzero(mask)) == registry.eligible(canvas)
+        assert flags == tuple(mask.tolist())
+        assert not mask.flags.writeable
 
 
 def test_anchor_scores(registry):

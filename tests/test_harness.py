@@ -631,6 +631,36 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "q.jsonl").exists()
 
 
+def test_a_commands_config_is_its_flag_else_the_recorded_one_else_the_default(tmp_path, capsys):
+    two = [
+        {"index": i, "name": f"e{i}", "modality": modality, "means": {c.value: 5.0 for c in TaskCategory}}
+        for i, modality in enumerate(("t2i", "i2i"))
+    ]
+    (tmp_path / "two.json").write_text(RunConfig(total_steps=30, expert_profiles=two).to_json())
+    (tmp_path / "stock.json").write_text(RunConfig(total_steps=30).to_json())
+    run_dir = tmp_path / "run"
+    assert cli_main(["train", "--config", str(tmp_path / "two.json"), "--seed", "-1", "--out", str(run_dir)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err and not run_dir.exists()
+    assert cli_main(["train", "--config", str(tmp_path / "two.json"), "--seed", "4", "--out", str(run_dir)]) == 0
+    assert json.loads((run_dir / "summary.json").read_text())["config"]["seed"] == 4
+    log = run_dir / "episodes.jsonl"
+    # an episode that opens on a blank canvas, with expert 0: legal in both worlds
+    index = next(e.episode_id for e in read_episode_log(log) if e.prompt.initial_canvas is None)
+    alone = tmp_path / "alone" / "episodes.jsonl"  # no summary.json beside it
+    alone.parent.mkdir()
+    alone.write_bytes(log.read_bytes())
+    replays = [
+        ([], log, "replay OK"),  # the recorded two-expert world
+        (["--config", str(tmp_path / "stock.json")], log, "replay mismatch at t=1"),
+        (["--config", str(tmp_path / "two.json")], alone, "replay OK"),
+        ([], alone, "replay mismatch at t=1"),  # the default world
+    ]
+    capsys.readouterr()
+    for flags, path, says in replays:
+        rc = cli_main(["replay", "--episode", str(path), "--index", str(index), *flags])
+        assert (rc, says in capsys.readouterr().out) == (0 if says == "replay OK" else 3, True), (flags, path)
+
+
 def test_cli_empty_prompt_file_exits_2(tmp_path, capsys):
     (tmp_path / "empty.jsonl").write_text("")
     save_checkpoint(tmp_path / "net.ckpt", QNetwork((1536, 64, 64, 12), seed=0), step=0)

@@ -214,3 +214,13 @@ def test_no_unread_classes():
     """A class of the package that nothing in the package, scripts, tests or
     benchmark reads is dead code."""
     assert unread_in_package(defined_classes) == []
+
+
+def test_readme_layout_lists_every_module():
+    """Every module of the package but ``__init__`` and ``__main__`` has a
+    line under the README's ``## Layout``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = {line.split()[0] for line in layout.splitlines() if line.startswith("  ") and line.strip()}
+    modules = {path.name for path in (ROOT / "src" / "qroute").glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert modules - listed == set()

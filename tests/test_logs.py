@@ -177,6 +177,21 @@ def two_episode_log(path, env, episode_ids=(0, 1)):
     return episodes
 
 
+def test_a_fault_in_an_episode_lines_prompt_names_the_prompt(tmp_path, env):
+    """An unknown key inside the prompt object and one on the line itself
+    give two messages."""
+    path = tmp_path / "episodes.jsonl"
+    first, _ = two_episode_log(path, env)
+    line = first.length + 1
+    prompt = json.loads(path.read_text().splitlines()[line - 1])["prompt"]
+    rewrite_line(path, line, prompt={**prompt, "extra": 1})
+    with pytest.raises(LogParseError, match=rf"^line {line}: bad record: prompt: unknown keys \['extra'\]$"):
+        read_episode_log(path)
+    rewrite_line(path, line, prompt=prompt, extra=1)
+    with pytest.raises(LogParseError, match=rf"^line {line}: bad record: unknown keys \['extra'\]$"):
+        read_episode_log(path)
+
+
 def test_a_step_line_under_another_episodes_id_is_refused(tmp_path, capsys, env):
     path = tmp_path / "episodes.jsonl"
     first, _ = two_episode_log(path, env)

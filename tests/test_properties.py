@@ -1,9 +1,15 @@
 """Cross-module system properties that do not fit a single unit scope."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qroute.config import RunConfig
-from qroute.core import satisfied_atoms
+from qroute.core import TaskCategory, satisfied_atoms
+from qroute.environment import Environment
+from qroute.errors import DomainError
 from qroute.evaluate import evaluate
-from qroute.policies import GreedyPolicy, RandomPolicy, episode_streams, run_episode
+from qroute.experts import ExpertRegistry, ExpertSpec, Modality, SkillProfile
+from qroute.policies import GreedyPolicy, OraclePolicy, RandomPolicy, SingleExpertPolicy, episode_streams, run_episode
 from qroute.simworld import generate_corpus
 from qroute.train import train
 
@@ -71,3 +77,48 @@ def test_done_is_absorbing_and_time_capped(env):
         assert rec.steps[-1].terminal_reason in ("drained", "budget")
         for s in rec.steps[:-1]:
             assert s.terminal_reason is None
+
+
+@st.composite
+def lineups(draw):
+    """Up to six expert entries, as (index, name, modality, means), in a
+    drawn order. Each flaw is drawn apart, so many lineups have none: an
+    index replaced (a gap or a repeat), a lineup of one modality, and
+    categories dropped from the last profile (an editor's, when there is
+    one)."""
+    n = draw(st.integers(0, 6))
+    indices = list(range(n))
+    if n and draw(st.booleans()):
+        indices[draw(st.integers(0, n - 1))] = draw(st.integers(0, n))
+    t2i = draw(st.sampled_from([0, n])) if n < 2 or draw(st.booleans()) else draw(st.integers(1, n - 1))
+    dropped = draw(st.sets(st.sampled_from(TaskCategory), min_size=1)) if draw(st.booleans()) else set()
+    entries = []
+    for k, index in enumerate(indices):
+        means = {c: draw(st.floats(0.0, 10.0)) for c in TaskCategory if k < n - 1 or c not in dropped}
+        modality = Modality.T2I if k < t2i else Modality.I2I
+        entries.append((index, draw(st.sampled_from(["a", "b"])), modality, means))
+    return draw(st.permutations(entries))
+
+
+#: Generation and editing prompts, and two that start on an image holding
+#: an object to remove.
+LINEUP_PROMPTS = generate_corpus(31, 12, 1, 6, id_start=700, editing_prob=0.5) + pinned_prompts()[-2:]
+
+
+@given(lineups())
+@settings(max_examples=200, deadline=None)
+def test_a_lineup_is_refused_when_made_or_runs_every_policy(entries):
+    # a lineup either fails at construction, or every policy's episode runs
+    try:
+        registry = ExpertRegistry(
+            [ExpertSpec(i, name, m, profile=SkillProfile(means=means)) for i, name, m, means in entries]
+        )
+    except (DomainError, ValueError):
+        return
+    env = Environment(registry, t_max=4, step_penalty=0.05)
+    policies = [RandomPolicy(), OraclePolicy(registry)]
+    policies += [SingleExpertPolicy(index=spec.index, registry=registry) for spec in registry.list()]
+    for policy in policies:
+        for seed, prompt in enumerate(LINEUP_PROMPTS):
+            rec = run_episode(env, policy, prompt, seed=seed)
+            assert all(step.mask[step.expert] for step in rec.steps)
