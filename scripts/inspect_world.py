@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     args = parser.parse_args()
 
-    cfg = RunConfig(seed=args.seed, total_steps=args.steps).validate()
+    cfg = RunConfig(seed=args.seed, total_steps=args.steps)
     registry = cfg.build_registry()
 
     specs = registry.list()

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
@@ -122,7 +123,7 @@ def _run_config(config: Path | None, run_file: Path | None = None) -> RunConfig:
 def _cmd_train(args) -> int:
     cfg = _run_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed  # ``train`` validates it
+        cfg = replace(cfg, seed=args.seed)  # checked again
     result = train(cfg, out_dir=args.out)
     print(f"trained {cfg.total_steps} steps over {len(result.episodes)} episodes")
     print(f"artifacts in {result.out_dir}")

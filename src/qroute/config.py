@@ -1,13 +1,13 @@
-"""Run configuration: one dataclass, JSON round-trip, strict validation.
+"""Run configuration: one frozen dataclass, JSON round-trip, checked when made.
 
 ``RunConfig`` is the one place a run's settings and their defaults are
-written, ``RunConfig.build_registry`` the one place expert profiles become
-a registry (a config's own, or the stock ``DEFAULT_EXPERT_PROFILES`` when
-it gives none), and ``RunConfig.environment`` the one place a config
-becomes a world. ``build_registry`` only parses the entries: what makes a
-lineup valid is the registry's own rule, and its refusal is re-raised as a
-``ConfigError``. ``RunConfig.validate`` checks each setting's JSON type
-before its range, for a config built in Python and one read from JSON.
+written. Making one checks it, from Python or JSON alike: each setting's
+JSON type, then its range, then its world. Its expert profiles (its own, or
+the stock ``DEFAULT_EXPERT_PROFILES`` when it gives none) are parsed into a
+registry, whose refusal of a lineup, like the ``Environment``'s refusal of a
+step budget or penalty, is re-raised as a ``ConfigError``. The world is built
+once: ``build_registry`` and ``environment`` return it, so every run of a
+config shares it. A changed copy (``dataclasses.replace``) is checked again.
 
 Every value is read by the helpers of ``qroute.logs``, the one rule set
 for the JSON objects qroute reads: a setting by its type annotation, with
@@ -30,7 +30,7 @@ from .logs import field, field_readers, known_keys, optional, typed
 from .simworld import MAX_DIFFICULTY
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     total_steps: int = 1000
@@ -50,8 +50,8 @@ class RunConfig:
     difficulty_min: int = 6
     difficulty_max: int = 6
 
-    def validate(self) -> "RunConfig":
-        settings = vars(self)
+    def __post_init__(self) -> None:
+        settings = vars(self)  # a float setting given an integer is stored as a float
         try:
             for name, read in _SETTINGS.items():
                 settings[name] = read(settings, name)
@@ -76,24 +76,12 @@ class RunConfig:
         if not 0.0 < self.exploration_fraction <= 1.0:
             raise ConfigError("exploration_fraction must be in (0, 1]")
         for name in ("epsilon_initial", "epsilon_final"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
-        if self.step_penalty < 0.0:  # finite, by its type check
-            raise ConfigError("step_penalty must be a finite number >= 0")
         if not 1 <= self.difficulty_min <= self.difficulty_max <= MAX_DIFFICULTY:
             raise ConfigError(f"difficulty bounds must satisfy 1 <= min <= max <= {MAX_DIFFICULTY}")
         if self.train_prompt_count < 1:
             raise ConfigError("train_prompt_count must be >= 1")
-        self.build_registry()  # profiles must parse and make a valid lineup
-        return self
-
-    def build_registry(self) -> ExpertRegistry:
-        """The registry of ``expert_profiles``, or of the stock lineup
-        ``DEFAULT_EXPERT_PROFILES`` when it is ``None``: every entry goes
-        through one parser, and the registry refuses an invalid lineup."""
         entries = DEFAULT_EXPERT_PROFILES if self.expert_profiles is None else self.expert_profiles
         specs = []
         for i, entry in enumerate(entries):
@@ -101,15 +89,21 @@ class RunConfig:
                 specs.append(_profile_spec(typed(entry, dict, "the entry")))
             except ValueError as exc:
                 raise ConfigError(f"bad expert profile entry {i} of 'expert_profiles': {exc}") from exc
-        try:
-            return ExpertRegistry(specs)
+        try:  # the registry judges the lineup, the environment the budget and the penalty
+            settings["_world"] = Environment(ExpertRegistry(specs), self.t_max, self.step_penalty)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def build_registry(self) -> ExpertRegistry:
+        """The registry of ``expert_profiles``, or of the stock lineup
+        ``DEFAULT_EXPERT_PROFILES`` when it is ``None``; built once, when
+        the config was made."""
+        return self._world.registry
+
     def environment(self) -> Environment:
         """The world this config describes: its registry, step budget and
-        step penalty."""
-        return Environment(self.build_registry(), self.t_max, self.step_penalty)
+        step penalty; built once, when the config was made."""
+        return self._world
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -156,7 +150,7 @@ def config_from_dict(data: dict[str, Any]) -> RunConfig:
         known_keys(kwargs, _SETTINGS)
     except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return RunConfig(**kwargs).validate()
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:

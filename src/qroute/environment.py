@@ -23,11 +23,14 @@ exactly one pair, its expert call's draws. The episode runner passes an
 iterator over a pre-drawn table (``policies.world_draws``).
 
 The step budget and the step penalty have no defaults here: a run's world
-is built by ``RunConfig.environment``, which owns them.
+is built by ``RunConfig``, which owns them; ``Environment`` checks their
+ranges (a budget of at least one step, a finite penalty of at least 0).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -83,16 +86,20 @@ class EnvState:
         return self._serialized
 
 
+@dataclass(frozen=True, eq=False)
 class Environment:
-    """Binds a registry and the reflection loop into one symbolic MDP."""
+    """Binds a registry and the reflection loop into one symbolic MDP; read-only."""
 
-    def __init__(self, registry: ExpertRegistry, t_max: int, step_penalty: float):
-        if t_max < 1:
+    registry: ExpertRegistry
+    t_max: int
+    step_penalty: float
+
+    def __post_init__(self) -> None:
+        if self.t_max < 1:
             raise DomainError("t_max must be >= 1")
-        self.registry = registry
-        self.t_max = t_max
-        self.step_penalty = step_penalty
-        self.n_actions = len(registry)
+        if not 0.0 <= self.step_penalty < math.inf:
+            raise DomainError("step_penalty must be a finite number >= 0")
+        object.__setattr__(self, "n_actions", len(self.registry))
 
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""

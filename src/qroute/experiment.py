@@ -106,7 +106,7 @@ def run_learning_experiment(
 ) -> ExperimentResult:
     base = base_config if base_config is not None else RunConfig()
     # every seed's config is checked before the first one trains
-    configs = [replace(base, seed=seed).validate() for seed in seeds]
+    configs = [replace(base, seed=seed) for seed in seeds]
     outcomes = [run_seed(config, eval_prompt_count) for config in configs]
 
     # pooled comparison target: the baseline with the best pooled mean return

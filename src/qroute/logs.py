@@ -228,12 +228,12 @@ _LINE_KEYS = {
 def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
     """The episodes of a log; a step line carries its episode line's id."""
     episodes: dict[int, EpisodeRecord] = {}
-    pending: list[StepRecord] = []
-    pending_id = None
+    pending: list[tuple[int, int, StepRecord]] = []  # (line number, episode id, step)
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        at = lineno  # the line a refusal names
         try:
             data = typed(json.loads(line), dict, "the line")
             kind = field(data, "kind", str)
@@ -241,12 +241,14 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 raise ValueError(f"unknown record kind {kind!r}")
             known_keys(data, _LINE_KEYS[kind])
             episode_id = field(data, "episode", int)
-            if pending and episode_id != pending_id:
-                raise ValueError(f"a line of episode {episode_id} after steps of episode {pending_id}")
             if kind == "step":
-                pending.append(StepRecord(**{key: read(data, key) for key, read in _STEP_FIELDS.items()}))
-                pending_id = episode_id
+                pending.append((lineno, episode_id, StepRecord(**{k: r(data, k) for k, r in _STEP_FIELDS.items()})))
                 continue
+            # name the first step line off the episode line's id, or the
+            # episode line when none of its step lines carries its id
+            if strays := [(n, step_id) for n, step_id, _ in pending if step_id != episode_id]:
+                at, stray_id = strays[0] if len(strays) < len(pending) else (lineno, strays[0][1])
+                raise ValueError(f"a step line of episode {stray_id} closed by the line of episode {episode_id}")
             if episode_id in episodes:
                 raise ValueError(f"repeated episode id {episode_id}")
             payload = field(data, "prompt", dict)
@@ -258,7 +260,7 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 episode_id=episode_id,
                 seed=field(data, "seed", int),
                 prompt=prompt,
-                steps=tuple(pending),
+                steps=tuple(step for _, _, step in pending),
                 final_oracle_fraction=field(data, "oracle", float),
                 truncated_by=optional(data, "truncated_by", str),
             )
@@ -269,7 +271,7 @@ def read_episode_log(path: str | Path) -> list[EpisodeRecord]:
             episodes[episode_id] = episode
             pending = []
         except (TypeError, ValueError) as exc:
-            raise LogParseError(lineno, f"bad record: {exc}") from exc
+            raise LogParseError(at, f"bad record: {exc}") from exc
     if pending:
         raise LogParseError(lineno, "dangling step records without an episode summary")
     return list(episodes.values())

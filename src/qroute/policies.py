@@ -106,7 +106,7 @@ class OraclePolicy:
         return best_legal_expert(self.registry, state.c_curr.category, state.canvas)
 
 
-#: The generator that opens the canvas for an editing-only baseline.
+#: The generator that opens the canvas for an editing-only baseline, if registered.
 DEFAULT_T2I = 4
 
 
@@ -116,9 +116,9 @@ class SingleExpertPolicy:
 
     When the forced expert is modally illegal, the same-name counterpart in
     the other block substitutes if one exists. An editing-only expert opens
-    the canvas with generator ``DEFAULT_T2I`` when that generator is legal
-    and stops otherwise; a generation-only expert simply stops once the
-    canvas exists (a single-shot system).
+    a blank canvas with generator ``DEFAULT_T2I`` when the lineup has it,
+    else with its lowest-index generator; a generation-only expert simply
+    stops once the canvas exists (a single-shot system).
     """
 
     index: int
@@ -130,14 +130,9 @@ class SingleExpertPolicy:
         counterpart = self.registry.counterpart(self.index)
         if counterpart is not None and mask[counterpart]:
             return counterpart
-        spec = self.registry.spec(self.index)
-        if (
-            spec.modality is Modality.I2I
-            and state.canvas.is_blank
-            and DEFAULT_T2I < len(mask)
-            and mask[DEFAULT_T2I]
-        ):
-            return DEFAULT_T2I
+        if self.registry.spec(self.index).modality is Modality.I2I and state.canvas.is_blank:
+            generators = self.registry.eligible(state.canvas)
+            return DEFAULT_T2I if DEFAULT_T2I in generators else min(generators)
         return None
 
 

@@ -65,7 +65,6 @@ class TrainResult:
 
 
 def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResult:
-    config.validate()
     env = config.environment()
 
     corpus = generate_corpus(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qroute.core import AtomicCommand, CanvasKind, CanvasState, TaskCategory, child_stream, command_text
-from qroute.environment import shape_reward
+from qroute.environment import Environment, shape_reward
 from qroute.errors import DomainError
 from qroute.experts import draw
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
@@ -25,6 +25,12 @@ def test_shape_reward_examples():
 def test_shape_reward_domain(raw, t):
     with pytest.raises(DomainError):
         shape_reward(raw, t, DEFAULTS.step_penalty, DEFAULTS.t_max)
+
+
+@pytest.mark.parametrize("penalty", [-0.05, float("nan"), float("inf")])
+def test_environment_refuses_a_negative_or_non_finite_step_penalty(registry, penalty):
+    with pytest.raises(DomainError, match="^step_penalty must be a finite number >= 0$"):
+        Environment(registry, 6, penalty)
 
 
 def test_reset_text_prompt_starts_blank(env):

@@ -1,7 +1,8 @@
 import json
+import re
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -85,29 +86,59 @@ def test_config_profiles_must_cover_taxonomy():
         config_from_dict({"expert_profiles": profiles})
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), pytest.param(-1.0, id="negative")])
 def test_python_api_refuses_a_non_finite_sigma_or_step_penalty(bad):
     with pytest.raises(ValueError, match="sigma must be a finite number"):
         SkillProfile(means={c: 5.0 for c in TaskCategory}, sigma=bad)
-    # the config's own type check, the one a JSON config passes too
-    with pytest.raises(ConfigError, match="config key 'step_penalty' must be a finite number"):
-        RunConfig(step_penalty=bad).validate()
+    # refused when the config is made, as a JSON config is: a non-finite
+    # penalty by its type check, a negative one by the environment's range
+    if bad < 0:
+        message = "step_penalty must be a finite number >= 0"
+    else:
+        message = f"config key 'step_penalty' must be a finite number, got {bad!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(step_penalty=bad)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict({"step_penalty": bad})
 
 
 @pytest.mark.parametrize(
-    "setting", [{"batch_size": 2.5}, {"t_max": 2.5}, {"total_steps": 1.5}, {"seed": True}], ids=lambda s: next(iter(s))
+    "setting",
+    [
+        {"batch_size": 2.5},
+        {"t_max": 2.5},
+        {"total_steps": 1.5},
+        {"seed": True},
+        pytest.param({"t_max": True}, id="t_max_bool"),
+    ],
+    ids=lambda s: next(iter(s)),
 )
 def test_python_api_refuses_an_int_setting_of_another_type(setting):
-    # the Python API and a JSON config pass the same type check
+    # the Python API and a JSON config pass the same type check, when the config is made
     ((name, value),) = setting.items()
     with pytest.raises(ConfigError, match=f"config key '{name}' must be an integer, got {value!r}"):
-        RunConfig(**setting).validate()
+        RunConfig(**setting)
     with pytest.raises(ConfigError, match=f"config key '{name}' must be an integer, got {value!r}"):
         config_from_dict(setting)
 
 
+def test_a_config_is_frozen_and_holds_one_world():
+    cfg = RunConfig(seed=3)
+    with pytest.raises(FrozenInstanceError):
+        cfg.t_max = 2
+    with pytest.raises(FrozenInstanceError):
+        cfg.environment().step_penalty = -1.0
+    # a changed copy is checked again
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(cfg, seed=-1)
+    assert cfg.environment() is cfg.environment()
+    assert cfg.environment().registry is cfg.build_registry()
+    assert (cfg.environment().t_max, cfg.environment().step_penalty) == (cfg.t_max, cfg.step_penalty)
+    assert replace(cfg, seed=4).environment() is not cfg.environment()
+
+
 def test_a_float_setting_given_an_int_is_stored_as_a_float():
-    for cfg in (RunConfig(gamma=1, step_penalty=0).validate(), config_from_dict({"gamma": 1, "step_penalty": 0})):
+    for cfg in (RunConfig(gamma=1, step_penalty=0), config_from_dict({"gamma": 1, "step_penalty": 0})):
         assert (cfg.gamma, cfg.step_penalty) == (1.0, 0.0)
         assert type(cfg.gamma) is float and type(cfg.step_penalty) is float
 
@@ -715,7 +746,8 @@ def test_cli_eval_and_replay_read_the_run_config(tmp_path, capsys):
 
 
 def test_cli_eval_baselines_on_a_three_expert_run(tmp_path, capsys):
-    # no generator 4 to open the canvas: the editing-only baselines stop at once
+    # no generator 4: the editing-only baselines open the canvas with
+    # generator 0, and its one call meets every prompt here
     profiles = [
         {
             "index": i,
@@ -733,8 +765,7 @@ def test_cli_eval_baselines_on_a_three_expert_run(tmp_path, capsys):
     assert cli_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"), *eval_args]) == 0
     capsys.readouterr()
     lengths = {p["name"]: p["mean_length"] for p in json.loads((tmp_path / "report.json").read_text())["policies"]}
-    assert lengths["expert_1_e1_i2i"] == lengths["expert_2_e2_i2i"] == 0.0
-    assert lengths["expert_0_e0_t2i"] == 1.0
+    assert lengths["expert_1_e1_i2i"] == lengths["expert_2_e2_i2i"] == lengths["expert_0_e0_t2i"] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -197,14 +197,20 @@ def test_a_step_line_under_another_episodes_id_is_refused(tmp_path, capsys, env)
     first, _ = two_episode_log(path, env)
     assert first.length >= 2
     rewrite_line(path, 2, episode=1)  # the second step of episode 0
-    with pytest.raises(LogParseError, match="line 2: bad record: a line of episode 1 after steps of episode 0"):
+    stray = "bad record: a step line of episode 1 closed by the line of episode 0"
+    with pytest.raises(LogParseError, match=f"line 2: {stray}"):
         read_episode_log(path)
     assert cli_main(["stats", "wilcoxon", "--a", str(path), "--b", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+    # the first step is named on its own line, not the next one
+    two_episode_log(path, env)
+    rewrite_line(path, 1, episode=1)
+    with pytest.raises(LogParseError, match=f"line 1: {stray}"):
+        read_episode_log(path)
     # an episode line under another id than its steps
     two_episode_log(path, env)
     rewrite_line(path, first.length + 1, episode=1)
-    with pytest.raises(LogParseError) as err:
+    with pytest.raises(LogParseError, match="a step line of episode 0 closed by the line of episode 1") as err:
         read_episode_log(path)
     assert err.value.line_number == first.length + 1
 

@@ -122,3 +122,6 @@ def test_a_lineup_is_refused_when_made_or_runs_every_policy(entries):
         for seed, prompt in enumerate(LINEUP_PROMPTS):
             rec = run_episode(env, policy, prompt, seed=seed)
             assert all(step.mask[step.expert] for step in rec.steps)
+            # every baseline acts on a blank canvas: an editing-only one opens it with a generator
+            if isinstance(policy, SingleExpertPolicy) and prompt.initial_canvas is None:
+                assert rec.length >= 1
