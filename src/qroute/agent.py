@@ -26,7 +26,7 @@ passes them in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -277,12 +277,12 @@ def select_action(
     s: np.ndarray,
     mask: np.ndarray,
     epsilon: float,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     cols: np.ndarray | None = None,
 ) -> int:
     """Epsilon-greedy over the legal actions only; greedy ties break low.
     ``s`` is a state vector, or its nonzero entries at ``cols`` (see
-    ``QNetwork.forward_cached``)."""
+    ``QNetwork.forward_cached``). ``rng`` is read only when ``epsilon > 0``."""
     legal = np.flatnonzero(np.asarray(mask, dtype=bool))
     if legal.size == 0:
         raise DomainError("no legal action to select from")

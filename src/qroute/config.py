@@ -7,7 +7,9 @@ the stock ``DEFAULT_EXPERT_PROFILES`` when it gives none) are parsed into a
 registry, whose refusal of a lineup, like the ``Environment``'s refusal of a
 step budget or penalty, is re-raised as a ``ConfigError``. The world is built
 once: ``build_registry`` and ``environment`` return it, so every run of a
-config shares it. A changed copy (``dataclasses.replace``) is checked again.
+config shares it. The config keeps its own copy of the profiles, so a
+caller's later change to its list reaches neither the world nor
+``to_json``. A changed copy (``dataclasses.replace``) is checked again.
 
 Every value is read by the helpers of ``qroute.logs``, the one rule set
 for the JSON objects qroute reads: a setting by its type annotation, with
@@ -17,6 +19,7 @@ and an unknown key refused, at the top level and in a profile entry alike.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -57,6 +60,7 @@ class RunConfig:
                 settings[name] = read(settings, name)
         except ValueError as exc:
             raise ConfigError(f"config key {exc}") from exc
+        settings["expert_profiles"] = copy.deepcopy(self.expert_profiles)  # the caller's list may change
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.total_steps < 0:

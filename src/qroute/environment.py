@@ -7,15 +7,16 @@ rebuild the ledger, extract the next command, shape the reward. Episodes
 end when the ledger drains or the step budget runs out; done is absorbing.
 A state holds only what the next step reads.
 
-A step builds only plain values: the successor ``EnvState`` is a slotted
-object whose text form ``serialized`` is computed when first read, and the
-step's ``StepRecord`` is a named tuple. ``reset`` reads the prompt's seed
-command, built once per prompt.
+A step builds only plain values: the successor ``EnvState`` and the
+step's ``StepRecord`` are named tuples, so a state is immutable, compares
+and hashes by value, and keys a memo as it is. Its text form
+``serialized`` is formatted on every read. ``reset`` reads the prompt's
+seed command, built once per prompt.
 
 Which experts are legal depends only on whether the canvas is blank; the
-registry holds the legal mask of each kind of canvas. A step checks its
-action against one and logs its tuple, and ``legal_actions`` hands out a
-copy.
+registry holds the read-only legal mask of each kind of canvas, and of a
+finished episode. A step checks its action against one and logs its tuple,
+and ``legal_actions`` hands out the read-only mask itself.
 
 The world's randomness reaches a step as ``world``, an iterator of
 ``experts.draw`` pairs (one uniform, then one normal): each step reads
@@ -24,14 +25,14 @@ iterator over a pre-drawn table (``policies.world_draws``).
 
 The step budget and the step penalty have no defaults here: a run's world
 is built by ``RunConfig``, which owns them; ``Environment`` checks their
-ranges (a budget of at least one step, a finite penalty of at least 0).
+types and ranges (an integer budget of at least one step, a finite penalty
+of at least 0).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .core import Atom, AtomicCommand, CanvasState, Ledger, Prompt
 from .embedder import serialize_reflection_state
 from .errors import DomainError
 from .experts import ExpertRegistry
-from .logs import StepRecord
+from .logs import StepRecord, typed
 from .reflection import apply_attempt_policy, critic_score, extract_command
 
 
@@ -52,38 +53,22 @@ def shape_reward(raw: float, t: int, step_penalty: float, t_max: int) -> float:
     return raw / 10.0 - step_penalty * t
 
 
-class EnvState:
-    """One state of an episode. It compares by identity, and nothing
-    changes it after it is made."""
+class EnvState(NamedTuple):
+    """One state of an episode: an immutable value."""
 
-    __slots__ = ("prompt", "canvas", "c_curr", "c_rem", "t", "done", "abandoned_atoms", "_serialized")
-
-    def __init__(
-        self,
-        prompt: Prompt,
-        canvas: CanvasState,
-        c_curr: Optional[AtomicCommand],
-        c_rem: Ledger,
-        t: int,
-        done: bool,
-        abandoned_atoms: frozenset[Atom],
-    ):
-        self.prompt = prompt
-        self.canvas = canvas
-        self.c_curr = c_curr
-        self.c_rem = c_rem
-        self.t = t
-        self.done = done
-        self.abandoned_atoms = abandoned_atoms
-        self._serialized: Optional[str] = None
+    prompt: Prompt
+    canvas: CanvasState
+    c_curr: Optional[AtomicCommand]
+    c_rem: Ledger
+    t: int
+    done: bool
+    abandoned_atoms: frozenset[Atom]
 
     @property
     def serialized(self) -> str:
-        """The agent's view of the state as text, computed on first read."""
-        if self._serialized is None:
-            cur = self.c_curr.text if self.c_curr is not None else None
-            self._serialized = serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
-        return self._serialized
+        """The agent's view of the state as text."""
+        cur = self.c_curr.text if self.c_curr is not None else None
+        return serialize_reflection_state(cur, [(c.text, c.attempts) for c in self.c_rem])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,31 +80,34 @@ class Environment:
     step_penalty: float
 
     def __post_init__(self) -> None:
+        try:
+            typed(self.t_max, int, "t_max")
+        except ValueError as exc:
+            raise DomainError(str(exc)) from exc
         if self.t_max < 1:
             raise DomainError("t_max must be >= 1")
-        if not 0.0 <= self.step_penalty < math.inf:
+        try:
+            in_range = typed(self.step_penalty, float, "step_penalty") >= 0.0
+        except ValueError:  # not a finite number
+            in_range = False
+        if not in_range:
             raise DomainError("step_penalty must be a finite number >= 0")
-        object.__setattr__(self, "n_actions", len(self.registry))
+
+    @property
+    def n_actions(self) -> int:
+        return len(self.registry)
 
     def reset(self, prompt: Prompt) -> EnvState:
         """Start an episode: the whole prompt becomes the first command."""
         canvas = prompt.initial_canvas if prompt.initial_canvas is not None else CanvasState.blank()
-        return EnvState(
-            prompt=prompt,
-            canvas=canvas,
-            c_curr=prompt.seed_command,
-            c_rem=(),
-            t=0,
-            done=False,
-            abandoned_atoms=frozenset(),
-        )
+        return EnvState(prompt, canvas, prompt.seed_command, c_rem=(), t=0, done=False, abandoned_atoms=frozenset())
 
     def legal_actions(self, state: EnvState) -> np.ndarray:
-        """Boolean mask over expert indices; all-false once the episode ended.
-        The array is a fresh copy, the caller's to keep or change."""
+        """Read-only boolean mask over expert indices; all-false once the
+        episode ended."""
         if state.done:
-            return np.zeros(self.n_actions, dtype=bool)
-        return self.registry.legal_mask(state.canvas)[0].copy()
+            return self.registry.no_legal_mask
+        return self.registry.legal_mask(state.canvas)[0]
 
     def step(
         self, state: EnvState, action: int, world: Iterator[tuple[float, float]]
@@ -130,7 +118,7 @@ class Environment:
             raise DomainError("episode already finished")
         assert state.c_curr is not None
         mask = self.registry.legal_mask(state.canvas)[1]
-        if not (0 <= action < self.n_actions) or not mask[action]:
+        if not 0 <= action < len(mask) or not mask[action]:
             raise DomainError(f"action {action} illegal on {state.canvas.kind.value} canvas")
 
         canvas2, quality = self.registry.invoke(action, state.c_curr, state.canvas, next(world))
@@ -151,15 +139,7 @@ class Environment:
         done = drained or t2 >= self.t_max
         reason = "drained" if drained else ("budget" if done else None)
 
-        state2 = EnvState(
-            prompt=state.prompt,
-            canvas=canvas2,
-            c_curr=c_next,
-            c_rem=c_rem2,
-            t=t2,
-            done=done,
-            abandoned_atoms=abandoned_atoms,
-        )
+        state2 = EnvState(state.prompt, canvas2, c_next, c_rem2, t2, done, abandoned_atoms)
         record = StepRecord(
             t=t2,
             expert=action,

@@ -20,10 +20,11 @@ it is made, whoever builds it.
 A registry lays its profiles out once, when it is made: for a blank canvas
 and for an existing image, the experts eligible on it, each with its
 (mean, failure probability, sigma) per category, and their legal mask
-(read-only, with the same mask as a tuple). ``ExpertRegistry.odds`` owns a
-call's outcome model: it looks up its expert's table, refused when there is
-none, so eligibility costs no check of its own. ``invoke`` draws nothing:
-it applies the outcome of one ``draw`` pair.
+(read-only, with the same mask as a tuple); and the read-only all-false
+mask of a finished episode. ``ExpertRegistry.odds`` owns a call's outcome
+model: it looks up its expert's table, refused when there is none, so
+eligibility costs no check of its own. ``invoke`` draws nothing: it
+applies the outcome of one ``draw`` pair.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ class ExpertRegistry:
             mask = np.array(legal)
             mask.setflags(write=False)
             self._masks[canvas.is_blank] = mask, legal
+        # a finished episode's mask: no expert is legal
+        self.no_legal_mask = np.zeros(len(self._specs), dtype=bool)
+        self.no_legal_mask.setflags(write=False)
 
     def list(self) -> list[ExpertSpec]:
         return list(self._specs.values())

@@ -3,6 +3,10 @@ holds one step per line, followed by an episode summary line; a prompt
 file holds one prompt per line. Writing is canonical (sorted keys, no
 whitespace) so identical runs produce identical bytes.
 
+A prompt record holds ``id``, ``text``, ``style``, ``editing`` and
+``atoms``, and ``image``, the atoms of the input image, when an editing
+prompt's image holds any (a generated prompt's never does).
+
 This module owns what each JSON object qroute reads may hold (a config
 root, an expert profile entry, a prompt record, a step or episode line):
 ``known_keys`` refuses an unknown key, and ``typed``, ``field``, ``optional``
@@ -65,13 +69,19 @@ def reward_sum(steps: Iterable[StepRecord]) -> float:
     return total
 
 
+def _atom_rows(atoms: frozenset[Atom]) -> list[list[str]]:
+    return [[a.category.value, a.key, a.value] for a in sorted(atoms)]
+
+
 def _prompt_payload(p: Prompt) -> dict:
+    image = frozenset() if p.initial_canvas is None else p.initial_canvas.atoms
     return {
         "id": p.id,
         "text": p.text,
         "style": p.style_tag,
         "editing": p.initial_canvas is not None,
-        "atoms": [[a.category.value, a.key, a.value] for a in sorted(p.atoms)],
+        "atoms": _atom_rows(p.atoms),
+        **({"image": _atom_rows(image)} if image else {}),  # a generated prompt's image is empty
     }
 
 
@@ -142,20 +152,26 @@ def field_readers(cls: type) -> dict[str, Callable[[dict, str], Any]]:
     return {name: _hinted(hint) for name, hint in get_type_hints(cls).items()}
 
 
+def _atoms(rows: list) -> frozenset[Atom]:
+    """The atoms of a list of [category, key, value] rows."""
+    fields = [[typed(x, str, "an atom field") for x in typed(row, list, "an atom")] for row in rows]
+    return frozenset(Atom(TaskCategory(category), key, value) for category, key, value in fields)
+
+
 def _prompt_from_payload(data: dict) -> Prompt:
     """A prompt record: an object of exactly ``id``, ``text`` and
-    ``atoms``, with optional ``style`` and ``editing``."""
-    known_keys(data, ("id", "text", "atoms", "style", "editing"))
-    atoms = []
-    for entry in field(data, "atoms", list):
-        category, key, value = (typed(x, str, "an atom field") for x in typed(entry, list, "an atom"))
-        atoms.append(Atom(category=TaskCategory(category), key=key, value=value))
+    ``atoms``, with optional ``style``, ``editing`` and ``image`` (the
+    atoms of the input image, which only an editing prompt has)."""
+    known_keys(data, ("id", "text", "atoms", "style", "editing", "image"))
+    editing, image = optional(data, "editing", bool), optional(data, "image", list)
+    if image is not None and not editing:
+        raise ValueError("'image' needs 'editing': true")
     return Prompt(
         id=field(data, "id", int),
         text=field(data, "text", str),
-        atoms=frozenset(atoms),
+        atoms=_atoms(field(data, "atoms", list)),
         style_tag=optional(data, "style", str),
-        initial_canvas=CanvasState.symbolic() if optional(data, "editing", bool) else None,
+        initial_canvas=CanvasState.symbolic(_atoms(image or [])) if editing else None,
     )
 
 

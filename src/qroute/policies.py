@@ -4,7 +4,9 @@ ground-truth routing oracle, and forced single-expert baselines.
 
 An episode draws from two streams of its seed: the world's, which every
 expert call draws from, and the policy's, which only the random and the
-exploring policies draw from and which is therefore made on its first draw.
+exploring policies draw from. A policy reaches its stream by calling
+``rng()``, which makes the generator on its first call, so an episode whose
+policy never draws makes none.
 
 An expert call draws exactly one uniform and then one normal from the
 world's stream (``experts.draw``, the one owner of that order), whatever
@@ -41,11 +43,11 @@ from .simworld import best_legal_expert, oracle_fraction
 
 class Policy(Protocol):
     def __call__(
-        self, state: EnvState, mask: np.ndarray, rng: np.random.Generator
+        self, state: EnvState, mask: np.ndarray, rng: Callable[[], np.random.Generator]
     ) -> Optional[int]:
-        """Return an action index, or None to stop the rollout. ``rng`` is
-        the episode's policy stream; ``run_episode`` passes a
-        ``LazyGenerator``, which forwards every draw to a generator."""
+        """Return an action index, or None to stop the rollout. ``mask`` is
+        the state's read-only legal mask; ``rng()`` is the episode's policy
+        stream, made on the first call (``policy_stream``)."""
 
 
 #: Sees each transition as (state, action, reward, state2, next_mask);
@@ -81,7 +83,7 @@ class GreedyPolicy:
         action = self._actions.get(key)
         if action is None:
             x, cols = embed.compact(state.serialized)
-            action = self._actions[key] = select_action(self.net, x, mask, 0.0, rng, cols)
+            action = self._actions[key] = select_action(self.net, x, mask, 0.0, None, cols)
         return action
 
 
@@ -90,7 +92,7 @@ class RandomPolicy:
         legal = np.flatnonzero(mask)
         if legal.size == 0:
             return None
-        return int(legal[rng.integers(0, legal.size)])
+        return int(legal[rng().integers(0, legal.size)])
 
 
 @dataclass
@@ -136,45 +138,37 @@ class SingleExpertPolicy:
         return None
 
 
-class LazyGenerator:
-    """The generator ``core.child_stream(seed, *spawn_key)``, made on its
-    first draw: most policies never draw from their stream.
-    Every attribute of the generator is forwarded, so a policy draws from it
-    as from the generator itself (though it is not an instance of one)."""
-
-    __slots__ = ("_seed", "_spawn_key", "_rng")
-
-    def __init__(self, seed: int, spawn_key: tuple[int, ...]):
-        self._seed = seed
-        self._spawn_key = spawn_key
-        self._rng: Optional[np.random.Generator] = None
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            # an unset slot (a copy being built) or a protocol probe; never
-            # a draw, and looking it up on the generator would recurse
-            raise AttributeError(name)
-        if self._rng is None:
-            self._rng = child_stream(self._seed, *self._spawn_key)
-        return getattr(self._rng, name)
-
-
 #: The spawn keys of an episode's two streams under its seed.
 POLICY_STREAM, WORLD_STREAM = (0,), (1,)
 
 
-def episode_streams(seed: int) -> tuple[LazyGenerator, Iterator[tuple[float, float]]]:
+def policy_stream(seed: int) -> Callable[[], np.random.Generator]:
+    """The episode's policy stream ``core.child_stream(seed, *POLICY_STREAM)``
+    as a function that makes it on its first call and returns that one
+    generator on every call: most policies never draw from it."""
+    rng: Optional[np.random.Generator] = None
+
+    def stream() -> np.random.Generator:
+        nonlocal rng
+        if rng is None:
+            rng = child_stream(seed, *POLICY_STREAM)
+        return rng
+
+    return stream
+
+
+def episode_streams(seed: int) -> tuple[Callable[[], np.random.Generator], Iterator[tuple[float, float]]]:
     """(policy stream, world stream) for one episode, on the two children
-    ``SeedSequence(seed).spawn(2)`` gives, built from their spawn keys: a
-    generator made on the policy's first draw, and the endless iterator of
-    ``experts.draw`` pairs that ``env.step`` reads.
+    ``SeedSequence(seed).spawn(2)`` gives, built from their spawn keys: the
+    ``policy_stream`` that ``run_episode`` passes its policy, and the
+    endless iterator of ``experts.draw`` pairs that ``env.step`` reads.
 
     Keeping them separate means a logged episode can be re-simulated from
     its action sequence alone: the world stream does not depend on how
     many draws the policy consumed.
     """
     world = child_stream(seed, *WORLD_STREAM)
-    return LazyGenerator(seed, POLICY_STREAM), iter(partial(draw, world), None)  # draw never gives None
+    return policy_stream(seed), iter(partial(draw, world), None)  # draw never gives None
 
 
 #: Draw tables ``world_draws`` keeps: more than the episode seeds of one
@@ -202,11 +196,11 @@ def run_episode(
     """Roll one full episode; deterministic given the seed.
 
     The world is read from the seed's draw table, the policy stream is
-    ``episode_streams``'s. Each state's legal mask is computed once and
-    carried forward: the mask the policy sees is the successor mask of the
-    previous transition.
+    ``policy_stream(seed)``, as in ``episode_streams``. Each state's legal
+    mask is looked up once and carried forward: the mask the policy sees is
+    the successor mask of the previous transition.
     """
-    policy_rng = LazyGenerator(seed, POLICY_STREAM)
+    policy_rng = policy_stream(seed)
     world = iter(world_draws(seed, env.t_max))
     state = env.reset(prompt)
     mask = env.legal_actions(state)

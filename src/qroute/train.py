@@ -143,18 +143,18 @@ def train(config: RunConfig, out_dir: Optional[str | Path] = None) -> TrainResul
 
     result = TrainResult(config=config, net=net, episodes=episodes, metrics=metrics)
     if out_dir is not None:
-        result.out_dir = write_artifacts(result, Path(out_dir), global_step)
+        result.out_dir = write_artifacts(result, Path(out_dir))
     return result
 
 
-def write_artifacts(result: TrainResult, out_dir: Path, step: int) -> Path:
+def write_artifacts(result: TrainResult, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, step)
+    save_checkpoint(out_dir / CHECKPOINT_NAME, result.net, len(result.metrics))  # one metric per step
     write_episode_log(out_dir / EPISODES_NAME, result.episodes)
     write_lines(out_dir / METRICS_NAME, [canonical_json(m._asdict()) for m in result.metrics])
     losses = result.losses
     summary = {
-        "total_steps": step,
+        "total_steps": len(result.metrics),
         "episodes": len(result.episodes),
         "mean_reward": float(np.mean(result.rewards)) if result.metrics else None,
         "mean_episode_return": float(np.mean([e.episode_return for e in result.episodes]))

@@ -94,7 +94,7 @@ def epsilon_greedy(net, epsilon):
 
     def policy(state, mask, rng):
         x, cols = embed.compact(state.serialized)
-        return select_action(net, x, mask, epsilon, rng, cols)
+        return select_action(net, x, mask, epsilon, rng(), cols)
 
     return policy
 

@@ -4,8 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from qroute import policies
 from qroute.core import AtomicCommand, CanvasKind, CanvasState, TaskCategory, child_stream, command_text
-from qroute.environment import Environment, shape_reward
+from qroute.environment import Environment, EnvState, shape_reward
 from qroute.errors import DomainError
 from qroute.experts import draw
 from qroute.policies import RandomPolicy, episode_seed, episode_streams, run_episode
@@ -31,6 +32,20 @@ def test_shape_reward_domain(raw, t):
 def test_environment_refuses_a_negative_or_non_finite_step_penalty(registry, penalty):
     with pytest.raises(DomainError, match="^step_penalty must be a finite number >= 0$"):
         Environment(registry, 6, penalty)
+
+
+@pytest.mark.parametrize(
+    "t_max,penalty,says",
+    [
+        (2.5, 0.05, "^t_max must be an integer, got 2.5$"),
+        (True, 0.05, "^t_max must be an integer, got True$"),
+        (6, "0.05", "^step_penalty must be a finite number >= 0$"),
+    ],
+    ids=["float_budget", "bool_budget", "str_penalty"],
+)
+def test_environment_refuses_a_budget_or_penalty_of_another_type(registry, t_max, penalty, says):
+    with pytest.raises(DomainError, match=says):
+        Environment(registry, t_max, penalty)
 
 
 def test_reset_text_prompt_starts_blank(env):
@@ -83,51 +98,57 @@ def test_reset_is_deterministic(env):
     assert a.c_curr == b.c_curr
 
 
-def test_legal_actions_returns_an_array_the_caller_owns(env):
+def test_two_resets_of_one_prompt_are_one_value(env):
+    prompt = make_prompt([atom("add_object", "dog"), atom("add_text", "sign")])
+    a, b = env.reset(prompt), env.reset(prompt)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    state2, _, _, _ = env.step(a, 4, world_of(0))
+    assert state2 != a
+    for name in EnvState._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
+
+
+def test_legal_actions_returns_the_registrys_read_only_mask(env):
     prompt = make_prompt([atom("add_object", "dog"), atom("add_text", "sign")])
     state = env.reset(prompt)
-    expected = env.legal_actions(state).copy()
-    env.legal_actions(state)[:] = ~expected
+    masks = [env.registry.legal_mask(canvas)[0] for canvas in (CanvasState.blank(), CanvasState.symbolic())]
+    before = [m.copy() for m in (*masks, env.registry.no_legal_mask)]
     mask = env.legal_actions(state)
-    assert np.array_equal(mask, expected)
-    mask[:] = True
+    assert mask is masks[0] and set(np.flatnonzero(mask)) == {0, 1, 2, 3, 4, 5, 6}
     state2, _, _, record = env.step(state, 4, world_of(0))
-    assert record.mask == tuple(bool(b) for b in expected)
-    # the editing mask and the finished episode's mask are copies too
+    assert record.mask == tuple(bool(b) for b in mask)
     while not state2.done:
-        after = env.legal_actions(state2)
-        after[:] = False
-        assert set(np.flatnonzero(env.legal_actions(state2))) == {7, 8, 9, 10, 11}
+        assert env.legal_actions(state2) is masks[1]
         state2, _, _, _ = env.step(state2, 9, world_of(1))
-    env.legal_actions(state2)[:] = True
-    assert not env.legal_actions(state2).any()
-    assert np.array_equal(env.legal_actions(env.reset(prompt)), expected)
+    done_mask = env.legal_actions(state2)
+    assert done_mask is env.registry.no_legal_mask and not done_mask.any()
+    for m in (mask, masks[1], done_mask):
+        with pytest.raises(ValueError):
+            m[:] = True
+        with pytest.raises(ValueError):
+            m[0] = not m[0]
+    after = [m.copy() for m in (*masks, env.registry.no_legal_mask)]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
-def test_episode_streams_draw_what_spawned_children_draw():
+def test_episode_streams_draw_what_spawned_children_draw(monkeypatch):
+    made = []
+    monkeypatch.setattr(policies, "child_stream", lambda *key: made.append(key) or child_stream(*key))
     for seed in (0, 1, 12345, 2**63 - 1):
+        made.clear()
         policy, world = episode_streams(seed)
         ref_policy, ref_world = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-        # the world stream first: the policy stream is made on its first draw
+        # the world stream first: the policy stream is made on its first call
         assert [next(world) for _ in range(5)] == [draw(ref_world) for _ in range(5)]
-        assert np.array_equal(policy.integers(0, 12, size=7), ref_policy.integers(0, 12, size=7))
-        assert policy.random() == ref_policy.random()
+        assert made == [(seed, *policies.WORLD_STREAM)]
+        assert np.array_equal(policy().integers(0, 12, size=7), ref_policy.integers(0, 12, size=7))
+        assert policy().random() == ref_policy.random()
+        assert policy() is policy()
         assert [next(world) for _ in range(3)] == [draw(ref_world) for _ in range(3)]
-
-
-def test_lazy_policy_stream_survives_copy_and_pickle():
-    for drawn in (False, True):
-        policy, _ = episode_streams(7)
-        if drawn:
-            policy.random(3)
-        shallow = copy.copy(policy)  # shares the generator once it is made
-        clones = [copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))]
-        expected = policy.integers(0, 12, size=5)
-        for clone in clones:
-            assert np.array_equal(clone.integers(0, 12, size=5), expected)
-        assert np.isfinite(shallow.random())
-    with pytest.raises(AttributeError):
-        policy.no_such_draw
+        assert made == [(seed, *policies.WORLD_STREAM), (seed, *policies.POLICY_STREAM)]
 
 
 def test_memoized_episode_seed_equals_the_direct_computation():

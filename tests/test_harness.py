@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import struct
@@ -135,6 +136,18 @@ def test_a_config_is_frozen_and_holds_one_world():
     assert cfg.environment().registry is cfg.build_registry()
     assert (cfg.environment().t_max, cfg.environment().step_penalty) == (cfg.t_max, cfg.step_penalty)
     assert replace(cfg, seed=4).environment() is not cfg.environment()
+
+
+def test_a_config_keeps_its_own_copy_of_the_profiles():
+    profiles = copy.deepcopy(list(DEFAULT_EXPERT_PROFILES))
+    cfg = RunConfig(expert_profiles=profiles)
+    recorded = cfg.to_json()
+    profiles[9]["means"]["object_resizing"] = 1.0
+    profiles.append(profiles[0])
+    assert cfg.to_json() == recorded
+    assert cfg.build_registry().spec(9).profile.mean_for(TaskCategory.OBJECT_RESIZING) == 7.67
+    again = config_from_dict(json.loads(cfg.to_json()))
+    assert again.build_registry().list() == cfg.build_registry().list()
 
 
 def test_a_float_setting_given_an_int_is_stored_as_a_float():

@@ -31,10 +31,11 @@ from qroute.logs import (
     write_prompts,
 )
 from qroute.network import HIDDEN_WIDTHS, QNetwork
-from qroute.policies import RandomPolicy, run_episode
+from qroute.policies import OraclePolicy, RandomPolicy, run_episode
 from qroute.simworld import generate_corpus
 
 from conftest import atom, rewrite_line
+from test_rollout_pin import pinned_prompts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -300,8 +301,10 @@ def untrained_checkpoint(tmp_path_factory):
         {"atoms": STYLED["atoms"][1:]},
         {"style": None},
         {"editting": True},  # a misspelt key would run an editing prompt from a blank canvas
+        {"image": [["add_object", "boats", "6"]]},  # an input image on a prompt that starts blank
     ],
-    ids=["two-style-atoms", "style-no-atom-carries", "null-style-beside-a-style-atom", "unknown-key"],
+    ids=["two-style-atoms", "style-no-atom-carries", "null-style-beside-a-style-atom", "unknown-key",
+         "image-without-editing"],
 )
 def test_a_bad_prompt_record_exits_2_naming_its_line(tmp_path, capsys, env, untrained_checkpoint, fields):
     """Through a prompt file (``baseline`` and ``eval``) and through the
@@ -323,6 +326,24 @@ def test_a_bad_prompt_record_exits_2_naming_its_line(tmp_path, capsys, env, untr
         assert cli_main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: " + says) and err.count("\n") == 1, (args, err)
+
+
+def test_an_input_image_survives_a_prompt_file_and_an_episode_log(tmp_path, capsys, env):
+    """Prompts 900 and 901 of the rollout pin start on an image that holds
+    an object to remove: the image's atoms are written, read back, and
+    replayed from the log."""
+    prompts = pinned_prompts()[-2:]
+    assert [p.id for p in prompts] == [900, 901] and all(p.initial_canvas.atoms for p in prompts)
+    path, log = tmp_path / "prompts.jsonl", tmp_path / "episodes.jsonl"
+    write_prompts(path, prompts)
+    assert read_prompts(path) == prompts
+    runs = [(policy, prompt) for policy in (OraclePolicy(env.registry), RandomPolicy()) for prompt in prompts]
+    episodes = [run_episode(env, policy, prompt, seed=7, episode_id=i) for i, (policy, prompt) in enumerate(runs)]
+    write_episode_log(log, episodes)
+    assert read_episode_log(log) == episodes
+    for ep in episodes:
+        assert cli_main(["replay", "--episode", str(log), "--index", str(ep.episode_id)]) == 0
+        assert capsys.readouterr().out.endswith("replay OK\n")
 
 
 def test_baseline_logs_are_byte_identical_across_hash_seeds(tmp_path):
